@@ -13,6 +13,7 @@ and seed; rationals print as ``num/den``, floats with 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -268,7 +269,9 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by every call of :func:`main`."""
     parser = argparse.ArgumentParser(
         prog="threebox",
         description="Card-deck and quantum retrodiction engines for pre/post-selected runs.",

@@ -4,6 +4,11 @@ Each trial walks the experiment's events with its own counter-based draw
 stream (see :mod:`threebox.rng`), so a run is a deterministic function of
 (experiment, trials, seed) and is invariant under trial reordering.  Results
 come back as frequency tables with binomial standard errors.
+
+:func:`run_trial` is the scalar definition of a trial.  :func:`simulate`
+gives the same counts faster: it compiles the experiment once into a table
+of transitions per event and walks it over fixed chunks of trials as numpy
+arrays, so memory stays bounded whatever the trial count.
 """
 
 from __future__ import annotations
@@ -12,10 +17,15 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .deck import Outcome, SystemState, observe, prepare
-from .errors import InvalidArgumentsError, NoAcceptedTrialsError
+from .errors import DrawOutOfRangeError, InvalidArgumentsError, NoAcceptedTrialsError
 from .exact import Experiment
-from .rng import CounterStream
+from .rng import CounterStream, CounterStreams
+
+# Trials walked together as one set of arrays.
+CHUNK_TRIALS = 4096
 
 
 @dataclass(frozen=True)
@@ -29,6 +39,13 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise InvalidArgumentsError("a run needs at least one trial")
+        check_seed(self.seed)
+
+
+def check_seed(seed: int) -> None:
+    """Reject a seed outside the stream's 64-bit key range."""
+    if not 0 <= seed < 1 << 64:
+        raise InvalidArgumentsError(f"seed must be in [0, 2**64), got {seed}")
 
 
 def run_trial(experiment: Experiment, seed: int, trial: int) -> tuple[Outcome, ...]:
@@ -130,14 +147,18 @@ class FrequencyTable:
 def simulate(config: RunConfig) -> FrequencyTable:
     """Run every trial and tally outcome sequences and postselection hits.
 
-    The per-trial merge is plain count addition, so the result does not
-    depend on the order trials are executed in.
+    The counts equal those of :func:`run_trial` over trials ``0 .. trials-1``
+    exactly.  Chunk tallies merge by plain count addition, so the result
+    does not depend on the order trials are executed in.
     """
     experiment = config.experiment
-    counts: Counter[tuple[Outcome, ...]] = Counter()
-    walker = _TreeWalker(experiment)
-    for trial in range(config.trials):
-        counts[walker.run(CounterStream(config.seed, trial))] += 1
+    kernel = _Kernel(experiment)
+    tally: Counter[int] = Counter()
+    for start in range(0, config.trials, CHUNK_TRIALS):
+        trials = np.arange(start, min(start + CHUNK_TRIALS, config.trials), dtype=np.uint64)
+        codes, counts = np.unique(kernel.walk(config.seed, trials), return_counts=True)
+        tally.update(dict(zip(codes.tolist(), counts.tolist())))
+    counts = {kernel.decode(code): n for code, n in tally.items()}
     accepted = config.trials
     if experiment.postselection is not None:
         ordinal, outcome = experiment.postselection
@@ -146,7 +167,7 @@ def simulate(config: RunConfig) -> FrequencyTable:
         experiment=experiment,
         trials=config.trials,
         seed=config.seed,
-        counts=dict(counts),
+        counts=counts,
         accepted=accepted,
     )
 
@@ -166,41 +187,61 @@ def _sig12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-class _TreeWalker:
-    """Pre-compiled transition tables for fast trial execution.
+class _Kernel:
+    """An experiment compiled into one transition table per event.
 
-    For every reachable (state, remaining events) node this caches the draw
-    pool size and the map from draw index to the successor node, which is
-    exactly the ``observe`` transition without rebuilding states per trial.
+    States reachable before event ``e`` are numbered from 0, the prepared
+    state being 0.  For state ``s`` and draw index ``i`` into its pool (in
+    canonical card order), cell ``s * width + i`` of the event's tables
+    holds the id of the reported outcome (its position in the
+    manifestation's outcome list) and the id of the state after the event.
+    Every cell comes from one call of :func:`threebox.deck.observe`.
+
+    An outcome sequence is tallied as one mixed-radix code, the first event
+    being the most significant digit.
     """
 
     def __init__(self, experiment: Experiment):
-        self._experiment = experiment
-        self._root = self._compile(prepare(experiment.deck, experiment.preparation), 0)
+        deck = experiment.deck
+        self.outcomes = tuple(m.outcomes(deck) for m in experiment.manifestations)
+        if math.prod(len(o) for o in self.outcomes) > np.iinfo(np.int64).max:
+            raise InvalidArgumentsError("too many possible outcome sequences to tally in 64 bits")
+        events = []
+        states = [prepare(deck, experiment.preparation)]
+        for manifestation, outcomes in zip(experiment.manifestations, self.outcomes):
+            ids = {outcome: k for k, outcome in enumerate(outcomes)}
+            pools = [state.pool_for(manifestation.variable) for state in states]
+            width = max(map(len, pools))
+            outcome_ids = np.zeros(len(states) * width, dtype=np.intp)
+            successor_ids = np.zeros_like(outcome_ids)
+            successors: dict[SystemState, int] = {}
+            for s, (state, pool) in enumerate(zip(states, pools)):
+                if not pool:
+                    raise DrawOutOfRangeError(f"draw pool for {manifestation} is empty")
+                for i in range(len(pool)):
+                    outcome, after, _ = observe(state, manifestation, lambda n, i=i: i)
+                    outcome_ids[s * width + i] = ids[outcome]
+                    successor_ids[s * width + i] = successors.setdefault(after, len(successors))
+            pool_sizes = np.array([len(pool) for pool in pools], dtype=np.uint64)
+            events.append((pool_sizes, width, outcome_ids, successor_ids))
+            states = list(successors)
+        self.events = tuple(events)
 
-    def _compile(self, state: SystemState, depth: int):
-        if depth == len(self._experiment.manifestations):
-            return None
-        manifestation = self._experiment.manifestations[depth]
-        deck = self._experiment.deck
-        variable = deck.variable(manifestation.variable).name
-        same = state.memory == variable
-        pool = state.these if same else state.others
-        successors: dict[Outcome, tuple] = {}
-        by_index = []
-        for card in pool:
-            outcome = manifestation.outcome_for(deck.label_of(card, variable))
-            if outcome not in successors:
-                child_state = state if same else prepare(deck, outcome)
-                successors[outcome] = (outcome, self._compile(child_state, depth + 1))
-            by_index.append(successors[outcome])
-        return len(pool), tuple(by_index)
+    def walk(self, seed: int, trials: np.ndarray) -> np.ndarray:
+        """The outcome-sequence code of each of the given trials."""
+        streams = CounterStreams(seed, trials)
+        state = np.zeros(len(trials), dtype=np.intp)
+        code = np.zeros(len(trials), dtype=np.int64)
+        for (pool_sizes, width, outcome_ids, successors), outcomes in zip(self.events, self.outcomes):
+            cell = state * width + streams.uniform_index(pool_sizes[state]).astype(np.intp)
+            code = code * len(outcomes) + outcome_ids[cell]
+            state = successors[cell]
+        return code
 
-    def run(self, stream: CounterStream) -> tuple[Outcome, ...]:
-        outcomes = []
-        node = self._root
-        while node is not None:
-            pool_size, by_index = node
-            outcome, node = by_index[stream.uniform_index(pool_size)]
-            outcomes.append(outcome)
-        return tuple(outcomes)
+    def decode(self, code: int) -> tuple[Outcome, ...]:
+        """The outcome sequence a code stands for."""
+        sequence = []
+        for outcomes in reversed(self.outcomes):
+            code, k = divmod(code, len(outcomes))
+            sequence.append(outcomes[k])
+        return tuple(reversed(sequence))

@@ -219,7 +219,7 @@ def threebox_condition_check(state: QState, post: QState, basis: Sequence[QState
     if _same_dimension(state, post) != 3:
         raise DimensionMismatchError("the three-box condition lives in dimension 3")
     products = _transition_products(state, basis, post)
-    return (
+    return bool(
         abs(products[0] - products[1]) <= TOLERANCE
         and abs(products[0] + products[2]) <= TOLERANCE
     )

@@ -17,9 +17,16 @@ Algorithm (all arithmetic modulo 2**64):
         then return w % n  (rejection keeps the index exactly uniform)
 
 Any change to these constants or steps is a new version and a new name.
+
+:class:`CounterStream` is the scalar definition.  :class:`CounterStreams`
+evaluates the same words for many trials at once over numpy ``uint64``
+arrays, whose arithmetic wraps modulo 2**64 exactly as the algorithm asks,
+so its indices and word counts are those of the scalar streams, bit for bit.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -44,6 +51,11 @@ class CounterStream:
         self._base = finalize(finalize(seed) ^ finalize(trial))
         self._count = 0
 
+    @property
+    def words(self) -> int:
+        """Words consumed so far."""
+        return self._count
+
     def next_word(self) -> int:
         self._count += 1
         return finalize((self._base + self._count * _GOLDEN) & _MASK)
@@ -57,3 +69,62 @@ class CounterStream:
             word = self.next_word()
             if word < limit:
                 return word % n
+
+
+def finalize_array(z: np.ndarray) -> np.ndarray:
+    """:func:`finalize` of every element of a ``uint64`` array, into a new array."""
+    z = z ^ (z >> np.uint64(30))
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+class CounterStreams:
+    """The word streams of many trials of one seed, one array element per trial.
+
+    Element ``j`` follows ``CounterStream(seed, trials[j])`` exactly: each
+    trial keeps its own word counter, so a rejected word delays only the
+    trial that drew it.
+    """
+
+    def __init__(self, seed: int, trials: np.ndarray):
+        key = np.uint64(finalize(seed))
+        self._base = finalize_array(key ^ finalize_array(trials.astype(np.uint64)))
+        self._count = np.zeros(len(trials), dtype=np.uint64)
+
+    @property
+    def words(self) -> np.ndarray:
+        """Words consumed so far, per trial."""
+        return self._count.copy()
+
+    def _words_at(self, count: np.ndarray, base: np.ndarray) -> np.ndarray:
+        return finalize_array(base + count * np.uint64(_GOLDEN))
+
+    def uniform_index(self, n: np.ndarray) -> np.ndarray:
+        """One exactly uniform index per trial, into pools of the sizes ``n``.
+
+        ``n`` holds one positive pool size per trial.  A word is redrawn, as
+        in the scalar rule, when ``w >= 2**64 - 2**64 % n``.  That limit is
+        2**64 itself for a power-of-two ``n`` and does not fit a ``uint64``,
+        so words are compared against the limit minus one.  Since
+        ``2**64 % n < n``, only words above ``2**64 - 1 - n`` can be
+        rejected, and the limit is computed for those alone.
+        """
+        n = np.asarray(n, dtype=np.uint64)
+        if n.shape != self._count.shape or not n.all():
+            raise ValueError("pool sizes must be positive, one per trial")
+        top = np.uint64(_MASK)
+        self._count += np.uint64(1)
+        words = self._words_at(self._count, self._base)
+        suspects = np.flatnonzero(words > top - n)
+        sizes = n[suspects]
+        last = top - (top % sizes + np.uint64(1)) % sizes
+        rejected = words[suspects] > last
+        while rejected.any():
+            suspects, last = suspects[rejected], last[rejected]
+            self._count[suspects] += np.uint64(1)
+            words[suspects] = self._words_at(self._count[suspects], self._base[suspects])
+            rejected = words[suspects] > last
+        return words % n

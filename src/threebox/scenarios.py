@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import quantum
 from .deck import Card, Deck, Manifestation, Outcome, prepare, step_distribution
 from .decks import three_box_deck, two_value_deck
-from .errors import ZeroAcceptanceError
+from .errors import InvalidArgumentsError, ZeroAcceptanceError
 from .exact import (
     AnyOf,
     Experiment,
@@ -33,7 +33,7 @@ from .exact import (
     single_step_probability,
 )
 from .formulas import RetrodictionInputs, retrodict_complete, retrodict_partial
-from .montecarlo import FrequencyTable, RunConfig, simulate
+from .montecarlo import FrequencyTable, RunConfig, check_seed, simulate
 
 DEFAULT_TRIALS = 100_000
 DEFAULT_SEED = 42
@@ -125,7 +125,7 @@ def _bool_claim(description: str, source: str, detail: dict[str, str], passed: b
         source=source,
         mode=MODE_EXACT,
         computed=detail,
-        passed=passed,
+        passed=bool(passed),
     )
 
 
@@ -134,9 +134,19 @@ def _mc_claim(description: str, exact_value: Fraction, estimate: float, samples:
 
     Degenerate probabilities (0 or 1) must be matched exactly; anything else
     must land within five binomial standard errors, which keeps the false
-    alarm rate of a fixed-seed run negligible.
+    alarm rate of a fixed-seed run negligible.  A frequency over no samples
+    decides nothing, so its claim is reported as not passed.
     """
     p = float(exact_value)
+    if samples == 0:
+        return Claim(
+            description=description,
+            expected=_fmt(p),
+            source="exact engine",
+            mode=MODE_EXACT if p in (0.0, 1.0) else MODE_FIVE_SE,
+            computed={"monte carlo": "undecided: no samples"},
+            passed=False,
+        )
     if p in (0.0, 1.0):
         return Claim(
             description=description,
@@ -157,8 +167,18 @@ def _mc_claim(description: str, exact_value: Fraction, estimate: float, samples:
     )
 
 
+def _mc_retrodiction_claim(
+    description: str, expected: Fraction, table: FrequencyTable, ordinal: int, outcome: Outcome
+) -> Claim:
+    """Compare the retrodiction among accepted trials; undecided when none was accepted."""
+    if table.accepted == 0:
+        return _mc_claim(description, expected, math.nan, 0)
+    estimate = table.retrodiction(ordinal, outcome)
+    return _mc_claim(description, expected, estimate.estimate, estimate.accepted)
+
+
 def _simulate(experiment: Experiment, trials: int, seed: int) -> FrequencyTable | None:
-    if trials <= 0:
+    if trials == 0:
         return None
     return simulate(RunConfig(experiment, trials, seed))
 
@@ -261,13 +281,13 @@ def three_box_card(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) -> Sc
                     trials,
                 )
             )
-            estimate = table.retrodiction(1, suit)
             report.claims.append(
-                _mc_claim(
+                _mc_retrodiction_claim(
                     f"Monte Carlo retrodiction of {suit_label} among accepted runs",
                     Fraction(1),
-                    estimate.estimate,
-                    estimate.accepted,
+                    table,
+                    1,
+                    suit,
                 )
             )
     return report
@@ -434,13 +454,13 @@ def interference_demo(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) ->
             )
         )
         if table is not None:
-            estimate = table.retrodiction(1, suit_of[label])
             report.claims.append(
-                _mc_claim(
+                _mc_retrodiction_claim(
                     f"Monte Carlo retrodiction of {label} among accepted runs",
                     expected,
-                    estimate.estimate,
-                    estimate.accepted,
+                    table,
+                    1,
+                    suit_of[label],
                 )
             )
     report.claims.append(
@@ -643,13 +663,9 @@ def counterfactual_trace(
         report.claims.append(
             _mc_claim("Monte Carlo acceptance rate", acceptance, table.acceptance_rate, trials)
         )
-        estimate = table.retrodiction(1, prep)
         report.claims.append(
-            _mc_claim(
-                "Monte Carlo retrodiction of K among accepted runs",
-                Fraction(1),
-                estimate.estimate,
-                estimate.accepted,
+            _mc_retrodiction_claim(
+                "Monte Carlo retrodiction of K among accepted runs", Fraction(1), table, 1, prep
             )
         )
 
@@ -737,9 +753,16 @@ SCENARIOS = {
 
 
 def run_scenario(name: str, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) -> ScenarioReport:
-    """Run a scenario by CLI name, forwarding Monte Carlo options where used."""
+    """Run a scenario by CLI name, forwarding Monte Carlo options where used.
+
+    ``trials=0`` skips the Monte Carlo routes; a negative count or a seed
+    outside [0, 2**64) is rejected whether or not the scenario samples.
+    """
     if name not in SCENARIOS:
         raise KeyError(f"unknown scenario {name!r}; choose from {', '.join(sorted(SCENARIOS))}")
+    if trials < 0:
+        raise InvalidArgumentsError(f"trials must be 0 (to skip Monte Carlo) or positive, got {trials}")
+    check_seed(seed)
     if name in ("three-box-card", "interference", "counterfactual"):
         return SCENARIOS[name](trials=trials, seed=seed)
     return SCENARIOS[name]()

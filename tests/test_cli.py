@@ -136,6 +136,15 @@ class TestSimulate:
         assert code == 0
         assert "S:" in out
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_exits_2(self, capsys, deck_file, seed):
+        code, out, err = run(
+            capsys,
+            "simulate", "--deck", deck_file, "--prepare", "Face=Q", "--observe", "Suit", "--seed", seed,
+        )
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "seed" in err
+
 
 class TestFormula:
     def test_partial(self, capsys):
@@ -205,6 +214,11 @@ class TestQuantum:
         assert code == 0
         assert out.strip() == "true"
 
+    def test_condition_json(self, capsys):
+        code, out, _ = run(capsys, "quantum", "condition", "--state", "1,1,1", "--post", "1,1,-1", "--json")
+        assert code == 0
+        assert json.loads(out)["value"] is True
+
     def test_slits(self, capsys):
         code, out, _ = run(
             capsys, "quantum", "slits", "--separation", "10", "--wavelength", "1", "--json"
@@ -256,6 +270,25 @@ class TestScenario:
         code, out, _ = run(capsys, "scenario", "aad")
         assert code == 1
         assert "[FAIL]" in out
+
+    def test_quantum_json_report(self, capsys):
+        code, out, _ = run(capsys, "scenario", "three-box-quantum", "--json")
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+
+    @pytest.mark.parametrize("name, seed", [("interference", "17"), ("three-box-card", "0")])
+    def test_monte_carlo_claim_without_samples_is_undecided(self, capsys, name, seed):
+        code, out, err = run(capsys, "scenario", name, "--trials", "1", "--seed", seed, "--json")
+        assert (code, err) == (1, "")
+        claims = json.loads(out)["claims"]
+        undecided = [c for c in claims if c["computed"].get("monte carlo") == "undecided: no samples"]
+        assert undecided and not any(c["passed"] for c in undecided)
+
+    @pytest.mark.parametrize("options", [("--trials", "-5"), ("--seed", "-1"), ("--seed", str(2**64))])
+    def test_bad_trials_or_seed_exits_2(self, capsys, options):
+        code, out, err = run(capsys, "scenario", "three-box-card", *options)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
 
     def test_unknown_scenario_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

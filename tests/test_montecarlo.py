@@ -4,13 +4,17 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from threebox.deck import Manifestation, Outcome
-from threebox.errors import InvalidArgumentsError, NoAcceptedTrialsError
+from test_deck import balanced_decks
+from threebox.deck import CardValue, Manifestation, Outcome, validate_deck
+from threebox.errors import DrawOutOfRangeError, InvalidArgumentsError, NoAcceptedTrialsError
 from threebox.exact import Experiment, acceptance_probability
-from threebox.montecarlo import RunConfig, estimate_retrodiction, run_trial, simulate
-from threebox.rng import CounterStream, finalize
+from threebox.montecarlo import CHUNK_TRIALS, RunConfig, estimate_retrodiction, run_trial, simulate
+from threebox.rng import CounterStream, CounterStreams, finalize
 
 GOLDEN = 0x9E3779B97F4A7C15
 
@@ -60,6 +64,39 @@ class TestCounterStream:
             CounterStream(0, 0).uniform_index(0)
 
 
+class TestCounterStreams:
+    @pytest.mark.parametrize("n", [2**63 + 1, 2**63, 6])
+    def test_vector_draws_match_the_scalar_stream(self, n):
+        # At n = 2**63 + 1 about half of all words are rejected, so the
+        # redraw loop runs for many trials, often several times; 2**63 is a
+        # power of two, whose limit 2**64 does not fit a uint64.
+        trials = np.arange(1500, dtype=np.uint64)
+        for seed in (0, 99, 2**64 - 1):
+            streams = CounterStreams(seed, trials)
+            draws = [streams.uniform_index(np.full(len(trials), n, dtype=np.uint64)) for _ in range(2)]
+            words = streams.words
+            for trial in range(len(trials)):
+                scalar = CounterStream(seed, trial)
+                assert [scalar.uniform_index(n) for _ in range(2)] == [int(d[trial]) for d in draws]
+                assert scalar.words == words[trial]
+            if n == 2**63 + 1:
+                assert words.max() > 6
+
+    def test_pool_sizes_must_be_positive_one_per_trial(self):
+        streams = CounterStreams(0, np.arange(3))
+        for sizes in ([2, 0, 2], [2, 2]):
+            with pytest.raises(ValueError):
+                streams.uniform_index(np.array(sizes))
+
+    def test_each_trial_has_its_own_pool_size(self):
+        sizes = np.random.default_rng(0).integers(1, 60, 500).astype(np.uint64)
+        streams = CounterStreams(7, np.arange(500) + 10**6)
+        draws = [streams.uniform_index(sizes) for _ in range(3)]
+        for j, n in enumerate(sizes.tolist()):
+            scalar = CounterStream(7, 10**6 + j)
+            assert [scalar.uniform_index(n) for _ in range(3)] == [int(d[j]) for d in draws]
+
+
 class TestSimulate:
     def test_reruns_are_bitwise_identical(self, threebox):
         config = RunConfig(spade_check(threebox), trials=5000, seed=123)
@@ -103,6 +140,67 @@ class TestSimulate:
     def test_at_least_one_trial_required(self, threebox):
         with pytest.raises(InvalidArgumentsError):
             RunConfig(spade_check(threebox), trials=0, seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_must_fit_64_bits(self, threebox, seed):
+        with pytest.raises(InvalidArgumentsError):
+            RunConfig(spade_check(threebox), trials=1, seed=seed)
+        assert RunConfig(spade_check(threebox), trials=1, seed=2**64 - 1).seed == 2**64 - 1
+
+    @pytest.mark.parametrize(
+        "trials", [CHUNK_TRIALS - 1, CHUNK_TRIALS, CHUNK_TRIALS + 1, 3 * CHUNK_TRIALS + 5]
+    )
+    def test_chunk_edges(self, threebox, trials):
+        experiment = spade_check(threebox)
+        reference = Counter(run_trial(experiment, 13, t) for t in range(trials))
+        assert simulate(RunConfig(experiment, trials, 13)).counts == dict(reference)
+
+    def test_empty_pool_fails_as_in_the_scalar_walk(self):
+        deck = validate_deck([("K", "S", 2)])
+        experiment = Experiment(deck, out(deck, "Face", "K"), (Manifestation("Suit"),))
+        with pytest.raises(DrawOutOfRangeError):
+            run_trial(experiment, 1, 0)
+        with pytest.raises(DrawOutOfRangeError):
+            simulate(RunConfig(experiment, 10, 1))
+
+    def test_outcome_sequences_must_fit_the_tally(self):
+        size = 240  # 240**8 complete-observation sequences overflow a 64-bit code
+        deck = validate_deck([(f"F{i}", f"S{i}", 1) for i in range(size)])
+        events = tuple(Manifestation(("Suit", "Face")[k % 2]) for k in range(8))
+        experiment = Experiment(deck, out(deck, "Face", "F0"), events)
+        with pytest.raises(InvalidArgumentsError):
+            simulate(RunConfig(experiment, 10, 1))
+
+
+@st.composite
+def experiments(draw):
+    """A random balanced deck, preparation, up to four events and maybe a postselection."""
+    deck = draw(balanced_decks())
+    variables = (deck.face, deck.suit)
+    variable = draw(st.sampled_from(variables))
+    preparation = Outcome(
+        CardValue(variable.name, draw(st.sampled_from(variable.labels))), negated=draw(st.booleans())
+    )
+    events = []
+    for _ in range(draw(st.integers(0, 4))):
+        observed = draw(st.sampled_from(variables))
+        events.append(Manifestation(observed.name, draw(st.sampled_from((None,) + observed.labels))))
+    postselection = None
+    if events and draw(st.booleans()):
+        ordinal = draw(st.integers(1, len(events)))
+        postselection = (ordinal, draw(st.sampled_from(events[ordinal - 1].outcomes(deck))))
+    return Experiment(deck, preparation, tuple(events), postselection)
+
+
+@settings(max_examples=60, deadline=None)
+@given(experiments(), st.integers(0, 2**64 - 1), st.integers(1, 300))
+def test_vector_engine_matches_the_observe_loop_on_random_decks(experiment, seed, trials):
+    reference = Counter(run_trial(experiment, seed, t) for t in range(trials))
+    table = simulate(RunConfig(experiment, trials, seed))
+    assert table.counts == dict(reference)
+    if experiment.postselection is not None:
+        ordinal, outcome = experiment.postselection
+        assert table.accepted == sum(n for seq, n in reference.items() if seq[ordinal - 1] == outcome)
 
 
 class TestConvergence:
