@@ -32,13 +32,9 @@ from .exact import (
     tree_report,
 )
 from .formulas import RetrodictionInputs, retrodict_complete, retrodict_partial
-from .montecarlo import RunConfig, simulate
+from .montecarlo import RunConfig, format_float, simulate
 from .scenarios import DEFAULT_SEED, DEFAULT_TRIALS, SCENARIOS, run_scenario
 from . import quantum
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
 
 
 def _emit(report: dict, args: argparse.Namespace, text: str | None = None) -> None:
@@ -72,9 +68,19 @@ def _to_csv(report: dict) -> str:
                 f"\"{claim['description']}\",\"{claim['expected']}\",{claim['mode']},\"{computed}\",{claim['passed']}"
             )
     else:
-        for key, value in report.items():
-            lines.append(f"{key},{value}")
+        lines.extend(f"{key},{value}" for key, value in _flatten(report))
     return "\n".join(lines) + "\n"
+
+
+def _flatten(report: dict, prefix: str = "") -> list[tuple[str, object]]:
+    """``(key, value)`` pairs of a report, nested dicts spelled out as ``outer.inner`` keys."""
+    pairs = []
+    for key, value in report.items():
+        if isinstance(value, dict):
+            pairs.extend(_flatten(value, f"{prefix}{key}."))
+        else:
+            pairs.append((f"{prefix}{key}", value))
+    return pairs
 
 
 def _add_format_flags(parser: argparse.ArgumentParser) -> None:
@@ -167,13 +173,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             estimate = table.retrodiction(ordinal, outcome)
             report["retrodiction"] = {
                 "outcome": str(outcome),
-                "estimate": _fmt(estimate.estimate),
-                "standard_error": _fmt(estimate.standard_error),
+                "estimate": format_float(estimate.estimate),
+                "standard_error": format_float(estimate.standard_error),
                 "accepted": estimate.accepted,
             }
         else:
             frequency = table.marginal_frequency(ordinal, outcome)
-            report["marginal"] = {"outcome": str(outcome), "frequency": _fmt(frequency)}
+            report["marginal"] = {"outcome": str(outcome), "frequency": format_float(frequency)}
     lines = [
         f"{' '.join(row['outcomes'])}: {row['count']} ({row['frequency']})"
         for row in report["sequences"]
@@ -218,11 +224,11 @@ def _cmd_quantum(args: argparse.Namespace) -> int:
         )
         fn = quantum.abl_complete if args.operation == "abl-complete" else quantum.abl_partial
         value = fn(state, basis, args.index, post)
-        report = {"operation": args.operation, "index": args.index, "value": _fmt(value)}
-        _emit(report, args, _fmt(value))
+        report = {"operation": args.operation, "index": args.index, "value": format_float(value)}
+        _emit(report, args, format_float(value))
     elif args.operation == "born":
         value = quantum.born_probability(_parse_state(args.state), _parse_state(args.post))
-        _emit({"operation": "born", "value": _fmt(value)}, args, _fmt(value))
+        _emit({"operation": "born", "value": format_float(value)}, args, format_float(value))
     elif args.operation == "condition":
         state = _parse_state(args.state)
         post = _parse_state(args.post)
@@ -233,20 +239,20 @@ def _cmd_quantum(args: argparse.Namespace) -> int:
         geometry = quantum.three_slit_design(args.separation, args.wavelength)
         report = {
             "operation": "slits",
-            "separation": _fmt(geometry.separation),
-            "wavelength": _fmt(geometry.wavelength),
-            "distance": _fmt(geometry.distance),
+            "separation": format_float(geometry.separation),
+            "wavelength": format_float(geometry.wavelength),
+            "distance": format_float(geometry.distance),
             "amplitude_pattern": [
-                _fmt(x) for x in (geometry.detector_state().amplitudes.real.round(12))
+                format_float(x) for x in (geometry.detector_state().amplitudes.real.round(12))
             ],
         }
-        _emit(report, args, f"detector distance: {_fmt(geometry.distance)}")
+        _emit(report, args, f"detector distance: {format_float(geometry.distance)}")
     else:  # aad
         analysis = quantum.aad_analysis(complex(args.alpha), complex(args.beta))
         report = {
             "operation": "aad",
-            "partial": _fmt(analysis.partial_result),
-            "complete": _fmt(analysis.complete_result),
+            "partial": format_float(analysis.partial_result),
+            "complete": format_float(analysis.complete_result),
         }
         _emit(report, args, f"partial: {report['partial']}\ncomplete: {report['complete']}")
     return 0

@@ -240,6 +240,14 @@ class SystemState:
         """The pool the next observation of ``variable`` would draw from."""
         return self.these if self.memory == self.deck.variable(variable).name else self.others
 
+    def after_report(self, outcome: Outcome) -> SystemState:
+        """The state once an observation has reported ``outcome``.
+
+        A repeated observation (the memory names the outcome's variable)
+        leaves the state untouched; any other re-prepares it for the outcome.
+        """
+        return self if self.memory == self.deck.variable(outcome.variable).name else prepare(self.deck, outcome)
+
     def sharp_value(self, variable: str) -> Outcome | None:
         """The assertion this state is prepared for, if the variable has one.
 
@@ -352,12 +360,16 @@ def prepare(deck: Deck, target: PreparationTarget) -> SystemState:
     Every card satisfying the target goes to ``These``, the remainder to
     ``Others``, and the memory records the target's variable.
     """
-    variable = deck.variable(target.variable).name
-    these = deck.matching(target)
+    variable = deck.variable(target.variable)
+    deck.value(variable.name, target.value.label)
+    by_face = variable is deck.face
+    these: list[Card] = []
+    others: list[Card] = []
+    for card in deck.cards:
+        (these if target.matches(card.face if by_face else card.suit) else others).append(card)
     if not these:
         raise InvalidArgumentsError(f"preparation {target} matches no card in the deck")
-    others = tuple(c for c in deck.cards if not target.matches(deck.label_of(c, variable)))
-    return SystemState(deck=deck, these=these, others=others, memory=variable)
+    return SystemState(deck=deck, these=tuple(these), others=tuple(others), memory=variable.name)
 
 
 def observe(
@@ -379,7 +391,7 @@ def observe(
     variable = deck.variable(manifestation.variable).name
     if manifestation.partial_on is not None:
         deck.value(variable, manifestation.partial_on)
-    pool = state.these if state.memory == variable else state.others
+    pool = state.pool_for(variable)
     if not pool:
         raise DrawOutOfRangeError(f"draw pool for {manifestation} is empty")
     index = draw(len(pool))
@@ -387,7 +399,7 @@ def observe(
         raise DrawOutOfRangeError(f"draw index {index} outside pool of size {len(pool)}")
     card = pool[index]
     outcome = manifestation.outcome_for(deck.label_of(card, variable))
-    after = state if state.memory == variable else prepare(deck, outcome)
+    after = state.after_report(outcome)
     return outcome, after, EventRecord(manifestation, card, outcome, state, after)
 
 
@@ -402,7 +414,7 @@ def step_distribution(state: SystemState, manifestation: Manifestation) -> dict[
     variable = deck.variable(manifestation.variable).name
     if manifestation.partial_on is not None:
         deck.value(variable, manifestation.partial_on)
-    pool = state.these if state.memory == variable else state.others
+    pool = state.pool_for(variable)
     if not pool:
         raise DrawOutOfRangeError(f"draw pool for {manifestation} is empty")
     labels = [deck.label_of(card, variable) for card in pool]

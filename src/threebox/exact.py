@@ -2,10 +2,16 @@
 
 An :class:`Experiment` is a preparation (event ordinal 0), an ordered list of
 manifestations (ordinals 1, 2, ...), and optionally a postselection: an
-outcome at one ordinal that accepted runs must show.  ``enumerate_tree``
-expands every possible outcome sequence into a branch tree with exact
-rational probabilities; conditional and retrodictive queries are ratios of
-leaf sums, so every probabilistic claim is an exact `Fraction`.
+outcome at one ordinal that accepted runs must show.  Each experiment is
+compiled once into a :class:`~threebox.kernel.Kernel`, the transition table
+every engine reads, and every probabilistic claim is an exact `Fraction`.
+
+Queries about outcomes at given ordinals (the marginal, the acceptance
+probability, the retrodiction) propagate a vector of state weights forward
+through the kernel, in time linear in the event count.  ``enumerate_tree``
+expands every possible outcome sequence into a branch tree; tree reports and
+general outcome patterns are leaf sums over it, and it is the oracle the
+forward pass is tested against.
 
 The module also carries the deck's closed-form single-step probabilities
 (checkable against enumeration), and mixture states: weighted combinations
@@ -14,6 +20,7 @@ of system states merged into one enlarged [These | Others] partition.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,8 +34,6 @@ from .deck import (
     Outcome,
     PreparationTarget,
     SystemState,
-    prepare,
-    step_distribution,
 )
 from .errors import (
     InvalidArgumentsError,
@@ -36,9 +41,10 @@ from .errors import (
     UndefinedConditionalError,
     WeightsNotNormalizedError,
 )
+from .kernel import Kernel
 
 # Branch counts grow as (values per variable + 1)^depth; decks are tiny but
-# trees are materialized fully, so cap the event sequence length.
+# trees are materialized fully, so cap the event count of a tree.
 MAX_EVENTS = 8
 
 
@@ -67,10 +73,6 @@ class Experiment:
     postselection: tuple[int, Outcome] | None = None
 
     def __post_init__(self) -> None:
-        if len(self.manifestations) > MAX_EVENTS:
-            raise SequenceTooLongError(
-                f"{len(self.manifestations)} events requested; the enumerator expands at most {MAX_EVENTS}"
-            )
         self.deck.value(self.preparation.variable, self.preparation.value.label)
         for m in self.manifestations:
             self.deck.variable(m.variable)
@@ -101,6 +103,11 @@ class Experiment:
             )
         return m
 
+    @functools.cached_property
+    def kernel(self) -> Kernel:
+        """The experiment's transition table, compiled on first use and kept with the experiment."""
+        return Kernel(self.deck, self.preparation, self.manifestations)
+
 
 # ---------------------------------------------------------------------------
 # Branch trees
@@ -126,28 +133,38 @@ class Branch:
         return not self.children
 
     def leaves(self) -> Iterator["Branch"]:
-        if self.is_leaf:
-            yield self
-        else:
-            for child in self.children:
-                yield from child.leaves()
+        """The leaves under this node, depth first in child order."""
+        pending = [self]
+        while pending:
+            node = pending.pop()
+            if node.children:
+                pending.extend(reversed(node.children))
+            else:
+                yield node
 
 
 def enumerate_tree(experiment: Experiment) -> Branch:
-    """Expand every outcome sequence of the experiment with exact probabilities."""
+    """Expand every outcome sequence of the experiment with exact probabilities.
 
-    def expand(state: SystemState, depth: int, outcomes: tuple[Outcome, ...], probability: Fraction) -> Branch:
-        if depth == len(experiment.manifestations):
+    Raises SequenceTooLongError beyond ``MAX_EVENTS`` events.
+    """
+    if len(experiment.manifestations) > MAX_EVENTS:
+        raise SequenceTooLongError(
+            f"{len(experiment.manifestations)} events requested; the enumerator expands at most {MAX_EVENTS}"
+        )
+    kernel = experiment.kernel
+
+    def expand(depth: int, s: int, outcomes: tuple[Outcome, ...], probability: Fraction) -> Branch:
+        state = kernel.layers[depth][s]
+        if depth == len(kernel.events):
             return Branch(state, outcomes, probability)
-        m = experiment.manifestations[depth]
-        same_variable = state.memory == experiment.deck.variable(m.variable).name
-        children = []
-        for outcome, p in step_distribution(state, m).items():
-            child_state = state if same_variable else prepare(experiment.deck, outcome)
-            children.append(expand(child_state, depth + 1, outcomes + (outcome,), probability * p))
-        return Branch(state, outcomes, probability, tuple(children))
+        children = tuple(
+            expand(depth + 1, t, outcomes + (outcome,), probability * p)
+            for outcome, p, t in kernel.events[depth].rows[s]
+        )
+        return Branch(state, outcomes, probability, children)
 
-    return expand(prepare(experiment.deck, experiment.preparation), 0, (), Fraction(1))
+    return expand(0, 0, (), Fraction(1))
 
 
 def leaf_distribution(experiment: Experiment) -> dict[tuple[Outcome, ...], Fraction]:
@@ -253,9 +270,62 @@ def _check_pattern(experiment: Experiment, pattern: Pattern) -> None:
             )
 
 
+# Required at an ordinal where two different outcomes are asked for; no row reports it.
+_NO_OUTCOME = object()
+
+
+def _atoms(*patterns: Pattern) -> dict[int, object] | None:
+    """The conjunction of the patterns as the outcome required at each ordinal.
+
+    Returns ``None`` unless every pattern is an :class:`OutcomeAt` or an
+    :class:`AllOf` of such.
+    """
+    atoms: dict[int, object] = {}
+    pending = list(patterns)
+    while pending:
+        pattern = pending.pop()
+        if isinstance(pattern, AllOf):
+            pending.extend(pattern.patterns)
+        elif not isinstance(pattern, OutcomeAt):
+            return None
+        elif atoms.setdefault(pattern.ordinal, pattern.outcome) != pattern.outcome:
+            atoms[pattern.ordinal] = _NO_OUTCOME
+    return atoms
+
+
+def _forward(experiment: Experiment, atoms: dict[int, object]) -> Fraction:
+    """Probability that the event at every ordinal of ``atoms`` reports its outcome.
+
+    A vector of state weights starts as the prepared state with weight one
+    and passes through the kernel an event at a time; at an ordinal of
+    ``atoms`` only the rows reporting that outcome carry weight on.  The
+    rows of a state sum to one, so the weight left after the last such
+    ordinal is the answer.
+    """
+    events = experiment.kernel.events
+    weights: dict[int, Fraction] = {0: Fraction(1)}
+    for ordinal in range(1, max(atoms, default=0) + 1):
+        rows = events[ordinal - 1].rows
+        required = atoms.get(ordinal)
+        moved: dict[int, Fraction] = {}
+        for s, weight in weights.items():
+            for outcome, p, t in rows[s]:
+                if p and (required is None or outcome == required):
+                    moved[t] = moved.get(t, 0) + weight * p
+        weights = moved
+    return sum(weights.values(), Fraction(0))
+
+
 def probability(experiment: Experiment, pattern: Pattern) -> Fraction:
-    """Exact probability that a run's outcome sequence matches the pattern."""
+    """Exact probability that a run's outcome sequence matches the pattern.
+
+    A conjunction of :class:`OutcomeAt` atoms runs forward over the kernel;
+    any other pattern is a leaf sum over the enumerated tree.
+    """
     _check_pattern(experiment, pattern)
+    atoms = _atoms(pattern)
+    if atoms is not None:
+        return _forward(experiment, atoms)
     return sum(
         (leaf.probability for leaf in enumerate_tree(experiment).leaves() if pattern.matches(leaf.outcomes)),
         Fraction(0),
@@ -269,13 +339,18 @@ def conditional_probability(experiment: Experiment, target: Pattern, condition: 
     """
     _check_pattern(experiment, target)
     _check_pattern(experiment, condition)
-    joint = Fraction(0)
-    conditioning = Fraction(0)
-    for leaf in enumerate_tree(experiment).leaves():
-        if condition.matches(leaf.outcomes):
-            conditioning += leaf.probability
-            if target.matches(leaf.outcomes):
-                joint += leaf.probability
+    joint_atoms, condition_atoms = _atoms(target, condition), _atoms(condition)
+    if joint_atoms is not None and condition_atoms is not None:
+        joint = _forward(experiment, joint_atoms)
+        conditioning = _forward(experiment, condition_atoms)
+    else:
+        joint = Fraction(0)
+        conditioning = Fraction(0)
+        for leaf in enumerate_tree(experiment).leaves():
+            if condition.matches(leaf.outcomes):
+                conditioning += leaf.probability
+                if target.matches(leaf.outcomes):
+                    joint += leaf.probability
     if conditioning == 0:
         raise UndefinedConditionalError("conditioning event has probability zero")
     return joint / conditioning

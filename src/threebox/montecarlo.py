@@ -6,9 +6,9 @@ stream (see :mod:`threebox.rng`), so a run is a deterministic function of
 come back as frequency tables with binomial standard errors.
 
 :func:`run_trial` is the scalar definition of a trial.  :func:`simulate`
-gives the same counts faster: it compiles the experiment once into a table
-of transitions per event and walks it over fixed chunks of trials as numpy
-arrays, so memory stays bounded whatever the trial count.
+gives the same counts faster: it walks the cells of the experiment's
+compiled kernel (see :mod:`threebox.kernel`) over fixed chunks of trials as
+numpy arrays, so memory stays bounded whatever the trial count.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deck import Outcome, SystemState, observe, prepare
-from .errors import DrawOutOfRangeError, InvalidArgumentsError, NoAcceptedTrialsError
+from .deck import Outcome, observe, prepare
+from .errors import InvalidArgumentsError, NoAcceptedTrialsError
 from .exact import Experiment
+from .kernel import Kernel
 from .rng import CounterStream, CounterStreams
 
 # Trials walked together as one set of arrays.
@@ -152,13 +153,16 @@ def simulate(config: RunConfig) -> FrequencyTable:
     does not depend on the order trials are executed in.
     """
     experiment = config.experiment
-    kernel = _Kernel(experiment)
+    sizes = [len(m.outcomes(experiment.deck)) for m in experiment.manifestations]
+    if math.prod(sizes) > np.iinfo(np.int64).max:
+        raise InvalidArgumentsError("too many possible outcome sequences to tally in 64 bits")
+    kernel = experiment.kernel
     tally: Counter[int] = Counter()
     for start in range(0, config.trials, CHUNK_TRIALS):
         trials = np.arange(start, min(start + CHUNK_TRIALS, config.trials), dtype=np.uint64)
-        codes, counts = np.unique(kernel.walk(config.seed, trials), return_counts=True)
+        codes, counts = np.unique(_walk(kernel, config.seed, trials), return_counts=True)
         tally.update(dict(zip(codes.tolist(), counts.tolist())))
-    counts = {kernel.decode(code): n for code, n in tally.items()}
+    counts = {_decode(kernel, code): n for code, n in tally.items()}
     accepted = config.trials
     if experiment.postselection is not None:
         ordinal, outcome = experiment.postselection
@@ -182,66 +186,36 @@ def estimate_retrodiction(config: RunConfig, ordinal: int, outcome: Outcome) -> 
     return simulate(config).retrodiction(ordinal, outcome)
 
 
+def format_float(x: float) -> str:
+    """A float with 12 significant digits, the form every report prints floats in."""
+    return f"{x:.12g}"
+
+
 def _sig12(x: float) -> float:
     """Round to 12 significant digits for stable, readable reports."""
-    return float(f"{x:.12g}")
+    return float(format_float(x))
 
 
-class _Kernel:
-    """An experiment compiled into one transition table per event.
+def _walk(kernel: Kernel, seed: int, trials: np.ndarray) -> np.ndarray:
+    """The outcome-sequence code of each of the given trials.
 
-    States reachable before event ``e`` are numbered from 0, the prepared
-    state being 0.  For state ``s`` and draw index ``i`` into its pool (in
-    canonical card order), cell ``s * width + i`` of the event's tables
-    holds the id of the reported outcome (its position in the
-    manifestation's outcome list) and the id of the state after the event.
-    Every cell comes from one call of :func:`threebox.deck.observe`.
-
-    An outcome sequence is tallied as one mixed-radix code, the first event
-    being the most significant digit.
+    A code is mixed-radix over the events' outcome positions, the first
+    event being the most significant digit.
     """
+    streams = CounterStreams(seed, trials)
+    state = np.zeros(len(trials), dtype=np.intp)
+    code = np.zeros(len(trials), dtype=np.int64)
+    for event in kernel.events:
+        cell = state * event.width + streams.uniform_index(event.pool_sizes[state]).astype(np.intp)
+        code = code * len(event.outcomes) + event.outcome_ids[cell]
+        state = event.successor_ids[cell]
+    return code
 
-    def __init__(self, experiment: Experiment):
-        deck = experiment.deck
-        self.outcomes = tuple(m.outcomes(deck) for m in experiment.manifestations)
-        if math.prod(len(o) for o in self.outcomes) > np.iinfo(np.int64).max:
-            raise InvalidArgumentsError("too many possible outcome sequences to tally in 64 bits")
-        events = []
-        states = [prepare(deck, experiment.preparation)]
-        for manifestation, outcomes in zip(experiment.manifestations, self.outcomes):
-            ids = {outcome: k for k, outcome in enumerate(outcomes)}
-            pools = [state.pool_for(manifestation.variable) for state in states]
-            width = max(map(len, pools))
-            outcome_ids = np.zeros(len(states) * width, dtype=np.intp)
-            successor_ids = np.zeros_like(outcome_ids)
-            successors: dict[SystemState, int] = {}
-            for s, (state, pool) in enumerate(zip(states, pools)):
-                if not pool:
-                    raise DrawOutOfRangeError(f"draw pool for {manifestation} is empty")
-                for i in range(len(pool)):
-                    outcome, after, _ = observe(state, manifestation, lambda n, i=i: i)
-                    outcome_ids[s * width + i] = ids[outcome]
-                    successor_ids[s * width + i] = successors.setdefault(after, len(successors))
-            pool_sizes = np.array([len(pool) for pool in pools], dtype=np.uint64)
-            events.append((pool_sizes, width, outcome_ids, successor_ids))
-            states = list(successors)
-        self.events = tuple(events)
 
-    def walk(self, seed: int, trials: np.ndarray) -> np.ndarray:
-        """The outcome-sequence code of each of the given trials."""
-        streams = CounterStreams(seed, trials)
-        state = np.zeros(len(trials), dtype=np.intp)
-        code = np.zeros(len(trials), dtype=np.int64)
-        for (pool_sizes, width, outcome_ids, successors), outcomes in zip(self.events, self.outcomes):
-            cell = state * width + streams.uniform_index(pool_sizes[state]).astype(np.intp)
-            code = code * len(outcomes) + outcome_ids[cell]
-            state = successors[cell]
-        return code
-
-    def decode(self, code: int) -> tuple[Outcome, ...]:
-        """The outcome sequence a code stands for."""
-        sequence = []
-        for outcomes in reversed(self.outcomes):
-            code, k = divmod(code, len(outcomes))
-            sequence.append(outcomes[k])
-        return tuple(reversed(sequence))
+def _decode(kernel: Kernel, code: int) -> tuple[Outcome, ...]:
+    """The outcome sequence a code stands for."""
+    sequence = []
+    for event in reversed(kernel.events):
+        code, k = divmod(code, len(event.outcomes))
+        sequence.append(event.outcomes[k])
+    return tuple(reversed(sequence))

@@ -9,6 +9,7 @@ scenario passes only if every route of every claim agrees.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,7 +26,6 @@ from .exact import (
     acceptance_probability,
     closed_form,
     conditional_probability,
-    enumerate_tree,
     format_fraction,
     mixture_combine,
     probability,
@@ -33,7 +33,7 @@ from .exact import (
     single_step_probability,
 )
 from .formulas import RetrodictionInputs, retrodict_complete, retrodict_partial
-from .montecarlo import FrequencyTable, RunConfig, check_seed, simulate
+from .montecarlo import FrequencyTable, RunConfig, check_seed, format_float, simulate
 
 DEFAULT_TRIALS = 100_000
 DEFAULT_SEED = 42
@@ -88,10 +88,6 @@ class ScenarioReport:
         return report
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def _exact_claim(
     description: str, source: str, expected: Fraction, routes: dict[str, Fraction]
 ) -> Claim:
@@ -110,10 +106,10 @@ def _float_claim(
 ) -> Claim:
     return Claim(
         description=description,
-        expected=_fmt(expected),
+        expected=format_float(expected),
         source=source,
         mode=MODE_ABS,
-        computed={route: _fmt(value) for route, value in routes.items()},
+        computed={route: format_float(value) for route, value in routes.items()},
         passed=all(abs(value - expected) <= 1e-9 for value in routes.values()),
     )
 
@@ -141,7 +137,7 @@ def _mc_claim(description: str, exact_value: Fraction, estimate: float, samples:
     if samples == 0:
         return Claim(
             description=description,
-            expected=_fmt(p),
+            expected=format_float(p),
             source="exact engine",
             mode=MODE_EXACT if p in (0.0, 1.0) else MODE_FIVE_SE,
             computed={"monte carlo": "undecided: no samples"},
@@ -150,19 +146,19 @@ def _mc_claim(description: str, exact_value: Fraction, estimate: float, samples:
     if p in (0.0, 1.0):
         return Claim(
             description=description,
-            expected=_fmt(p),
+            expected=format_float(p),
             source="exact engine",
             mode=MODE_EXACT,
-            computed={"monte carlo": _fmt(estimate)},
+            computed={"monte carlo": format_float(estimate)},
             passed=estimate == p,
         )
     se = math.sqrt(p * (1 - p) / samples)
     return Claim(
         description=description,
-        expected=f"{_fmt(p)} ± {_fmt(5 * se)}",
+        expected=f"{format_float(p)} ± {format_float(5 * se)}",
         source="exact engine",
         mode=MODE_FIVE_SE,
-        computed={"monte carlo": _fmt(estimate)},
+        computed={"monte carlo": format_float(estimate)},
         passed=abs(estimate - p) <= 5 * se,
     )
 
@@ -602,7 +598,7 @@ def aad_curious(alpha: complex = 1 / math.sqrt(2), beta: complex = 1 / math.sqrt
             _bool_claim(
                 "the complete rotated-basis result falls strictly below 1",
                 "resolving the rotated partners adds their weight incoherently",
-                {"complete retrodiction": _fmt(analysis.complete_result)},
+                {"complete retrodiction": format_float(analysis.complete_result)},
                 analysis.complete_result < 1,
             )
         )
@@ -669,19 +665,18 @@ def counterfactual_trace(
             )
         )
 
-    # Walk the accepted branch and snapshot the machine after every event.
-    node = enumerate_tree(experiment)
-    snapshots = [_snapshot(deck, "preparation Face=K", None, node.state)]
+    # Walk the likeliest accepted branch through the kernel and snapshot the
+    # machine after every event.
+    kernel = experiment.kernel
+    s, weight = 0, Fraction(1)
+    snapshots = [_snapshot(deck, "preparation Face=K", None, kernel.layers[0][s])]
     ps_ordinal, ps_outcome = experiment.postselection
-    for depth, manifestation in enumerate(experiment.manifestations, start=1):
-        accepted = [
-            child
-            for child in node.children
-            if depth != ps_ordinal or child.outcomes[-1] == ps_outcome
-        ]
-        node = max(accepted, key=lambda child: (child.probability, str(child.outcomes[-1])))
+    for depth, (manifestation, event) in enumerate(zip(experiment.manifestations, kernel.events), start=1):
+        accepted = [row for row in event.rows[s] if depth != ps_ordinal or row[0] == ps_outcome]
+        outcome, p, s = max(accepted, key=lambda row: (weight * row[1], str(row[0])))
+        weight *= p
         snapshots.append(
-            _snapshot(deck, f"event {depth}: observe {manifestation}", node.outcomes[-1], node.state)
+            _snapshot(deck, f"event {depth}: observe {manifestation}", outcome, kernel.layers[depth][s])
         )
     report.trace = snapshots
 
@@ -763,6 +758,7 @@ def run_scenario(name: str, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SE
     if trials < 0:
         raise InvalidArgumentsError(f"trials must be 0 (to skip Monte Carlo) or positive, got {trials}")
     check_seed(seed)
-    if name in ("three-box-card", "interference", "counterfactual"):
-        return SCENARIOS[name](trials=trials, seed=seed)
-    return SCENARIOS[name]()
+    scenario = SCENARIOS[name]
+    if "trials" in inspect.signature(scenario).parameters:
+        return scenario(trials=trials, seed=seed)
+    return scenario()

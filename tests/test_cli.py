@@ -1,6 +1,9 @@
 """The command-line surface: wiring, formats, exit codes, determinism."""
 
+import csv
+import io
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -97,6 +100,41 @@ class TestExact:
         assert code == 0
         assert out.splitlines()[0] == "outcomes,probability"
         assert "~S,3/4" in out
+
+    def test_query_csv_has_one_field_per_key(self, capsys, deck_file):
+        code, out, _ = run(
+            capsys,
+            "exact", "--deck", deck_file,
+            "--prepare", "Face=Q", "--observe", "Suit?S", "--observe", "Face",
+            "--postselect", "Face=K", "--query", "Suit=S", "--csv",
+        )
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert all(len(row) == 2 for row in rows)
+        assert dict(rows) == {
+            "query.ordinal": "1",
+            "query.outcome": "S",
+            "kind": "retrodiction",
+            "value": "1/1",
+        }
+
+    def test_depth_64_query(self, capsys, deck_file):
+        observe = [arg for k in range(64) for arg in ("--observe", ("Suit", "Face")[k % 2])]
+        code, out, err = run(
+            capsys,
+            "exact", "--deck", deck_file, "--prepare", "Face=Q", *observe,
+            "--postselect", "64:Face=K", "--query", "1:Suit=S",
+        )
+        assert (code, err) == (0, "")
+        k = 32
+        expected = Fraction(2 * 4 ** (k - 1) + 1, 2 * (4**k - 1))
+        assert out == f"{expected.numerator}/{expected.denominator}\n"
+
+    def test_tree_beyond_the_cap_exits_2(self, capsys, deck_file):
+        observe = [arg for k in range(9) for arg in ("--observe", ("Suit", "Face")[k % 2])]
+        code, out, err = run(capsys, "exact", "--deck", deck_file, "--prepare", "Face=Q", *observe, "--json")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_bad_query_exits_2(self, capsys, deck_file):
         code, _, err = run(

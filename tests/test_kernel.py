@@ -1,0 +1,177 @@
+"""The compiled kernel against the deck's rules, and forward queries against enumeration."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from test_deck import balanced_decks
+from threebox import exact
+from threebox.deck import CardValue, Manifestation, Outcome, observe, prepare, step_distribution
+from threebox.errors import UndefinedConditionalError
+from threebox.exact import (
+    AllOf,
+    Experiment,
+    OutcomeAt,
+    acceptance_probability,
+    conditional_probability,
+    enumerate_tree,
+    leaf_distribution,
+    parse_manifestation,
+    probability,
+    retrodict_exact,
+)
+from threebox.montecarlo import RunConfig, simulate
+
+
+def out(deck, variable, label, negated=False):
+    return Outcome(deck.value(variable, label), negated=negated)
+
+
+@st.composite
+def experiments(draw, max_events=6):
+    """A random balanced deck, preparation, up to ``max_events`` events and maybe a postselection."""
+    deck = draw(balanced_decks())
+    variables = (deck.face, deck.suit)
+    variable = draw(st.sampled_from(variables))
+    preparation = Outcome(
+        CardValue(variable.name, draw(st.sampled_from(variable.labels))), negated=draw(st.booleans())
+    )
+    events = []
+    for _ in range(draw(st.integers(0, max_events))):
+        observed = draw(st.sampled_from(variables))
+        events.append(Manifestation(observed.name, draw(st.sampled_from((None,) + observed.labels))))
+    postselection = None
+    if events and draw(st.booleans()):
+        ordinal = draw(st.integers(1, len(events)))
+        postselection = (ordinal, draw(st.sampled_from(events[ordinal - 1].outcomes(deck))))
+    return Experiment(deck, preparation, tuple(events), postselection)
+
+
+def leaf_sum(leaves, predicate):
+    return sum((p for seq, p in leaves.items() if predicate(seq)), Fraction(0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(experiments())
+def test_kernel_rows_equal_the_step_distribution_of_every_reachable_state(experiment):
+    kernel = experiment.kernel
+    assert len(kernel.layers) == len(kernel.events) + 1
+    assert kernel.layers[0] == (prepare(experiment.deck, experiment.preparation),)
+    for depth, (manifestation, event) in enumerate(zip(experiment.manifestations, kernel.events)):
+        assert event.outcomes == manifestation.outcomes(experiment.deck)
+        assert len(event.rows) == len(kernel.layers[depth])
+        reached = set()
+        for s, state in enumerate(kernel.layers[depth]):
+            rows = event.rows[s]
+            assert [(outcome, p) for outcome, p, _ in rows] == list(step_distribution(state, manifestation).items())
+            for outcome, _, t in rows:
+                assert kernel.layers[depth + 1][t] == state.after_report(outcome)
+                reached.add(t)
+            pool_size = int(event.pool_sizes[s])
+            assert pool_size == len(state.pool_for(manifestation.variable))
+            for i in range(pool_size):
+                outcome, after, _ = observe(state, manifestation, lambda n, i=i: i)
+                cell = s * event.width + i
+                assert event.outcomes[event.outcome_ids[cell]] == outcome
+                assert kernel.layers[depth + 1][event.successor_ids[cell]] == after
+        assert reached == set(range(len(kernel.layers[depth + 1])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(experiments(), st.data())
+def test_forward_queries_equal_the_leaf_sums_of_the_enumeration(experiment, data):
+    leaves = leaf_distribution(experiment)
+    assert sum(leaves.values()) == 1
+    events = experiment.manifestations
+    for ordinal, manifestation in enumerate(events, start=1):
+        for outcome in manifestation.outcomes(experiment.deck):
+            expected = leaf_sum(leaves, lambda seq: seq[ordinal - 1] == outcome)
+            assert probability(experiment, OutcomeAt(ordinal, outcome)) == expected
+    if len(events) >= 2:
+        first, second = sorted(data.draw(st.lists(st.integers(1, len(events)), min_size=2, max_size=2, unique=True)))
+        a = data.draw(st.sampled_from(events[first - 1].outcomes(experiment.deck)))
+        b = data.draw(st.sampled_from(events[second - 1].outcomes(experiment.deck)))
+        joint = AllOf((OutcomeAt(first, a), OutcomeAt(second, b)))
+        expected = leaf_sum(leaves, lambda seq: seq[first - 1] == a and seq[second - 1] == b)
+        assert probability(experiment, joint) == expected
+    if experiment.postselection is None:
+        return
+    ps_ordinal, ps_outcome = experiment.postselection
+    accepted = leaf_sum(leaves, lambda seq: seq[ps_ordinal - 1] == ps_outcome)
+    assert acceptance_probability(experiment) == accepted
+    for ordinal in range(1, ps_ordinal):
+        for outcome in events[ordinal - 1].outcomes(experiment.deck):
+            if accepted == 0:
+                with pytest.raises(UndefinedConditionalError):
+                    retrodict_exact(experiment, ordinal, outcome)
+                continue
+            hits = leaf_sum(leaves, lambda seq: seq[ps_ordinal - 1] == ps_outcome and seq[ordinal - 1] == outcome)
+            assert retrodict_exact(experiment, ordinal, outcome) == hits / accepted
+
+
+def test_the_three_box_deck_has_few_reachable_states(threebox):
+    for alternation in (("Suit", "Face"), ("Suit", "Face?K"), ("Suit?S", "Suit", "Face?Q", "Face")):
+        events = tuple(parse_manifestation(threebox, alternation[k % len(alternation)]) for k in range(64))
+        experiment = Experiment(threebox, out(threebox, "Face", "Q"), events)
+        assert max(len(layer) for layer in experiment.kernel.layers) <= 12
+
+
+def test_depth_64_retrodiction_matches_the_closed_form(threebox):
+    """Alternating complete Suit/Face checks from Q, keeping a final K, retrodict S to
+    (2·4^(k-1)+1)/(2·(4^k-1)) at depth 2k."""
+    for depth in (2, 4, 6, 8, 64):
+        k = depth // 2
+        events = tuple(Manifestation(("Suit", "Face")[i % 2]) for i in range(depth))
+        experiment = Experiment(
+            threebox, out(threebox, "Face", "Q"), events, postselection=(depth, out(threebox, "Face", "K"))
+        )
+        expected = Fraction(2 * 4 ** (k - 1) + 1, 2 * (4**k - 1))
+        assert retrodict_exact(experiment, 1, out(threebox, "Suit", "S")) == expected
+
+
+def test_general_patterns_enumerate_and_conflicting_atoms_give_zero(threebox):
+    experiment = Experiment(
+        threebox, out(threebox, "Face", "Q"), (Manifestation("Suit"), Manifestation("Face"))
+    )
+    k = out(threebox, "Face", "K")
+    h_or_d = OutcomeAt(1, out(threebox, "Suit", "H")) | OutcomeAt(1, out(threebox, "Suit", "D"))
+    assert conditional_probability(experiment, OutcomeAt(2, k), h_or_d) == Fraction(1, 6)
+    # Two atoms at one ordinal cannot both hold, however long the experiment.
+    s, not_s = out(threebox, "Suit", "S"), out(threebox, "Suit", "S", negated=True)
+    for events in (1, 10):
+        partial = Experiment(threebox, out(threebox, "Face", "Q"), (Manifestation("Suit", "S"),) * events)
+        assert conditional_probability(partial, OutcomeAt(1, s), OutcomeAt(1, not_s)) == 0
+        assert probability(partial, AllOf((OutcomeAt(1, s), OutcomeAt(1, not_s)))) == 0
+
+
+def test_one_compile_per_experiment_shared_by_every_engine(threebox, monkeypatch):
+    compiles = []
+    original = exact.Kernel
+
+    def counting(*args):
+        compiles.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(exact, "Kernel", counting)
+
+    def spade_check():
+        return Experiment(
+            threebox,
+            out(threebox, "Face", "Q"),
+            (Manifestation("Suit", "S"), Manifestation("Face")),
+            postselection=(2, out(threebox, "Face", "K")),
+        )
+
+    experiment = spade_check()
+    simulate(RunConfig(experiment, 50, 3))
+    assert retrodict_exact(experiment, 1, out(threebox, "Suit", "S")) == 1
+    assert acceptance_probability(experiment) == Fraction(1, 8)
+    enumerate_tree(experiment)
+    assert len(compiles) == 1
+    # No cache keyed on the experiment's value: an equal experiment compiles anew.
+    again = spade_check()
+    assert again == experiment
+    acceptance_probability(again)
+    assert len(compiles) == 2

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_deck import balanced_decks
-from threebox.deck import CardValue, Manifestation, Outcome, validate_deck
+from test_kernel import experiments
+from threebox.deck import Manifestation, Outcome, validate_deck
 from threebox.errors import DrawOutOfRangeError, InvalidArgumentsError, NoAcceptedTrialsError
 from threebox.exact import Experiment, acceptance_probability
 from threebox.montecarlo import CHUNK_TRIALS, RunConfig, estimate_retrodiction, run_trial, simulate
@@ -155,6 +155,12 @@ class TestSimulate:
         reference = Counter(run_trial(experiment, 13, t) for t in range(trials))
         assert simulate(RunConfig(experiment, trials, 13)).counts == dict(reference)
 
+    def test_experiments_longer_than_the_tree_cap(self, threebox):
+        events = tuple(Manifestation(("Suit", "Face")[k % 2], ("S", None)[k % 2]) for k in range(12))
+        experiment = Experiment(threebox, out(threebox, "Face", "Q"), events)
+        reference = Counter(run_trial(experiment, 8, t) for t in range(300))
+        assert simulate(RunConfig(experiment, 300, 8)).counts == dict(reference)
+
     def test_empty_pool_fails_as_in_the_scalar_walk(self):
         deck = validate_deck([("K", "S", 2)])
         experiment = Experiment(deck, out(deck, "Face", "K"), (Manifestation("Suit"),))
@@ -172,28 +178,8 @@ class TestSimulate:
             simulate(RunConfig(experiment, 10, 1))
 
 
-@st.composite
-def experiments(draw):
-    """A random balanced deck, preparation, up to four events and maybe a postselection."""
-    deck = draw(balanced_decks())
-    variables = (deck.face, deck.suit)
-    variable = draw(st.sampled_from(variables))
-    preparation = Outcome(
-        CardValue(variable.name, draw(st.sampled_from(variable.labels))), negated=draw(st.booleans())
-    )
-    events = []
-    for _ in range(draw(st.integers(0, 4))):
-        observed = draw(st.sampled_from(variables))
-        events.append(Manifestation(observed.name, draw(st.sampled_from((None,) + observed.labels))))
-    postselection = None
-    if events and draw(st.booleans()):
-        ordinal = draw(st.integers(1, len(events)))
-        postselection = (ordinal, draw(st.sampled_from(events[ordinal - 1].outcomes(deck))))
-    return Experiment(deck, preparation, tuple(events), postselection)
-
-
 @settings(max_examples=60, deadline=None)
-@given(experiments(), st.integers(0, 2**64 - 1), st.integers(1, 300))
+@given(experiments(max_events=4), st.integers(0, 2**64 - 1), st.integers(1, 300))
 def test_vector_engine_matches_the_observe_loop_on_random_decks(experiment, seed, trials):
     reference = Counter(run_trial(experiment, seed, t) for t in range(trials))
     table = simulate(RunConfig(experiment, trials, seed))
