@@ -48,6 +48,7 @@ from .exact import (
     probability,
     retrodict_exact,
     single_step_probability,
+    tree_leaves,
     tree_report,
 )
 from .formulas import RetrodictionInputs, retrodict_complete, retrodict_partial

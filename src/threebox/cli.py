@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import sys
 from fractions import Fraction
@@ -29,7 +30,8 @@ from .exact import (
     parse_outcome_reference,
     probability,
     retrodict_exact,
-    tree_report,
+    tree_header,
+    tree_leaves,
 )
 from .formulas import RetrodictionInputs, retrodict_complete, retrodict_partial
 from .montecarlo import RunConfig, format_float, simulate
@@ -47,40 +49,82 @@ def _emit(report: dict, args: argparse.Namespace, text: str | None = None) -> No
         print(text if text is not None else json.dumps(report, indent=2))
 
 
+def _csv(rows) -> str:
+    """CSV text of the rows, one line each; a field holding a comma or a quote is quoted."""
+    import csv  # here, not at the top: loading it in every run costs about 0.2 MiB of peak RSS
+
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+def _quoted(text: str) -> str:
+    return '"' + text.replace('"', '""') + '"'
+
+
 def _to_csv(report: dict) -> str:
     """Flatten a report's tabular part into CSV rows."""
-    lines = []
-    if "leaves" in report:
-        lines.append("outcomes,probability")
-        for leaf in report["leaves"]:
-            lines.append(f"{' '.join(leaf['outcomes'])},{leaf['probability']}")
-    elif "sequences" in report:
-        lines.append("outcomes,count,frequency,standard_error")
-        for row in report["sequences"]:
-            lines.append(
-                f"{' '.join(row['outcomes'])},{row['count']},{row['frequency']},{row['standard_error']}"
-            )
-    elif "claims" in report:
-        lines.append("description,expected,mode,computed,passed")
+    if "sequences" in report:
+        return _csv(
+            [
+                ("outcomes", "count", "frequency", "standard_error"),
+                *(
+                    (" ".join(row["outcomes"]), row["count"], row["frequency"], row["standard_error"])
+                    for row in report["sequences"]
+                ),
+            ]
+        )
+    if "claims" in report:
+        lines = ["description,expected,mode,computed,passed"]
         for claim in report["claims"]:
             computed = "; ".join(f"{k}={v}" for k, v in claim["computed"].items())
             lines.append(
-                f"\"{claim['description']}\",\"{claim['expected']}\",{claim['mode']},\"{computed}\",{claim['passed']}"
+                f"{_quoted(claim['description'])},{_quoted(claim['expected'])},{claim['mode']},"
+                f"{_quoted(computed)},{claim['passed']}"
             )
-    else:
-        lines.extend(f"{key},{value}" for key, value in _flatten(report))
-    return "\n".join(lines) + "\n"
+        return "\n".join(lines) + "\n"
+    return _csv(_flatten(report))
 
 
-def _flatten(report: dict, prefix: str = "") -> list[tuple[str, object]]:
-    """``(key, value)`` pairs of a report, nested dicts spelled out as ``outer.inner`` keys."""
+def _flatten(report: dict | list, prefix: str = "") -> list[tuple[str, object]]:
+    """``(key, value)`` pairs of a report, nested values spelled out as ``outer.inner`` and ``outer.0`` keys."""
     pairs = []
-    for key, value in report.items():
-        if isinstance(value, dict):
+    for key, value in report.items() if isinstance(report, dict) else enumerate(report):
+        if isinstance(value, (dict, list)):
             pairs.extend(_flatten(value, f"{prefix}{key}."))
         else:
             pairs.append((f"{prefix}{key}", value))
     return pairs
+
+
+# One leaf of a tree report as json.dumps(report, indent=2) writes it, filled
+# with a walk leaf: the outcome list's inside, then the numerator and denominator.
+_JSON_LEAF = '{\n      "outcomes": [%s],\n      "probability": "%d/%d"\n    }'
+
+
+def _print_tree_json(report: dict, experiment) -> None:
+    """Print ``json.dumps(report, indent=2)`` of a tree report whose ``leaves`` are still empty, leaves filled in.
+
+    The leaves are written from the walk's string keys and ``_JSON_LEAF``,
+    with each label encoded once; the rest of the report goes through
+    ``json.dumps``.  The leaves are printed as one piece between the two
+    halves of the rest, so the largest string is never copied again.
+    """
+    encoded = functools.cache(json.dumps)
+    last = len(experiment.manifestations)
+
+    def unit(ordinal: int, outcome) -> str:
+        before = "\n        " if ordinal == 1 else ",\n        "
+        return before + encoded(str(outcome)) + ("\n      " if ordinal == last else "")
+
+    leaves = ",\n    ".join([_JSON_LEAF % leaf for leaf in tree_leaves(experiment, unit, "")])
+    head, _, tail = json.dumps(report, indent=2).partition('"leaves": []')
+    print(head, '"leaves": [\n    ', leaves, "\n  ]", tail, sep="")
+
+
+def _text_unit(ordinal: int, outcome) -> str:
+    """An outcome in a text or CSV leaf key: labels separated by single spaces."""
+    return str(outcome) if ordinal == 1 else f" {outcome}"
 
 
 def _add_format_flags(parser: argparse.ArgumentParser) -> None:
@@ -153,13 +197,20 @@ def _cmd_exact(args: argparse.Namespace) -> int:
         }
         _emit(report, args, format_fraction(value))
         return 0
-    report = tree_report(experiment)
+    report = tree_header(experiment)
     if experiment.postselection is not None:
         report["acceptance_probability"] = format_fraction(acceptance_probability(experiment))
-    lines = [f"{' '.join(leaf['outcomes']) or '(no events)'}: {leaf['probability']}" for leaf in report["leaves"]]
+    if args.json:
+        _print_tree_json(report, experiment)
+        return 0
+    leaves = tree_leaves(experiment, _text_unit, "")
+    if args.csv:
+        print(_csv([("outcomes", "probability"), *((key, f"{n}/{d}") for key, n, d in leaves)]), end="")
+        return 0
+    lines = [f"{key or '(no events)'}: {n}/{d}" for key, n, d in leaves]
     if "acceptance_probability" in report:
         lines.append(f"acceptance: {report['acceptance_probability']}")
-    _emit(report, args, "\n".join(lines))
+    print("\n".join(lines))
     return 0
 
 

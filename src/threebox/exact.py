@@ -8,10 +8,13 @@ every engine reads, and every probabilistic claim is an exact `Fraction`.
 
 Queries about outcomes at given ordinals (the marginal, the acceptance
 probability, the retrodiction) propagate a vector of state weights forward
-through the kernel, in time linear in the event count.  ``enumerate_tree``
-expands every possible outcome sequence into a branch tree; tree reports and
-general outcome patterns are leaf sums over it, and it is the oracle the
-forward pass is tested against.
+through the kernel, in time linear in the event count.  ``tree_leaves`` lists
+every possible outcome sequence with its probability, walking the kernel
+rows and sharing the leaves below a state among every path that reaches it;
+tree reports and general outcome patterns read it.  ``enumerate_tree``
+expands the same sequences into a tree of :class:`Branch` nodes, one node
+per path; it is the oracle that the forward pass and the walk are tested
+against.
 
 The module also carries the deck's closed-form single-step probabilities
 (checkable against enumeration), and mixture states: weighted combinations
@@ -24,7 +27,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .deck import (
     Card,
@@ -43,8 +46,8 @@ from .errors import (
 )
 from .kernel import Kernel
 
-# Branch counts grow as (values per variable + 1)^depth; decks are tiny but
-# trees are materialized fully, so cap the event count of a tree.
+# Leaf counts grow as (values per variable + 1)^depth; decks are tiny but
+# every leaf is listed, so cap the event count of a tree.
 MAX_EVENTS = 8
 
 
@@ -143,15 +146,19 @@ class Branch:
                 yield node
 
 
+def _check_tree_depth(experiment: Experiment) -> None:
+    if len(experiment.manifestations) > MAX_EVENTS:
+        raise SequenceTooLongError(
+            f"{len(experiment.manifestations)} events requested; the enumerator expands at most {MAX_EVENTS}"
+        )
+
+
 def enumerate_tree(experiment: Experiment) -> Branch:
     """Expand every outcome sequence of the experiment with exact probabilities.
 
     Raises SequenceTooLongError beyond ``MAX_EVENTS`` events.
     """
-    if len(experiment.manifestations) > MAX_EVENTS:
-        raise SequenceTooLongError(
-            f"{len(experiment.manifestations)} events requested; the enumerator expands at most {MAX_EVENTS}"
-        )
+    _check_tree_depth(experiment)
     kernel = experiment.kernel
 
     def expand(depth: int, s: int, outcomes: tuple[Outcome, ...], probability: Fraction) -> Branch:
@@ -167,27 +174,78 @@ def enumerate_tree(experiment: Experiment) -> Branch:
     return expand(0, 0, (), Fraction(1))
 
 
+Key = TypeVar("Key", str, tuple)
+
+
+def tree_leaves(
+    experiment: Experiment, unit: Callable[[int, Outcome], Key], empty: Key
+) -> list[tuple[Key, int, int]]:
+    """Every leaf of the tree as ``(key, numerator, denominator)``, in the order of ``enumerate_tree``.
+
+    A leaf's key is ``empty`` followed by ``unit(ordinal, outcome)`` for each
+    outcome on its path, joined with ``+``; ``unit`` is called once per
+    outcome of each event.  ``numerator/denominator`` is the leaf's exact
+    probability in lowest terms.
+
+    The walk reads the kernel rows and meets in the middle.  Prefixes run
+    forward to the middle layer, one per path.  Below that layer, the leaves
+    under each state are built once, backward from the last layer, and are
+    shared by every prefix that reaches the state.  A probability is carried
+    as integer products of the row numerators and denominators, and reduced
+    by one gcd per leaf.
+
+    Raises SequenceTooLongError beyond ``MAX_EVENTS`` events.
+    """
+    _check_tree_depth(experiment)
+    kernel = experiment.kernel
+    tables = []  # per event and state: (key unit, numerator, denominator, next state) per row
+    for ordinal, event in enumerate(kernel.events, start=1):
+        units = {outcome: unit(ordinal, outcome) for outcome in event.outcomes}
+        tables.append(
+            [[(units[outcome], p.numerator, p.denominator, t) for outcome, p, t in rows] for rows in event.rows]
+        )
+    middle = len(tables) // 2
+    prefixes = [(0, empty, 1, 1)]
+    for table in tables[:middle]:
+        prefixes = [(t, key + u, n * un, d * ud) for s, key, n, d in prefixes for u, un, ud, t in table[s]]
+    below = [[(empty, 1, 1)]] * len(kernel.layers[-1])
+    for table in reversed(tables[middle:]):
+        below = [[(u + key, un * n, ud * d) for u, un, ud, t in rows for key, n, d in below[t]] for rows in table]
+    gcd = math.gcd
+    return [
+        (head + tail, n // g, d // g)
+        for s, head, hn, hd in prefixes
+        for tail, tn, td in below[s]
+        for n, d in ((hn * tn, hd * td),)
+        for g in (gcd(n, d),)
+    ]
+
+
 def leaf_distribution(experiment: Experiment) -> dict[tuple[Outcome, ...], Fraction]:
     """Probability of every complete outcome sequence."""
-    return {leaf.outcomes: leaf.probability for leaf in enumerate_tree(experiment).leaves()}
+    return {key: Fraction(n, d) for key, n, d in tree_leaves(experiment, lambda ordinal, outcome: (outcome,), ())}
 
 
-def tree_report(experiment: Experiment) -> dict:
-    """JSON-ready report: every leaf sequence with its exact probability."""
+def tree_header(experiment: Experiment) -> dict:
+    """A tree report with an empty ``leaves`` list: the experiment it lists, in report order."""
     report: dict = {
         "events": [str(m) for m in experiment.manifestations],
         "preparation": str(experiment.preparation),
-        "leaves": [
-            {
-                "outcomes": [str(o) for o in leaf.outcomes],
-                "probability": format_fraction(leaf.probability),
-            }
-            for leaf in enumerate_tree(experiment).leaves()
-        ],
+        "leaves": [],
     }
     if experiment.postselection is not None:
         ordinal, outcome = experiment.postselection
         report["postselection"] = {"ordinal": ordinal, "outcome": str(outcome)}
+    return report
+
+
+def tree_report(experiment: Experiment) -> dict:
+    """JSON-ready report: every leaf sequence with its exact probability."""
+    report = tree_header(experiment)
+    report["leaves"] = [
+        {"outcomes": list(key), "probability": f"{n}/{d}"}
+        for key, n, d in tree_leaves(experiment, lambda ordinal, outcome: (str(outcome),), ())
+    ]
     return report
 
 
@@ -320,15 +378,14 @@ def probability(experiment: Experiment, pattern: Pattern) -> Fraction:
     """Exact probability that a run's outcome sequence matches the pattern.
 
     A conjunction of :class:`OutcomeAt` atoms runs forward over the kernel;
-    any other pattern is a leaf sum over the enumerated tree.
+    any other pattern is a sum over the tree's leaves.
     """
     _check_pattern(experiment, pattern)
     atoms = _atoms(pattern)
     if atoms is not None:
         return _forward(experiment, atoms)
     return sum(
-        (leaf.probability for leaf in enumerate_tree(experiment).leaves() if pattern.matches(leaf.outcomes)),
-        Fraction(0),
+        (p for outcomes, p in leaf_distribution(experiment).items() if pattern.matches(outcomes)), Fraction(0)
     )
 
 
@@ -346,11 +403,11 @@ def conditional_probability(experiment: Experiment, target: Pattern, condition: 
     else:
         joint = Fraction(0)
         conditioning = Fraction(0)
-        for leaf in enumerate_tree(experiment).leaves():
-            if condition.matches(leaf.outcomes):
-                conditioning += leaf.probability
-                if target.matches(leaf.outcomes):
-                    joint += leaf.probability
+        for outcomes, p in leaf_distribution(experiment).items():
+            if condition.matches(outcomes):
+                conditioning += p
+                if target.matches(outcomes):
+                    joint += p
     if conditioning == 0:
         raise UndefinedConditionalError("conditioning event has probability zero")
     return joint / conditioning

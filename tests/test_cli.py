@@ -57,6 +57,22 @@ class TestValidate:
         assert report["copies_per_value"] == 2
 
 
+def test_csv_spells_lists_out_as_indexed_keys(capsys, deck_file):
+    code, out, _ = run(capsys, "validate", "--deck", deck_file, "--csv")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert code == 0 and all(len(row) == 2 for row in rows)
+    fields = dict(rows)
+    assert fields["variables.0.name"] == "Face" and fields["variables.0.values.1"] == "Q"
+    assert fields["variables.1.values.2"] == "H"
+    assert fields["deck"] == "JD, JS, (2)KH, QD, QS"
+    code, out, _ = run(capsys, "quantum", "slits", "--separation", "10", "--wavelength", "1", "--csv")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert code == 0 and all(len(row) == 2 for row in rows)
+    fields = dict(rows)
+    assert [fields[f"amplitude_pattern.{k}"] for k in range(3)] == ["0.57735026919", "0.57735026919", "-0.57735026919"]
+    assert "amplitude_pattern.3" not in fields
+
+
 class TestExact:
     def test_certain_retrodiction_prints_one_over_one(self, capsys, deck_file):
         code, out, _ = run(

@@ -1,0 +1,123 @@
+"""The memoised leaf walk against the branch-tree oracle, and the CLI's tree output built from it."""
+
+import csv
+import io
+import json
+
+import pytest
+from hypothesis import given, settings
+
+from test_kernel import experiments
+from threebox import cli
+from threebox.deck import Manifestation, Outcome, validate_deck
+from threebox.deckfile import save_deck
+from threebox.errors import SequenceTooLongError
+from threebox.exact import (
+    AnyOf,
+    Experiment,
+    OutcomeAt,
+    acceptance_probability,
+    enumerate_tree,
+    experiment_from_options,
+    format_fraction,
+    leaf_distribution,
+    probability,
+    tree_leaves,
+    tree_report,
+)
+
+
+def out(deck, variable, label, negated=False):
+    return Outcome(deck.value(variable, label), negated=negated)
+
+
+@settings(max_examples=120, deadline=None)
+@given(experiments())
+def test_walk_leaves_equal_the_enumerated_leaves_in_order(experiment):
+    oracle = [(leaf.outcomes, leaf.probability) for leaf in enumerate_tree(experiment).leaves()]
+    walked = tree_leaves(experiment, lambda ordinal, outcome: (outcome,), ())
+    assert [key for key, _, _ in walked] == [outcomes for outcomes, _ in oracle]
+    assert [(n, d) for _, n, d in walked] == [(p.numerator, p.denominator) for _, p in oracle]
+    # The unit sees each outcome with its own ordinal; string keys concatenate the same way.
+    numbered = tree_leaves(experiment, lambda ordinal, outcome: ((ordinal, outcome),), ())
+    assert [key for key, _, _ in numbered] == [tuple(enumerate(outcomes, start=1)) for outcomes, _ in oracle]
+    spelled = tree_leaves(experiment, lambda ordinal, outcome: f"{outcome};", "")
+    assert [key for key, _, _ in spelled] == ["".join(f"{o};" for o in outcomes) for outcomes, _ in oracle]
+    assert leaf_distribution(experiment) == dict(oracle)
+    assert tree_report(experiment)["leaves"] == [
+        {"outcomes": [str(o) for o in outcomes], "probability": format_fraction(p)} for outcomes, p in oracle
+    ]
+
+
+def test_a_zero_event_tree_has_one_certain_leaf(threebox):
+    experiment = Experiment(threebox, out(threebox, "Face", "Q"))
+    assert tree_leaves(experiment, lambda ordinal, outcome: (outcome,), ()) == [((), 1, 1)]
+    assert [leaf.outcomes for leaf in enumerate_tree(experiment).leaves()] == [()]
+    assert tree_report(experiment)["leaves"] == [{"outcomes": [], "probability": "1/1"}]
+
+
+def test_every_tree_consumer_keeps_the_event_cap(threebox):
+    experiment = Experiment(threebox, out(threebox, "Face", "Q"), (Manifestation("Suit"),) * 9)
+    for consume in (
+        enumerate_tree,
+        tree_report,
+        leaf_distribution,
+        lambda e: tree_leaves(e, lambda ordinal, outcome: (outcome,), ()),
+        lambda e: probability(e, AnyOf((OutcomeAt(1, out(threebox, "Suit", "S")),))),
+    ):
+        with pytest.raises(SequenceTooLongError):
+            consume(experiment)
+
+
+# Labels that JSON must escape (a quote, a backslash, a non-ASCII letter) and
+# one that CSV must quote (a comma), on the three-box card layout.
+FACES = ("é", '"', "\\")
+SUITS = ("S", "a,b", "H")
+
+
+@pytest.fixture
+def escaping_deck_file(tmp_path):
+    k, q, j = FACES
+    s, d, h = SUITS
+    deck = validate_deck(
+        [(k, h, 2), (q, s, 1), (q, d, 1), (j, s, 1), (j, d, 1)], face_labels=FACES, suit_labels=SUITS
+    )
+    path = tmp_path / "escaping.deck"
+    save_deck(deck, path)
+    return deck, str(path)
+
+
+@pytest.mark.parametrize("events", [(), ("Suit",), ("Suit", "Face"), ("Suit?a,b", "Face", "Suit", "Face?é")])
+def test_tree_output_equals_the_report_dumped_whole(capsys, escaping_deck_file, events):
+    deck, path = escaping_deck_file
+    postselect = [f"{len(events)}:Face=é"] if events and events[-1].startswith("Face") else []
+    experiment = experiment_from_options(deck, 'Face="', events, *postselect)
+    report = tree_report(experiment)
+    report["leaves"] = [  # from the oracle, so the walk is not compared with itself
+        {"outcomes": [str(o) for o in leaf.outcomes], "probability": format_fraction(leaf.probability)}
+        for leaf in enumerate_tree(experiment).leaves()
+    ]
+    if postselect:
+        report["acceptance_probability"] = format_fraction(acceptance_probability(experiment))
+    argv = ["exact", "--deck", path, "--prepare", 'Face="', *(a for e in events for a in ("--observe", e))]
+    argv += [a for p in postselect for a in ("--postselect", p)]
+
+    assert cli.main([*argv, "--json"]) == 0
+    printed = capsys.readouterr().out
+    assert printed == json.dumps(report, indent=2) + "\n"
+    assert '"preparation": "\\""' in printed
+    if "Face" in events:
+        assert all(escaped in printed for escaped in ('"\\u00e9"', '"\\""', '"\\\\"'))
+
+    assert cli.main([*argv, "--csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows == [["outcomes", "probability"]] + [
+        [" ".join(leaf["outcomes"]), leaf["probability"]] for leaf in report["leaves"]
+    ]
+
+    assert cli.main(argv) == 0
+    lines = [f"{' '.join(leaf['outcomes']) or '(no events)'}: {leaf['probability']}" for leaf in report["leaves"]]
+    if postselect:
+        lines.append(f"acceptance: {report['acceptance_probability']}")
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
