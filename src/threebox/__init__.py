@@ -18,7 +18,6 @@ from .deck import (
     EventRecord,
     Manifestation,
     Outcome,
-    PreparationTarget,
     SystemState,
     Variable,
     format_cards,
@@ -39,7 +38,6 @@ from .exact import (
     OutcomeAt,
     Pattern,
     acceptance_probability,
-    closed_form,
     conditional_probability,
     enumerate_tree,
     format_fraction,
@@ -56,7 +54,6 @@ from .montecarlo import (
     FrequencyTable,
     RetrodictionEstimate,
     RunConfig,
-    estimate_retrodiction,
     run_trial,
     simulate,
 )

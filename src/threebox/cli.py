@@ -140,12 +140,16 @@ def _parse_fraction(text: str) -> Fraction:
         raise ThreeBoxError(f"{text!r} is not a rational number: {error}") from None
 
 
-def _parse_state(text: str) -> quantum.QState:
+def _parse_amplitude(text: str) -> complex:
+    """A complex amplitude such as ``0.5``, ``1-2i`` or ``1j``."""
     try:
-        amplitudes = [complex(part.strip().replace("i", "j")) for part in text.split(",")]
+        return complex(text.strip().replace("i", "j"))
     except ValueError as error:
-        raise ThreeBoxError(f"bad amplitude list {text!r}: {error}") from None
-    return quantum.QState.normalized(amplitudes)
+        raise ThreeBoxError(f"bad amplitude {text!r}: {error}") from None
+
+
+def _parse_state(text: str) -> quantum.QState:
+    return quantum.QState.normalized([_parse_amplitude(part) for part in text.split(",")])
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +303,7 @@ def _cmd_quantum(args: argparse.Namespace) -> int:
         }
         _emit(report, args, f"detector distance: {format_float(geometry.distance)}")
     else:  # aad
-        analysis = quantum.aad_analysis(complex(args.alpha), complex(args.beta))
+        analysis = quantum.aad_analysis(_parse_amplitude(args.alpha), _parse_amplitude(args.beta))
         report = {
             "operation": "aad",
             "partial": format_float(analysis.partial_result),

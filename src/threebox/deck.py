@@ -43,6 +43,10 @@ from .errors import (
 
 DrawSource = Callable[[int], int]
 
+# The most cards a deck may hold.  The card list is built in full, so larger
+# totals are refused before any of it is allocated.
+MAX_CARDS = 1_000_000
+
 
 @dataclass(frozen=True, order=True)
 class Card:
@@ -101,11 +105,6 @@ class Outcome:
 
     def __str__(self) -> str:
         return f"~{self.value.label}" if self.negated else self.value.label
-
-
-# A preparation target is the same kind of assertion as an observation report:
-# a value, or the genuine negated state of a value.
-PreparationTarget = Outcome
 
 
 @dataclass(frozen=True)
@@ -309,13 +308,17 @@ def validate_deck(
         EmptyDeckError: no cards at all.
         UnequalValueCountsError: some value appears more often than another.
         UnknownLabelError: a card uses a label outside the declared schema.
-        InvalidArgumentsError: nonpositive multiplicity or clashing names.
+        InvalidArgumentsError: nonpositive multiplicity, clashing names, or
+            more than ``MAX_CARDS`` cards in total.
     """
     if face_name == suit_name:
         raise InvalidArgumentsError("the two variables must have distinct names")
     entries = list(raw)
     if not entries or all(n == 0 for _, _, n in entries):
         raise EmptyDeckError("a deck needs at least one card")
+    total = sum(max(n, 0) for _, _, n in entries)
+    if total > MAX_CARDS:
+        raise InvalidArgumentsError(f"the deck lists {total} cards; at most {MAX_CARDS} are allowed")
 
     cards: list[Card] = []
     face_seen: list[str] = list(face_labels) if face_labels is not None else []
@@ -354,7 +357,7 @@ def validate_deck(
     )
 
 
-def prepare(deck: Deck, target: PreparationTarget) -> SystemState:
+def prepare(deck: Deck, target: Outcome) -> SystemState:
     """Prepare the system in a value state or a genuine negated-value state.
 
     Every card satisfying the target goes to ``These``, the remainder to

@@ -16,7 +16,7 @@ expands the same sequences into a tree of :class:`Branch` nodes, one node
 per path; it is the oracle that the forward pass and the walk are tested
 against.
 
-The module also carries the deck's closed-form single-step probabilities
+The module also carries the deck's closed-form single-step probability
 (checkable against enumeration), and mixture states: weighted combinations
 of system states merged into one enlarged [These | Others] partition.
 """
@@ -29,15 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence, TypeVar
 
-from .deck import (
-    Card,
-    CardValue,
-    Deck,
-    Manifestation,
-    Outcome,
-    PreparationTarget,
-    SystemState,
-)
+from .deck import Card, Deck, Manifestation, Outcome, SystemState
 from .errors import (
     InvalidArgumentsError,
     SequenceTooLongError,
@@ -71,7 +63,7 @@ class Experiment:
     """
 
     deck: Deck
-    preparation: PreparationTarget
+    preparation: Outcome
     manifestations: tuple[Manifestation, ...] = ()
     postselection: tuple[int, Outcome] | None = None
 
@@ -106,6 +98,23 @@ class Experiment:
             )
         return m
 
+    def check_retrodiction(self, ordinal: int, outcome: Outcome) -> "OutcomeAt":
+        """Validate a retrodiction query and return the postselection it is conditioned on.
+
+        The experiment must carry a postselection, ``outcome`` must be one the
+        event at ``ordinal`` can report, and that event must precede the
+        postselection.
+        """
+        if self.postselection is None:
+            raise InvalidArgumentsError("retrodiction needs an experiment with a postselection")
+        self.check_outcome_at(ordinal, outcome, "query")
+        ps_ordinal, ps_outcome = self.postselection
+        if ordinal >= ps_ordinal:
+            raise InvalidArgumentsError(
+                f"queried ordinal {ordinal} must precede the postselection ordinal {ps_ordinal}"
+            )
+        return OutcomeAt(ps_ordinal, ps_outcome)
+
     @functools.cached_property
     def kernel(self) -> Kernel:
         """The experiment's transition table, compiled on first use and kept with the experiment."""
@@ -130,10 +139,6 @@ class Branch:
     outcomes: tuple[Outcome, ...]
     probability: Fraction
     children: tuple["Branch", ...] = ()
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
 
     def leaves(self) -> Iterator["Branch"]:
         """The leaves under this node, depth first in child order."""
@@ -416,18 +421,10 @@ def conditional_probability(experiment: Experiment, target: Pattern, condition: 
 def retrodict_exact(experiment: Experiment, ordinal: int, outcome: Outcome) -> Fraction:
     """Chance an intermediate event reported ``outcome``, given the postselection.
 
-    The experiment must carry a postselection, and the queried ordinal must
-    precede it.
+    The query is checked by :meth:`Experiment.check_retrodiction`.
     """
-    if experiment.postselection is None:
-        raise InvalidArgumentsError("retrodiction needs an experiment with a postselection")
-    ps_ordinal, ps_outcome = experiment.postselection
-    experiment.check_outcome_at(ordinal, outcome, "query")
-    if ordinal >= ps_ordinal:
-        raise InvalidArgumentsError(
-            f"queried ordinal {ordinal} must precede the postselection ordinal {ps_ordinal}"
-        )
-    return conditional_probability(experiment, OutcomeAt(ordinal, outcome), OutcomeAt(ps_ordinal, ps_outcome))
+    postselected = experiment.check_retrodiction(ordinal, outcome)
+    return conditional_probability(experiment, OutcomeAt(ordinal, outcome), postselected)
 
 
 def acceptance_probability(experiment: Experiment) -> Fraction:
@@ -439,73 +436,39 @@ def acceptance_probability(experiment: Experiment) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form single-step probabilities
+# Closed-form single-step probability
 # ---------------------------------------------------------------------------
 
-SAME_VAR = "same-var"
-CROSS_VAR = "cross-var"
-NEGATED_SAME_VAR = "negated-same-var"
-NEGATED_CROSS_VAR = "negated-cross-var"
-NEGATION_COMPLEMENT = "negation-complement"
 
-FORMULAS = (SAME_VAR, CROSS_VAR, NEGATED_SAME_VAR, NEGATED_CROSS_VAR, NEGATION_COMPLEMENT)
+def single_step_probability(deck: Deck, preparation: Outcome, outcome: Outcome) -> Fraction:
+    """Closed-form chance that the first observation after preparing reports ``outcome``.
 
+    With N copies per value, V values per variable and joint counts N(f·s),
+    the formula follows from whether the preparation is negated and whether
+    it concerns the outcome's variable:
 
-def closed_form(deck: Deck, formula: str, preparation: PreparationTarget, value: CardValue) -> Fraction:
-    """Evaluate one of the deck's closed-form single-step probabilities.
+    * value, same variable:     1 if the labels agree, else 0
+    * value, other variable:    (N - joint) / (N (V - 1))
+    * negation, same variable:  0 if the labels agree, else 1 / (V - 1)
+    * negation, other variable: joint / N
 
-    With N copies per value, V values per variable, and joint counts
-    N(f·s), a freshly prepared state obeys:
-
-    * ``same-var``:           Pr[v=value | prepared value'] = 1 if equal else 0
-    * ``cross-var``:          Pr[other-variable value] = (N - joint) / (N (V - 1))
-    * ``negated-same-var``:   Pr[v | prepared ~v'] = 0 if v = v' else 1 / (V - 1)
-    * ``negated-cross-var``:  Pr[other-variable value | prepared ~v] = joint / N
-    * ``negation-complement``: Pr[~v] = 1 - Pr[v] for any preparation
-
-    Raises InvalidArgumentsError when the formula does not apply to the
-    given (preparation, value) combination.
+    A negated outcome ~v has the complementary chance 1 - Pr[v].  Raises
+    UnknownLabelError when either label is not on the deck.
     """
-    if formula not in FORMULAS:
-        raise InvalidArgumentsError(f"unknown formula {formula!r}; expected one of {', '.join(FORMULAS)}")
     deck.value(preparation.variable, preparation.value.label)
-    deck.value(value.variable, value.label)
-    same_variable = preparation.variable == value.variable
-
-    if formula == NEGATION_COMPLEMENT:
-        return 1 - _value_probability(deck, preparation, value)
-
-    expected = {
-        SAME_VAR: (False, True),
-        CROSS_VAR: (False, False),
-        NEGATED_SAME_VAR: (True, True),
-        NEGATED_CROSS_VAR: (True, False),
-    }[formula]
-    if (preparation.negated, same_variable) != expected:
-        raise InvalidArgumentsError(
-            f"formula {formula!r} does not apply to preparation {preparation} and value {value.variable}={value.label}"
-        )
-    return _value_probability(deck, preparation, value)
-
-
-def _value_probability(deck: Deck, preparation: PreparationTarget, value: CardValue) -> Fraction:
-    """Dispatch to the closed form matching the preparation/value relation."""
+    deck.value(outcome.variable, outcome.value.label)
     n = deck.copies_per_value
     v = deck.values_per_variable
-    same_variable = preparation.variable == value.variable
-    same_label = same_variable and preparation.value.label == value.label
+    same_variable = preparation.variable == outcome.variable
+    same_label = same_variable and preparation.value.label == outcome.value.label
     if not preparation.negated and same_variable:
-        return Fraction(1 if same_label else 0)
-    if not preparation.negated:
-        return Fraction(n - deck.joint_count_for(preparation.value, value), n * (v - 1))
-    if same_variable:
-        return Fraction(0) if same_label else Fraction(1, v - 1)
-    return Fraction(deck.joint_count_for(preparation.value, value), n)
-
-
-def single_step_probability(deck: Deck, preparation: PreparationTarget, outcome: Outcome) -> Fraction:
-    """Closed-form chance that the first observation after preparing reports ``outcome``."""
-    p = _value_probability(deck, preparation, outcome.value)
+        p = Fraction(1 if same_label else 0)
+    elif not preparation.negated:
+        p = Fraction(n - deck.joint_count_for(preparation.value, outcome.value), n * (v - 1))
+    elif same_variable:
+        p = Fraction(0) if same_label else Fraction(1, v - 1)
+    else:
+        p = Fraction(deck.joint_count_for(preparation.value, outcome.value), n)
     return 1 - p if outcome.negated else p
 
 

@@ -13,6 +13,7 @@ numpy arrays, so memory stays bounded whatever the trial count.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ import numpy as np
 
 from .deck import Outcome, observe, prepare
 from .errors import InvalidArgumentsError, NoAcceptedTrialsError
-from .exact import Experiment
+from .exact import Experiment, OutcomeAt, Pattern
 from .kernel import Kernel
 from .rng import CounterStream, CounterStreams
 
@@ -78,33 +79,36 @@ class FrequencyTable:
     trials: int
     seed: int
     counts: dict[tuple[Outcome, ...], int]
-    accepted: int
+
+    def count(self, pattern: Pattern) -> int:
+        """Trials whose outcome sequence matches the pattern."""
+        return sum(n for seq, n in self.counts.items() if pattern.matches(seq))
+
+    @functools.cached_property
+    def accepted(self) -> int:
+        """Trials that pass the postselection; every trial when there is none."""
+        if self.experiment.postselection is None:
+            return self.trials
+        return self.count(OutcomeAt(*self.experiment.postselection))
 
     def frequency(self, outcomes: tuple[Outcome, ...]) -> float:
         return self.counts.get(outcomes, 0) / self.trials
 
-    def marginal_count(self, ordinal: int, outcome: Outcome) -> int:
-        return sum(n for seq, n in self.counts.items() if seq[ordinal - 1] == outcome)
-
     def marginal_frequency(self, ordinal: int, outcome: Outcome) -> float:
         """Empirical chance that the event at ``ordinal`` reported ``outcome``."""
         self.experiment.check_outcome_at(ordinal, outcome, "query")
-        return self.marginal_count(ordinal, outcome) / self.trials
+        return self.count(OutcomeAt(ordinal, outcome)) / self.trials
 
     def retrodiction(self, ordinal: int, outcome: Outcome) -> "RetrodictionEstimate":
-        """Conditional frequency of ``outcome`` among accepted trials."""
-        if self.experiment.postselection is None:
-            raise InvalidArgumentsError("retrodiction needs an experiment with a postselection")
-        self.experiment.check_outcome_at(ordinal, outcome, "query")
+        """Conditional frequency of ``outcome`` among accepted trials.
+
+        The query is checked by :meth:`Experiment.check_retrodiction`, as the
+        exact engine checks it.
+        """
+        postselected = self.experiment.check_retrodiction(ordinal, outcome)
         if self.accepted == 0:
             raise NoAcceptedTrialsError("postselection never fired; exact acceptance is presumably zero")
-        ps_ordinal, ps_outcome = self.experiment.postselection
-        hits = sum(
-            n
-            for seq, n in self.counts.items()
-            if seq[ps_ordinal - 1] == ps_outcome and seq[ordinal - 1] == outcome
-        )
-        estimate = hits / self.accepted
+        estimate = self.count(OutcomeAt(ordinal, outcome) & postselected) / self.accepted
         return RetrodictionEstimate(
             estimate=estimate,
             standard_error=self.standard_error(estimate, self.accepted),
@@ -146,7 +150,7 @@ class FrequencyTable:
 
 
 def simulate(config: RunConfig) -> FrequencyTable:
-    """Run every trial and tally outcome sequences and postselection hits.
+    """Run every trial and tally its outcome sequence.
 
     The counts equal those of :func:`run_trial` over trials ``0 .. trials-1``
     exactly.  Chunk tallies merge by plain count addition, so the result
@@ -162,28 +166,12 @@ def simulate(config: RunConfig) -> FrequencyTable:
         trials = np.arange(start, min(start + CHUNK_TRIALS, config.trials), dtype=np.uint64)
         codes, counts = np.unique(_walk(kernel, config.seed, trials), return_counts=True)
         tally.update(dict(zip(codes.tolist(), counts.tolist())))
-    counts = {_decode(kernel, code): n for code, n in tally.items()}
-    accepted = config.trials
-    if experiment.postselection is not None:
-        ordinal, outcome = experiment.postselection
-        accepted = sum(n for seq, n in counts.items() if seq[ordinal - 1] == outcome)
     return FrequencyTable(
         experiment=experiment,
         trials=config.trials,
         seed=config.seed,
-        counts=counts,
-        accepted=accepted,
+        counts={_decode(kernel, code): n for code, n in tally.items()},
     )
-
-
-def estimate_retrodiction(config: RunConfig, ordinal: int, outcome: Outcome) -> RetrodictionEstimate:
-    """Empirical retrodiction: frequency of ``outcome`` among accepted trials.
-
-    Raises NoAcceptedTrialsError when the postselection never fires; the
-    caller should then compare against an exact acceptance probability of
-    zero rather than against a conditional.
-    """
-    return simulate(config).retrodiction(ordinal, outcome)
 
 
 def format_float(x: float) -> str:

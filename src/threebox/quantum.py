@@ -42,9 +42,7 @@ class QState:
     """A normalized state vector over a labeled orthonormal basis."""
 
     def __init__(self, amplitudes: Sequence[complex] | np.ndarray):
-        vector = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        if vector.size == 0:
-            raise InvalidArgumentsError("a state needs at least one amplitude")
+        vector = _finite_vector(amplitudes)
         norm = float(np.linalg.norm(vector))
         if abs(norm - 1.0) > TOLERANCE:
             raise NotNormalizedError(f"state norm is {norm!r}, not 1")
@@ -54,9 +52,12 @@ class QState:
 
     @classmethod
     def normalized(cls, amplitudes: Sequence[complex] | np.ndarray) -> "QState":
-        """Build a state from any nonzero vector by normalizing it."""
-        vector = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        norm = np.linalg.norm(vector)
+        """Build a state from any nonzero finite vector by normalizing it."""
+        vector = _finite_vector(amplitudes)
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(vector)
+        if not math.isfinite(norm):
+            raise NotNormalizedError("the amplitudes are too large to normalize")
         if norm == 0:
             raise NotNormalizedError("cannot normalize the zero vector")
         return cls(vector / norm)
@@ -120,6 +121,16 @@ class Projector:
     @property
     def rank(self) -> int:
         return round(float(np.trace(self._matrix).real))
+
+
+def _finite_vector(amplitudes: Sequence[complex] | np.ndarray) -> np.ndarray:
+    """The amplitudes as a flat complex vector; refuses an empty or non-finite one."""
+    vector = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    if vector.size == 0:
+        raise InvalidArgumentsError("a state needs at least one amplitude")
+    if not np.isfinite(vector).all():
+        raise InvalidArgumentsError(f"amplitudes must be finite, got {np.array2string(vector, precision=6)}")
+    return vector
 
 
 def _same_dimension(*objects: QState | Projector) -> int:
@@ -242,6 +253,13 @@ def three_box_pair() -> tuple[QState, QState, list[QState]]:
 # ---------------------------------------------------------------------------
 
 
+def _check_lengths(**lengths: float) -> None:
+    """Refuse a slit length that is not a positive finite number."""
+    for name, length in lengths.items():
+        if not (math.isfinite(length) and length > 0):
+            raise GeometryInfeasibleError(f"{name} must be a positive finite length, got {length!r}")
+
+
 @dataclass(frozen=True)
 class SlitGeometry:
     """Three equally spaced slits with an on-axis detector.
@@ -256,8 +274,7 @@ class SlitGeometry:
     distance: float
 
     def __post_init__(self) -> None:
-        if self.separation <= 0 or self.wavelength <= 0 or self.distance <= 0:
-            raise GeometryInfeasibleError("lengths must be positive")
+        _check_lengths(separation=self.separation, wavelength=self.wavelength, distance=self.distance)
         excess = math.hypot(self.distance, self.separation) - self.distance
         if abs(excess - self.wavelength / 2) > TOLERANCE * self.wavelength:
             raise GeometryInfeasibleError(
@@ -294,13 +311,15 @@ def three_slit_design(separation: float, wavelength: float) -> SlitGeometry:
     Solving √(L²+a²) − L = λ/2 gives the unique positive distance
     L = a²/λ − λ/4, feasible only when a > λ/2.
     """
-    if wavelength <= 0 or separation <= 0:
-        raise GeometryInfeasibleError("lengths must be positive")
+    _check_lengths(separation=separation, wavelength=wavelength)
     if separation <= wavelength / 2:
         raise GeometryInfeasibleError(
             f"separation {separation!r} must exceed half the wavelength {wavelength!r}"
         )
-    distance = separation**2 / wavelength - wavelength / 4
+    try:
+        distance = separation**2 / wavelength - wavelength / 4
+    except OverflowError:
+        raise GeometryInfeasibleError(f"separation {separation!r} puts the detector beyond float range") from None
     return SlitGeometry(separation=separation, wavelength=wavelength, distance=distance)
 
 
@@ -322,8 +341,9 @@ def rotated_basis(alpha: complex, beta: complex) -> list[QState]:
 
         |q1⟩ = α|x1⟩ + β|x3⟩,  |q2⟩ = |x2⟩,  |q3⟩ = β*|x1⟩ − α*|x3⟩.
     """
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1) > TOLERANCE:
-        raise NotNormalizedError(f"|α|² + |β|² = {abs(alpha)**2 + abs(beta)**2!r}, not 1")
+    weight = abs(alpha) * abs(alpha) + abs(beta) * abs(beta)  # inf, not OverflowError, when huge
+    if not abs(weight - 1) <= TOLERANCE:
+        raise NotNormalizedError(f"|α|² + |β|² = {weight!r}, not 1")
     q1 = QState(np.array([alpha, 0, beta], dtype=complex))
     q2 = QState.basis_state(3, 1)
     q3 = QState(np.array([np.conj(beta), 0, -np.conj(alpha)], dtype=complex))

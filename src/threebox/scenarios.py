@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from . import quantum
@@ -24,7 +24,6 @@ from .exact import (
     MixtureState,
     OutcomeAt,
     acceptance_probability,
-    closed_form,
     conditional_probability,
     format_fraction,
     mixture_combine,
@@ -54,16 +53,6 @@ class Claim:
     computed: dict[str, str]
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "description": self.description,
-            "expected": self.expected,
-            "source": self.source,
-            "mode": self.mode,
-            "computed": self.computed,
-            "passed": self.passed,
-        }
-
 
 @dataclass
 class ScenarioReport:
@@ -81,7 +70,7 @@ class ScenarioReport:
         report = {
             "scenario": self.name,
             "passed": self.passed,
-            "claims": [claim.to_dict() for claim in self.claims],
+            "claims": [asdict(claim) for claim in self.claims],
         }
         if self.trace is not None:
             report["trace"] = self.trace
@@ -125,8 +114,8 @@ def _bool_claim(description: str, source: str, detail: dict[str, str], passed: b
     )
 
 
-def _mc_claim(description: str, exact_value: Fraction, estimate: float, samples: int) -> Claim:
-    """Compare an empirical frequency against its exact value.
+def _mc_claim(description: str, exact_value: Fraction, hits: int, samples: int) -> Claim:
+    """Compare the empirical frequency ``hits / samples`` against its exact value.
 
     Degenerate probabilities (0 or 1) must be matched exactly; anything else
     must land within five binomial standard errors, which keeps the false
@@ -134,43 +123,25 @@ def _mc_claim(description: str, exact_value: Fraction, estimate: float, samples:
     decides nothing, so its claim is reported as not passed.
     """
     p = float(exact_value)
+    degenerate = p in (0.0, 1.0)
+    expected = format_float(p)
     if samples == 0:
-        return Claim(
-            description=description,
-            expected=format_float(p),
-            source="exact engine",
-            mode=MODE_EXACT if p in (0.0, 1.0) else MODE_FIVE_SE,
-            computed={"monte carlo": "undecided: no samples"},
-            passed=False,
-        )
-    if p in (0.0, 1.0):
-        return Claim(
-            description=description,
-            expected=format_float(p),
-            source="exact engine",
-            mode=MODE_EXACT,
-            computed={"monte carlo": format_float(estimate)},
-            passed=estimate == p,
-        )
-    se = math.sqrt(p * (1 - p) / samples)
+        computed, passed = "undecided: no samples", False
+    else:
+        estimate = hits / samples
+        computed, passed = format_float(estimate), estimate == p
+        if not degenerate:
+            se = math.sqrt(p * (1 - p) / samples)
+            expected = f"{format_float(p)} ± {format_float(5 * se)}"
+            passed = abs(estimate - p) <= 5 * se
     return Claim(
         description=description,
-        expected=f"{format_float(p)} ± {format_float(5 * se)}",
+        expected=expected,
         source="exact engine",
-        mode=MODE_FIVE_SE,
-        computed={"monte carlo": format_float(estimate)},
-        passed=abs(estimate - p) <= 5 * se,
+        mode=MODE_EXACT if degenerate else MODE_FIVE_SE,
+        computed={"monte carlo": computed},
+        passed=passed,
     )
-
-
-def _mc_retrodiction_claim(
-    description: str, expected: Fraction, table: FrequencyTable, ordinal: int, outcome: Outcome
-) -> Claim:
-    """Compare the retrodiction among accepted trials; undecided when none was accepted."""
-    if table.accepted == 0:
-        return _mc_claim(description, expected, math.nan, 0)
-    estimate = table.retrodiction(ordinal, outcome)
-    return _mc_claim(description, expected, estimate.estimate, estimate.accepted)
 
 
 def _simulate(experiment: Experiment, trials: int, seed: int) -> FrequencyTable | None:
@@ -196,6 +167,7 @@ def three_box_card(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) -> Sc
     report = ScenarioReport("three-box-card")
     prep = Outcome(deck.value("Face", "Q"))
     final = Outcome(deck.value("Face", "K"))
+    ends_in_k = OutcomeAt(2, final)
 
     for suit_label, chance in (("S", Fraction(1, 4)), ("D", Fraction(1, 4))):
         suit = Outcome(deck.value("Suit", suit_label))
@@ -215,7 +187,7 @@ def three_box_card(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) -> Sc
                 chance,
                 {
                     "enumeration": probability(experiment, OutcomeAt(1, suit)),
-                    "closed form": closed_form(deck, "cross-var", prep, suit.value),
+                    "closed form": single_step_probability(deck, prep, suit),
                 },
             )
         )
@@ -226,15 +198,15 @@ def three_box_card(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) -> Sc
                 1 - chance,
                 {
                     "enumeration": probability(experiment, OutcomeAt(1, not_suit)),
-                    "closed form": closed_form(deck, "negation-complement", prep, suit.value),
+                    "closed form": single_step_probability(deck, prep, not_suit),
                 },
             )
         )
         inputs = RetrodictionInputs(
-            likelihood=closed_form(deck, "cross-var", suit, final.value),
-            prior=closed_form(deck, "cross-var", prep, suit.value),
-            likelihood_negation=closed_form(deck, "negated-cross-var", not_suit, final.value),
-            prior_negation=closed_form(deck, "negation-complement", prep, suit.value),
+            likelihood=single_step_probability(deck, suit, final),
+            prior=single_step_probability(deck, prep, suit),
+            likelihood_negation=single_step_probability(deck, not_suit, final),
+            prior_negation=single_step_probability(deck, prep, not_suit),
         )
         report.claims.append(
             _exact_claim(
@@ -253,10 +225,8 @@ def three_box_card(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) -> Sc
                 "the ~{0} pile's complement holds only {0} cards".format(suit_label),
                 Fraction(0),
                 {
-                    "enumeration": conditional_probability(
-                        experiment, OutcomeAt(2, final), OutcomeAt(1, not_suit)
-                    ),
-                    "closed form": closed_form(deck, "negated-cross-var", not_suit, final.value),
+                    "enumeration": conditional_probability(experiment, ends_in_k, OutcomeAt(1, not_suit)),
+                    "closed form": single_step_probability(deck, not_suit, final),
                 },
             )
         )
@@ -265,25 +235,24 @@ def three_box_card(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) -> Sc
                 _mc_claim(
                     f"Monte Carlo frequency of {suit_label} at the check",
                     chance,
-                    table.marginal_frequency(1, suit),
-                    trials,
+                    table.count(OutcomeAt(1, suit)),
+                    table.trials,
                 )
             )
             report.claims.append(
                 _mc_claim(
                     f"Monte Carlo acceptance rate of the final K filter ({suit_label}-check run)",
                     acceptance_probability(experiment),
-                    table.acceptance_rate,
-                    trials,
+                    table.accepted,
+                    table.trials,
                 )
             )
             report.claims.append(
-                _mc_retrodiction_claim(
+                _mc_claim(
                     f"Monte Carlo retrodiction of {suit_label} among accepted runs",
                     Fraction(1),
-                    table,
-                    1,
-                    suit,
+                    table.count(OutcomeAt(1, suit) & ends_in_k),
+                    table.accepted,
                 )
             )
     return report
@@ -310,6 +279,7 @@ def interference_demo(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) ->
         (Manifestation("Suit"), Manifestation("Face")),
         postselection=(2, final),
     )
+    ends_in_k = OutcomeAt(2, final)
     table = _simulate(experiment, trials, seed)
 
     for label, chance in (("S", Fraction(1, 4)), ("H", Fraction(1, 2)), ("D", Fraction(1, 4))):
@@ -320,7 +290,7 @@ def interference_demo(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) ->
                 chance,
                 {
                     "enumeration": probability(experiment, OutcomeAt(1, suit_of[label])),
-                    "closed form": closed_form(deck, "cross-var", prep, suit_of[label].value),
+                    "closed form": single_step_probability(deck, prep, suit_of[label]),
                 },
             )
         )
@@ -329,8 +299,8 @@ def interference_demo(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) ->
                 _mc_claim(
                     f"Monte Carlo frequency of {label} under the complete observation",
                     chance,
-                    table.marginal_frequency(1, suit_of[label]),
-                    trials,
+                    table.count(OutcomeAt(1, suit_of[label])),
+                    table.trials,
                 )
             )
 
@@ -360,9 +330,7 @@ def interference_demo(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) ->
         (Manifestation("Suit", "S"), Manifestation("Face")),
         postselection=(2, final),
     )
-    k_after_not_s = conditional_probability(
-        partial_experiment, OutcomeAt(2, final), OutcomeAt(1, not_s)
-    )
+    k_after_not_s = conditional_probability(partial_experiment, ends_in_k, OutcomeAt(1, not_s))
     report.claims.append(
         _exact_claim(
             "no K can follow the genuine ~S state",
@@ -370,12 +338,12 @@ def interference_demo(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) ->
             Fraction(0),
             {
                 "enumeration": k_after_not_s,
-                "closed form": closed_form(deck, "negated-cross-var", not_s, final.value),
+                "closed form": single_step_probability(deck, not_s, final),
             },
         )
     )
     h_or_d = AnyOf((OutcomeAt(1, suit_of["H"]), OutcomeAt(1, suit_of["D"])))
-    k_after_mixture = conditional_probability(experiment, OutcomeAt(2, final), h_or_d)
+    k_after_mixture = conditional_probability(experiment, ends_in_k, h_or_d)
     mixture_k = step_distribution(mixture, Manifestation("Face"))[final]
     report.claims.append(
         _exact_claim(
@@ -386,20 +354,12 @@ def interference_demo(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) ->
         )
     )
     if table is not None:
-        accepted_h_or_d = sum(
-            n for seq, n in table.counts.items() if h_or_d.matches(seq)
-        )
-        hits = sum(
-            n
-            for seq, n in table.counts.items()
-            if h_or_d.matches(seq) and seq[1] == final
-        )
         report.claims.append(
             _mc_claim(
                 "Monte Carlo frequency of K among runs whose suit came out H or D",
                 Fraction(1, 6),
-                hits / accepted_h_or_d if accepted_h_or_d else float("nan"),
-                accepted_h_or_d,
+                table.count(h_or_d & ends_in_k),
+                table.count(h_or_d),
             )
         )
     report.claims.append(
@@ -433,8 +393,8 @@ def interference_demo(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) ->
         )
     )
 
-    likelihoods = [closed_form(deck, "cross-var", suit_of[l], final.value) for l in "SHD"]
-    priors = [closed_form(deck, "cross-var", prep, suit_of[l].value) for l in "SHD"]
+    likelihoods = [single_step_probability(deck, suit_of[l], final) for l in "SHD"]
+    priors = [single_step_probability(deck, prep, suit_of[l]) for l in "SHD"]
     for position, (label, expected) in enumerate(
         (("S", Fraction(1, 2)), ("H", Fraction(0)), ("D", Fraction(1, 2)))
     ):
@@ -451,12 +411,11 @@ def interference_demo(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) ->
         )
         if table is not None:
             report.claims.append(
-                _mc_retrodiction_claim(
+                _mc_claim(
                     f"Monte Carlo retrodiction of {label} among accepted runs",
                     expected,
-                    table,
-                    1,
-                    suit_of[label],
+                    table.count(OutcomeAt(1, suit_of[label]) & ends_in_k),
+                    table.accepted,
                 )
             )
     report.claims.append(
@@ -657,11 +616,14 @@ def counterfactual_trace(
     )
     if table is not None:
         report.claims.append(
-            _mc_claim("Monte Carlo acceptance rate", acceptance, table.acceptance_rate, trials)
+            _mc_claim("Monte Carlo acceptance rate", acceptance, table.accepted, table.trials)
         )
         report.claims.append(
-            _mc_retrodiction_claim(
-                "Monte Carlo retrodiction of K among accepted runs", Fraction(1), table, 1, prep
+            _mc_claim(
+                "Monte Carlo retrodiction of K among accepted runs",
+                Fraction(1),
+                table.count(OutcomeAt(1, prep) & OutcomeAt(2, final)),
+                table.accepted,
             )
         )
 

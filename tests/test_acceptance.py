@@ -20,11 +20,11 @@ from threebox.exact import (
     Experiment,
     MixtureState,
     OutcomeAt,
-    closed_form,
     conditional_probability,
     leaf_distribution,
     mixture_combine,
     retrodict_exact,
+    single_step_probability,
 )
 from threebox.formulas import RetrodictionInputs, retrodict_complete, retrodict_partial
 from threebox.montecarlo import RunConfig, simulate
@@ -151,14 +151,7 @@ def test_criterion_04_closed_forms_match_enumeration_everywhere():
             for manifestation in manifestations:
                 enumerated = leaf_distribution(Experiment(deck, target, (manifestation,)))
                 for (result,), exact in enumerated.items():
-                    same = target.variable == result.variable
-                    if result.negated:
-                        formula = "negation-complement"
-                    elif target.negated:
-                        formula = "negated-same-var" if same else "negated-cross-var"
-                    else:
-                        formula = "same-var" if same else "cross-var"
-                    assert closed_form(deck, formula, target, result.value) == exact
+                    assert single_step_probability(deck, target, result) == exact
                     comparisons += 1
     assert comparisons >= 100
     report(f"04 closed forms equal enumeration ({comparisons} comparisons)")

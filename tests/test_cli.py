@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,16 @@ def run(capsys, *argv):
 
 
 class TestValidate:
+    def test_huge_multiplicity_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "huge.deck"
+        path.write_text(
+            "variable Face: K Q\nvariable Suit: S H\ncard K S 1000000000000\ncard Q H 1000000000000\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "validate", "--deck", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "at most" in err
+
     def test_valid_deck(self, capsys, deck_file):
         code, out, _ = run(capsys, "validate", "--deck", deck_file)
         assert code == 0
@@ -162,6 +173,21 @@ class TestExact:
         assert "no observation" in err
 
 
+@pytest.mark.parametrize("command", ["exact", "simulate"])
+@pytest.mark.parametrize(
+    "postselect, query", [("1:Suit=S", "1:Suit=S"), ("1:Suit=S", "2:Face=K"), ("2:Face=K", "2:Face=K")]
+)
+def test_query_at_or_after_the_postselection_exits_2(capsys, deck_file, command, postselect, query):
+    code, out, err = run(
+        capsys,
+        command, "--deck", deck_file, "--prepare", "Face=Q", "--observe", "Suit", "--observe", "Face",
+        "--postselect", postselect, "--query", query,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "must precede the postselection" in err
+
+
 class TestSimulate:
     def test_runs_are_byte_identical(self, capsys, deck_file):
         argv = (
@@ -285,6 +311,30 @@ class TestQuantum:
         report = json.loads(out)
         assert report["partial"] == "1"
         assert report["complete"] == "0.666666666667"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("aad", "--alpha", "foo"),
+            ("aad", "--beta", "1+"),
+            ("aad", "--alpha", "nan"),
+            ("aad", "--alpha", "1e200"),
+            ("slits", "--separation", "nan", "--wavelength", "1"),
+            ("slits", "--separation", "inf", "--wavelength", "1"),
+            ("slits", "--separation", "10", "--wavelength", "nan"),
+            ("slits", "--separation", "1e200", "--wavelength", "1"),
+            ("born", "--state", "1,nan", "--post", "1,0"),
+            ("born", "--state", "1,0", "--post", "nan,1"),
+            ("born", "--state", "1e200,1e200", "--post", "1,0"),
+        ],
+    )
+    def test_bad_or_non_finite_input_exits_2_without_a_warning(self, capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "quantum", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert [str(w.message) for w in caught] == []
 
     def test_unnormalizable_state_exits_2(self, capsys):
         code, _, err = run(capsys, "quantum", "born", "--state", "0,0", "--post", "1,0")

@@ -1,5 +1,6 @@
 """Deck validation and the These/Others observation machine."""
 
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threebox.deck import (
+    MAX_CARDS,
     Card,
     CardValue,
     Manifestation,
@@ -72,6 +74,18 @@ class TestValidateDeck:
     def test_nonpositive_multiplicity_rejected(self):
         with pytest.raises(InvalidArgumentsError):
             validate_deck([("K", "S", 1), ("Q", "H", 0), ("K", "H", 1), ("Q", "S", 1)])
+
+    def test_total_multiplicity_is_bounded_before_the_card_list_is_built(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidArgumentsError, match="at most"):
+                validate_deck([("K", "S", 10**12), ("K", "H", 10**12), ("Q", "S", 10**12), ("Q", "H", 10**12)])
+            with pytest.raises(InvalidArgumentsError, match="at most"):
+                validate_deck([("K", "S", MAX_CARDS + 1)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_label_outside_declared_schema_rejected(self):
         with pytest.raises(UnknownLabelError):

@@ -1,14 +1,15 @@
-"""Branch-tree enumeration, conditional queries, closed forms, mixtures."""
+"""Branch-tree enumeration, conditional queries, the closed form, mixtures."""
 
 from fractions import Fraction
 
 import pytest
 
-from threebox.deck import Card, Manifestation, Outcome, prepare, step_distribution
+from threebox.deck import Card, CardValue, Manifestation, Outcome, prepare, step_distribution
 from threebox.errors import (
     InvalidArgumentsError,
     SequenceTooLongError,
     UndefinedConditionalError,
+    UnknownLabelError,
     WeightsNotNormalizedError,
 )
 from threebox.exact import (
@@ -17,7 +18,6 @@ from threebox.exact import (
     MixtureState,
     OutcomeAt,
     acceptance_probability,
-    closed_form,
     conditional_probability,
     enumerate_tree,
     experiment_from_options,
@@ -242,36 +242,35 @@ class TestRetrodict:
 class TestClosedForm:
     def test_same_variable_is_kronecker(self, threebox):
         q = out(threebox, "Face", "Q")
-        assert closed_form(threebox, "same-var", q, threebox.value("Face", "Q")) == 1
-        assert closed_form(threebox, "same-var", q, threebox.value("Face", "K")) == 0
+        assert single_step_probability(threebox, q, out(threebox, "Face", "Q")) == 1
+        assert single_step_probability(threebox, q, out(threebox, "Face", "K")) == 0
 
     def test_cross_variable(self, threebox):
         q = out(threebox, "Face", "Q")
-        assert closed_form(threebox, "cross-var", q, threebox.value("Suit", "S")) == Fraction(1, 4)
-        assert closed_form(threebox, "cross-var", q, threebox.value("Suit", "H")) == Fraction(1, 2)
+        assert single_step_probability(threebox, q, out(threebox, "Suit", "S")) == Fraction(1, 4)
+        assert single_step_probability(threebox, q, out(threebox, "Suit", "H")) == Fraction(1, 2)
 
     def test_negated_same_variable(self, threebox):
         not_s = out(threebox, "Suit", "S", negated=True)
-        assert closed_form(threebox, "negated-same-var", not_s, threebox.value("Suit", "H")) == Fraction(1, 2)
-        assert closed_form(threebox, "negated-same-var", not_s, threebox.value("Suit", "S")) == 0
+        assert single_step_probability(threebox, not_s, out(threebox, "Suit", "H")) == Fraction(1, 2)
+        assert single_step_probability(threebox, not_s, out(threebox, "Suit", "S")) == 0
 
     def test_negated_cross_variable(self, threebox):
         not_s = out(threebox, "Suit", "S", negated=True)
-        assert closed_form(threebox, "negated-cross-var", not_s, threebox.value("Face", "K")) == 0
-        assert closed_form(threebox, "negated-cross-var", not_s, threebox.value("Face", "Q")) == Fraction(1, 2)
+        assert single_step_probability(threebox, not_s, out(threebox, "Face", "K")) == 0
+        assert single_step_probability(threebox, not_s, out(threebox, "Face", "Q")) == Fraction(1, 2)
 
     def test_negation_complement(self, threebox):
         q = out(threebox, "Face", "Q")
-        assert closed_form(threebox, "negation-complement", q, threebox.value("Suit", "S")) == Fraction(3, 4)
+        assert single_step_probability(threebox, q, out(threebox, "Suit", "S", negated=True)) == Fraction(3, 4)
 
-    def test_formula_must_match_argument_shape(self, threebox):
+    def test_unknown_label_is_refused(self, threebox):
         q = out(threebox, "Face", "Q")
-        with pytest.raises(InvalidArgumentsError):
-            closed_form(threebox, "same-var", q, threebox.value("Suit", "S"))
-        with pytest.raises(InvalidArgumentsError):
-            closed_form(threebox, "negated-same-var", q, threebox.value("Face", "K"))
-        with pytest.raises(InvalidArgumentsError):
-            closed_form(threebox, "nonsense", q, threebox.value("Face", "K"))
+        for bad in (CardValue("Face", "Z"), CardValue("Suit", "C"), CardValue("Colour", "S")):
+            with pytest.raises(UnknownLabelError):
+                single_step_probability(threebox, q, Outcome(bad))
+            with pytest.raises(UnknownLabelError):
+                single_step_probability(threebox, Outcome(bad, negated=True), q)
 
     def test_matches_enumeration_for_every_first_step(self, threebox, twovalue):
         # Every preparation against every single manifestation, on both decks.

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from test_kernel import experiments
 from threebox.deck import Manifestation, Outcome, validate_deck
 from threebox.errors import DrawOutOfRangeError, InvalidArgumentsError, NoAcceptedTrialsError
-from threebox.exact import Experiment, acceptance_probability
-from threebox.montecarlo import CHUNK_TRIALS, RunConfig, estimate_retrodiction, run_trial, simulate
+from threebox.exact import AnyOf, Experiment, OutcomeAt, acceptance_probability, retrodict_exact
+from threebox.montecarlo import CHUNK_TRIALS, RunConfig, run_trial, simulate
 from threebox.rng import CounterStream, CounterStreams, finalize
 
 GOLDEN = 0x9E3779B97F4A7C15
@@ -132,6 +132,17 @@ class TestSimulate:
         shuffled = Counter(run_trial(experiment, 21, t) for t in order)
         assert simulate(RunConfig(experiment, trials, 21)).counts == dict(shuffled)
 
+    def test_count_matches_a_scan_of_the_trials(self, threebox):
+        experiment = spade_check(threebox)
+        trials = 3000
+        sequences = [run_trial(experiment, 4, t) for t in range(trials)]
+        table = simulate(RunConfig(experiment, trials, 4))
+        spade, king = OutcomeAt(1, out(threebox, "Suit", "S")), OutcomeAt(2, out(threebox, "Face", "K"))
+        jack = OutcomeAt(2, out(threebox, "Face", "J"))
+        for pattern in (spade, king, spade & king, AnyOf((king, jack)), ~spade, ~(spade | jack)):
+            assert table.count(pattern) == sum(pattern.matches(seq) for seq in sequences)
+        assert table.accepted == table.count(king)
+
     def test_counts_sum_to_trials(self, threebox):
         table = simulate(RunConfig(spade_check(threebox), trials=2500, seed=3))
         assert sum(table.counts.values()) == 2500
@@ -200,7 +211,7 @@ class TestConvergence:
 
     def test_accepted_runs_always_passed_through_spade(self, threebox):
         config = RunConfig(spade_check(threebox), trials=100_000, seed=42)
-        estimate = estimate_retrodiction(config, 1, out(threebox, "Suit", "S"))
+        estimate = simulate(config).retrodiction(1, out(threebox, "Suit", "S"))
         assert estimate.estimate == 1.0
         exact_acceptance = float(acceptance_probability(config.experiment))
         tolerance = 5 * math.sqrt(exact_acceptance * (1 - exact_acceptance) / config.trials)
@@ -214,7 +225,7 @@ class TestConvergence:
             (Manifestation("Suit"), Manifestation("Face")),
             postselection=(2, out(threebox, "Face", "K")),
         )
-        estimate = estimate_retrodiction(RunConfig(experiment, 100_000, 42), 1, out(threebox, "Suit", "S"))
+        estimate = simulate(RunConfig(experiment, 100_000, 42)).retrodiction(1, out(threebox, "Suit", "S"))
         assert abs(estimate.estimate - 0.5) <= 5 * estimate.standard_error
         assert estimate.standard_error == math.sqrt(
             estimate.estimate * (1 - estimate.estimate) / estimate.accepted
@@ -231,12 +242,23 @@ class TestEstimateRetrodiction:
         )
         assert acceptance_probability(experiment) == 0
         with pytest.raises(NoAcceptedTrialsError):
-            estimate_retrodiction(RunConfig(experiment, 2000, 5), 1, out(threebox, "Face", "K"))
+            simulate(RunConfig(experiment, 2000, 5)).retrodiction(1, out(threebox, "Face", "K"))
 
     def test_requires_postselection(self, threebox):
         experiment = Experiment(threebox, out(threebox, "Face", "Q"), (Manifestation("Suit"),))
         with pytest.raises(InvalidArgumentsError):
-            estimate_retrodiction(RunConfig(experiment, 10, 5), 1, out(threebox, "Suit", "S"))
+            simulate(RunConfig(experiment, 10, 5)).retrodiction(1, out(threebox, "Suit", "S"))
+
+    @pytest.mark.parametrize("label", ["K", "Q"])
+    def test_query_at_the_postselection_is_refused_as_by_the_exact_engine(self, threebox, label):
+        experiment = spade_check(threebox)
+        table = simulate(RunConfig(experiment, 100, 5))
+        query = out(threebox, "Face", label)
+        with pytest.raises(InvalidArgumentsError) as exact_error:
+            retrodict_exact(experiment, 2, query)
+        with pytest.raises(InvalidArgumentsError) as mc_error:
+            table.retrodiction(2, query)
+        assert str(mc_error.value) == str(exact_error.value)
 
     def test_marginal_frequency_validates_the_outcome(self, threebox):
         table = simulate(RunConfig(spade_check(threebox), trials=10, seed=1))

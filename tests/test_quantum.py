@@ -50,6 +50,17 @@ class TestQState:
         with pytest.raises(NotNormalizedError):
             QState.normalized([0, 0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.nan), complex(-math.inf, 1)])
+    def test_non_finite_amplitudes_are_refused(self, bad):
+        with pytest.raises(InvalidArgumentsError):
+            QState([bad, 0, 0])
+        with pytest.raises(InvalidArgumentsError):
+            QState.normalized([1, bad])
+
+    def test_amplitudes_too_large_to_normalize_are_refused(self):
+        with pytest.raises(NotNormalizedError):
+            QState.normalized([1e200, 1e200])
+
     def test_amplitudes_are_read_only(self):
         state = QState.basis_state(3, 0)
         with pytest.raises(ValueError):
@@ -286,6 +297,19 @@ class TestSlitGeometry:
             three_slit_design(separation=0.5, wavelength=1.0)
         with pytest.raises(GeometryInfeasibleError):
             three_slit_design(separation=1.0, wavelength=-2.0)
+
+    @pytest.mark.parametrize(
+        "separation, wavelength", [(math.nan, 1.0), (math.inf, 1.0), (10.0, math.nan), (10.0, math.inf), (1e200, 1.0)]
+    )
+    def test_non_finite_lengths_are_refused(self, separation, wavelength):
+        with pytest.raises(GeometryInfeasibleError):
+            three_slit_design(separation=separation, wavelength=wavelength)
+
+    @pytest.mark.parametrize("length", [math.nan, math.inf])
+    def test_direct_construction_refuses_non_finite_lengths(self, length):
+        for lengths in ((length, 1.0, 99.75), (10.0, length, 99.75), (10.0, 1.0, length)):
+            with pytest.raises(GeometryInfeasibleError):
+                SlitGeometry(*lengths)
 
     def test_direct_construction_checks_the_condition(self):
         with pytest.raises(GeometryInfeasibleError):
