@@ -15,7 +15,6 @@ from .deck import (
     Card,
     CardValue,
     Deck,
-    EventRecord,
     Manifestation,
     Outcome,
     SystemState,

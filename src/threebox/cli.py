@@ -141,9 +141,10 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _parse_amplitude(text: str) -> complex:
-    """A complex amplitude such as ``0.5``, ``1-2i`` or ``1j``."""
+    """A complex amplitude such as ``0.5``, ``1-2i`` or ``1j``; only a trailing ``i`` means ``j``."""
+    text = text.strip()
     try:
-        return complex(text.strip().replace("i", "j"))
+        return complex(text[:-1] + "j" if text.endswith("i") else text)
     except ValueError as error:
         raise ThreeBoxError(f"bad amplitude {text!r}: {error}") from None
 

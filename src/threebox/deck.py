@@ -268,17 +268,6 @@ class SystemState:
         return f"[{format_cards(self.these)} | {format_cards(self.others)}]"
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    """Trace entry for one observation: what was drawn and how the state moved."""
-
-    manifestation: Manifestation
-    card: Card
-    outcome: Outcome
-    before: SystemState
-    after: SystemState
-
-
 def format_cards(cards: Sequence[Card]) -> str:
     """Render a card multiset in the compact ``(2)KH, QS, ...`` notation."""
     counts = Counter(cards)
@@ -379,7 +368,7 @@ def observe(
     state: SystemState,
     manifestation: Manifestation,
     draw: DrawSource,
-) -> tuple[Outcome, SystemState, EventRecord]:
+) -> tuple[Outcome, SystemState]:
     """Perform one observation event, driven by an external draw source.
 
     A repeated observation (memory equals the observed variable, in either
@@ -400,10 +389,8 @@ def observe(
     index = draw(len(pool))
     if not 0 <= index < len(pool):
         raise DrawOutOfRangeError(f"draw index {index} outside pool of size {len(pool)}")
-    card = pool[index]
-    outcome = manifestation.outcome_for(deck.label_of(card, variable))
-    after = state.after_report(outcome)
-    return outcome, after, EventRecord(manifestation, card, outcome, state, after)
+    outcome = manifestation.outcome_for(deck.label_of(pool[index], variable))
+    return outcome, state.after_report(outcome)
 
 
 def step_distribution(state: SystemState, manifestation: Manifestation) -> dict[Outcome, Fraction]:

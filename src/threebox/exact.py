@@ -6,12 +6,13 @@ outcome at one ordinal that accepted runs must show.  Each experiment is
 compiled once into a :class:`~threebox.kernel.Kernel`, the transition table
 every engine reads, and every probabilistic claim is an exact `Fraction`.
 
-Queries about outcomes at given ordinals (the marginal, the acceptance
-probability, the retrodiction) propagate a vector of state weights forward
-through the kernel, in time linear in the event count.  ``tree_leaves`` lists
-every possible outcome sequence with its probability, walking the kernel
-rows and sharing the leaves below a state among every path that reaches it;
-tree reports and general outcome patterns read it.  ``enumerate_tree``
+Every query is a :class:`Pattern` of outcomes at given ordinals, and
+``probability`` answers it by propagating state weights forward through the
+kernel, each carrying the part of the pattern still open, in time linear in
+the event count for a given pattern.  ``tree_leaves`` lists every outcome
+sequence with its probability, walking the kernel rows and sharing the
+leaves below a state among every path that reaches it; only tree listings
+read it, so only they are capped at ``MAX_EVENTS``.  ``enumerate_tree``
 expands the same sequences into a tree of :class:`Branch` nodes, one node
 per path; it is the oracle that the forward pass and the walk are tested
 against.
@@ -27,7 +28,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, ClassVar, Iterator, Sequence, TypeVar
 
 from .deck import Card, Deck, Manifestation, Outcome, SystemState
 from .errors import (
@@ -36,7 +37,7 @@ from .errors import (
     UndefinedConditionalError,
     WeightsNotNormalizedError,
 )
-from .kernel import Kernel
+from .kernel import Kernel, Row
 
 # Leaf counts grow as (values per variable + 1)^depth; decks are tiny but
 # every leaf is listed, so cap the event count of a tree.
@@ -265,6 +266,10 @@ class Pattern:
     def matches(self, outcomes: Sequence[Outcome]) -> bool:
         raise NotImplementedError
 
+    def given(self, ordinal: int, outcome: Outcome) -> "bool | Pattern":
+        """``True``, ``False`` or the pattern left open once the event at ``ordinal`` reported ``outcome``."""
+        raise NotImplementedError
+
     def ordinals(self) -> set[int]:
         raise NotImplementedError
 
@@ -288,30 +293,52 @@ class OutcomeAt(Pattern):
     def matches(self, outcomes: Sequence[Outcome]) -> bool:
         return outcomes[self.ordinal - 1] == self.outcome
 
+    def given(self, ordinal: int, outcome: Outcome) -> "bool | Pattern":
+        return self if ordinal != self.ordinal else outcome == self.outcome
+
     def ordinals(self) -> set[int]:
         return {self.ordinal}
 
 
 @dataclass(frozen=True)
-class AllOf(Pattern):
+class _Junction(Pattern):
+    """A conjunction or disjunction, settled as soon as one part settles to ``decisive``."""
+
     patterns: tuple[Pattern, ...]
+    decisive: ClassVar[bool]
+
+    def given(self, ordinal: int, outcome: Outcome) -> "bool | Pattern":
+        rest = []
+        for p in self.patterns:
+            settled = p.given(ordinal, outcome)
+            if settled is self.decisive:
+                return settled
+            if not isinstance(settled, bool):
+                rest.append(settled)
+        if len(rest) < 2:
+            return rest[0] if rest else not self.decisive
+        return type(self)(tuple(rest))
+
+    def ordinals(self) -> set[int]:
+        return set().union(*(p.ordinals() for p in self.patterns))
+
+
+class AllOf(_Junction):
+    """Every one of the patterns holds."""
+
+    decisive = False
 
     def matches(self, outcomes: Sequence[Outcome]) -> bool:
         return all(p.matches(outcomes) for p in self.patterns)
 
-    def ordinals(self) -> set[int]:
-        return set().union(*(p.ordinals() for p in self.patterns))
 
+class AnyOf(_Junction):
+    """At least one of the patterns holds."""
 
-@dataclass(frozen=True)
-class AnyOf(Pattern):
-    patterns: tuple[Pattern, ...]
+    decisive = True
 
     def matches(self, outcomes: Sequence[Outcome]) -> bool:
         return any(p.matches(outcomes) for p in self.patterns)
-
-    def ordinals(self) -> set[int]:
-        return set().union(*(p.ordinals() for p in self.patterns))
 
 
 @dataclass(frozen=True)
@@ -321,77 +348,60 @@ class Negation(Pattern):
     def matches(self, outcomes: Sequence[Outcome]) -> bool:
         return not self.pattern.matches(outcomes)
 
+    def given(self, ordinal: int, outcome: Outcome) -> "bool | Pattern":
+        settled = self.pattern.given(ordinal, outcome)
+        return not settled if isinstance(settled, bool) else Negation(settled)
+
     def ordinals(self) -> set[int]:
         return self.pattern.ordinals()
-
-
-def _check_pattern(experiment: Experiment, pattern: Pattern) -> None:
-    for ordinal in pattern.ordinals():
-        if not 1 <= ordinal <= len(experiment.manifestations):
-            raise InvalidArgumentsError(
-                f"pattern refers to ordinal {ordinal}, but the experiment has {len(experiment.manifestations)} event(s)"
-            )
-
-
-# Required at an ordinal where two different outcomes are asked for; no row reports it.
-_NO_OUTCOME = object()
-
-
-def _atoms(*patterns: Pattern) -> dict[int, object] | None:
-    """The conjunction of the patterns as the outcome required at each ordinal.
-
-    Returns ``None`` unless every pattern is an :class:`OutcomeAt` or an
-    :class:`AllOf` of such.
-    """
-    atoms: dict[int, object] = {}
-    pending = list(patterns)
-    while pending:
-        pattern = pending.pop()
-        if isinstance(pattern, AllOf):
-            pending.extend(pattern.patterns)
-        elif not isinstance(pattern, OutcomeAt):
-            return None
-        elif atoms.setdefault(pattern.ordinal, pattern.outcome) != pattern.outcome:
-            atoms[pattern.ordinal] = _NO_OUTCOME
-    return atoms
-
-
-def _forward(experiment: Experiment, atoms: dict[int, object]) -> Fraction:
-    """Probability that the event at every ordinal of ``atoms`` reports its outcome.
-
-    A vector of state weights starts as the prepared state with weight one
-    and passes through the kernel an event at a time; at an ordinal of
-    ``atoms`` only the rows reporting that outcome carry weight on.  The
-    rows of a state sum to one, so the weight left after the last such
-    ordinal is the answer.
-    """
-    events = experiment.kernel.events
-    weights: dict[int, Fraction] = {0: Fraction(1)}
-    for ordinal in range(1, max(atoms, default=0) + 1):
-        rows = events[ordinal - 1].rows
-        required = atoms.get(ordinal)
-        moved: dict[int, Fraction] = {}
-        for s, weight in weights.items():
-            for outcome, p, t in rows[s]:
-                if p and (required is None or outcome == required):
-                    moved[t] = moved.get(t, 0) + weight * p
-        weights = moved
-    return sum(weights.values(), Fraction(0))
 
 
 def probability(experiment: Experiment, pattern: Pattern) -> Fraction:
     """Exact probability that a run's outcome sequence matches the pattern.
 
-    A conjunction of :class:`OutcomeAt` atoms runs forward over the kernel;
-    any other pattern is a sum over the tree's leaves.
+    The forward pass of a hidden Markov model over pairs of a kernel state
+    and the part of the pattern still open, which starts as the whole
+    pattern on the prepared state.  At an ordinal the pattern names, each
+    row passes its weight on with :meth:`Pattern.given` of its outcome:
+    weight settled ``True`` is banked, since a state's rows sum to one;
+    weight settled ``False`` is dropped; equal open patterns share weights.
     """
-    _check_pattern(experiment, pattern)
-    atoms = _atoms(pattern)
-    if atoms is not None:
-        return _forward(experiment, atoms)
-    return sum(
-        (p for outcomes, p in leaf_distribution(experiment).items() if pattern.matches(outcomes)), Fraction(0)
-    )
+    ordinals, depth = pattern.ordinals(), len(experiment.manifestations)
+    for ordinal in ordinals:
+        if not 1 <= ordinal <= depth:
+            raise InvalidArgumentsError(f"pattern refers to ordinal {ordinal}, but the experiment has {depth} event(s)")
+    if not ordinals:  # a pattern that reads no outcome holds for every run or for none
+        return Fraction(pattern.matches(()))
+    banked = Fraction(0)
+    weights: list[tuple[Pattern, dict[int, Fraction]]] = [(pattern, {0: Fraction(1)})]
+    for ordinal, event in enumerate(experiment.kernel.events[: max(ordinals)], start=1):
+        if ordinal not in ordinals:
+            weights = [(open_pattern, _step(vector, event.rows)) for open_pattern, vector in weights]
+            continue
+        merged: dict[Pattern, dict[int, Fraction]] = {}
+        for open_pattern, vector in weights:
+            # A state's rows list the event's outcomes in order.
+            settled = [open_pattern.given(ordinal, outcome) for outcome in event.outcomes]
+            targets = [rest if isinstance(rest, bool) else merged.setdefault(rest, {}) for rest in settled]
+            for s, weight in vector.items():
+                for target, (_, p, t) in zip(targets, event.rows[s]):
+                    if target is not False and p:
+                        if target is True:
+                            banked += weight * p
+                        else:
+                            target[t] = target.get(t, 0) + weight * p
+        weights = list(merged.items())
+    return banked
+
+
+def _step(vector: dict[int, Fraction], rows: Sequence[Sequence[Row]]) -> dict[int, Fraction]:
+    """The state weights after an event, whatever it reports."""
+    moved: dict[int, Fraction] = {}
+    for s, weight in vector.items():
+        for _, p, t in rows[s]:
+            if p:
+                moved[t] = moved.get(t, 0) + weight * p
+    return moved
 
 
 def conditional_probability(experiment: Experiment, target: Pattern, condition: Pattern) -> Fraction:
@@ -399,20 +409,8 @@ def conditional_probability(experiment: Experiment, target: Pattern, condition: 
 
     Raises UndefinedConditionalError when the condition has probability zero.
     """
-    _check_pattern(experiment, target)
-    _check_pattern(experiment, condition)
-    joint_atoms, condition_atoms = _atoms(target, condition), _atoms(condition)
-    if joint_atoms is not None and condition_atoms is not None:
-        joint = _forward(experiment, joint_atoms)
-        conditioning = _forward(experiment, condition_atoms)
-    else:
-        joint = Fraction(0)
-        conditioning = Fraction(0)
-        for outcomes, p in leaf_distribution(experiment).items():
-            if condition.matches(outcomes):
-                conditioning += p
-                if target.matches(outcomes):
-                    joint += p
+    joint = probability(experiment, target & condition)
+    conditioning = probability(experiment, condition)
     if conditioning == 0:
         raise UndefinedConditionalError("conditioning event has probability zero")
     return joint / conditioning

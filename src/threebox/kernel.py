@@ -123,7 +123,7 @@ def _derive(
     successors: list[int | None] = [None] * len(outcomes)
     cells = []
     for i in range(size):
-        outcome, after, _ = observe(state, manifestation, lambda n, i=i: i)
+        outcome, after = observe(state, manifestation, lambda n, i=i: i)
         k = position[outcome]
         cells.append(k)
         if successors[k] is None:

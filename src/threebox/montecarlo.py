@@ -56,7 +56,7 @@ def run_trial(experiment: Experiment, seed: int, trial: int) -> tuple[Outcome, .
     state = prepare(experiment.deck, experiment.preparation)
     outcomes = []
     for manifestation in experiment.manifestations:
-        outcome, state, _ = observe(state, manifestation, stream.uniform_index)
+        outcome, state = observe(state, manifestation, stream.uniform_index)
         outcomes.append(outcome)
     return tuple(outcomes)
 

@@ -54,13 +54,13 @@ class QState:
     def normalized(cls, amplitudes: Sequence[complex] | np.ndarray) -> "QState":
         """Build a state from any nonzero finite vector by normalizing it."""
         vector = _finite_vector(amplitudes)
-        with np.errstate(over="ignore"):
-            norm = np.linalg.norm(vector)
-        if not math.isfinite(norm):
-            raise NotNormalizedError("the amplitudes are too large to normalize")
-        if norm == 0:
+        # Scale the largest real or imaginary part to one first, so that the
+        # norm can neither overflow nor underflow.
+        scale = max(np.abs(vector.real).max(), np.abs(vector.imag).max())
+        if scale == 0:
             raise NotNormalizedError("cannot normalize the zero vector")
-        return cls(vector / norm)
+        vector = vector / scale
+        return cls(vector / np.linalg.norm(vector))
 
     @classmethod
     def basis_state(cls, dimension: int, index: int) -> "QState":

@@ -172,7 +172,7 @@ def test_criterion_05_stability():
                 from threebox.deck import observe
 
                 for index in range(len(state.these)):
-                    result, after, _ = observe(
+                    result, after = observe(
                         state, Manifestation(variable, checked), lambda n, i=index: i
                     )
                     assert result == negation

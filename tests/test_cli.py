@@ -325,7 +325,7 @@ class TestQuantum:
             ("slits", "--separation", "1e200", "--wavelength", "1"),
             ("born", "--state", "1,nan", "--post", "1,0"),
             ("born", "--state", "1,0", "--post", "nan,1"),
-            ("born", "--state", "1e200,1e200", "--post", "1,0"),
+            ("born", "--state", "1,inf", "--post", "1,0"),
         ],
     )
     def test_bad_or_non_finite_input_exits_2_without_a_warning(self, capsys, argv):
@@ -335,6 +335,23 @@ class TestQuantum:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("born", "--state", "1,inf", "--post", "1,0"), "error: amplitudes must be finite"),
+            (("aad", "--alpha", "inf"), "error: |α|² + |β|² = inf, not 1\n"),
+        ],
+    )
+    def test_infinite_amplitude_is_read_as_infinite(self, capsys, argv, message):
+        code, _, err = run(capsys, "quantum", *argv)
+        assert code == 2
+        assert err.startswith(message)
+
+    @pytest.mark.parametrize("state", ["1e-200,1e-200", "1e200,1e200", "1e308+1e308i,1e308+1e308i", "1+2i,2-i"])
+    def test_finite_nonzero_state_normalizes(self, capsys, state):
+        code, out, _ = run(capsys, "quantum", "born", "--state", state, "--post", "1,0")
+        assert (code, out) == (0, "0.5\n")
 
     def test_unnormalizable_state_exits_2(self, capsys):
         code, _, err = run(capsys, "quantum", "born", "--state", "0,0", "--post", "1,0")

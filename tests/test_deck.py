@@ -141,20 +141,18 @@ class TestObserve:
         state = prepare(threebox, outcome(threebox, "Face", "Q"))
         pool = state.pool_for("Suit")
         assert pool == state.others
-        result, after, record = observe(
+        result, after = observe(
             state, Manifestation("Suit", "S"), lambda n: pool.index(Card("J", "S"))
         )
         assert result == outcome(threebox, "Suit", "S")
         assert after.these == cards("QS", "JS")
         assert after.others == cards("(2)KH", "QD", "JD")
         assert after.memory == "Suit"
-        assert record.card == Card("J", "S")
-        assert record.before is state and record.after is after
 
     def test_repeated_observation_leaves_state_untouched(self, threebox):
         state = prepare(threebox, outcome(threebox, "Face", "Q"))
         for index in range(len(state.these)):
-            result, after, _ = observe(state, Manifestation("Face"), lambda n, i=index: i)
+            result, after = observe(state, Manifestation("Face"), lambda n, i=index: i)
             assert result == outcome(threebox, "Face", "Q")
             assert after is state
 
@@ -162,7 +160,7 @@ class TestObserve:
         # Drawing a KH under the diamond check reports ~D and rebuilds the ~D split.
         state = prepare(threebox, outcome(threebox, "Face", "Q"))
         pool = state.pool_for("Suit")
-        result, after, _ = observe(
+        result, after = observe(
             state, Manifestation("Suit", "D"), lambda n: pool.index(Card("K", "H"))
         )
         assert result == outcome(threebox, "Suit", "D", negated=True)
@@ -172,7 +170,7 @@ class TestObserve:
     def test_repreparation_matches_prepare_exactly(self, threebox):
         state = prepare(threebox, outcome(threebox, "Face", "Q"))
         for index in range(len(state.others)):
-            result, after, _ = observe(state, Manifestation("Suit"), lambda n, i=index: i)
+            result, after = observe(state, Manifestation("Suit"), lambda n, i=index: i)
             assert after == prepare(threebox, result)
 
     def test_draw_out_of_range(self, threebox):
@@ -184,7 +182,7 @@ class TestObserve:
 
     def test_conservation(self, threebox):
         state = prepare(threebox, outcome(threebox, "Face", "Q"))
-        _, after, _ = observe(state, Manifestation("Suit", "S"), lambda n: 0)
+        _, after = observe(state, Manifestation("Suit", "S"), lambda n: 0)
         assert tuple(sorted(after.these + after.others)) == threebox.cards
 
 
@@ -238,7 +236,7 @@ class TestStability:
                 dist = step_distribution(state, Manifestation(variable, checked))
                 assert dist[outcome(threebox, variable, checked, negated=True)] == 1
                 for index in range(len(state.these)):
-                    result, after, _ = observe(
+                    result, after = observe(
                         state, Manifestation(variable, checked), lambda n, i=index: i
                     )
                     assert result == outcome(threebox, variable, checked, negated=True)
@@ -291,7 +289,7 @@ def test_random_walks_conserve_the_deck(data):
     for manifestation, raw_index in steps:
         dist = step_distribution(state, manifestation)
         assert sum(dist.values()) == 1
-        _, state, _ = observe(state, manifestation, lambda n, r=raw_index: r % n)
+        _, state = observe(state, manifestation, lambda n, r=raw_index: r % n)
         assert tuple(sorted(state.these + state.others)) == deck.cards
         assert state.memory == manifestation.variable
 

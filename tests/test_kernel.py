@@ -12,7 +12,9 @@ from threebox.deck import CardValue, Manifestation, Outcome, observe, prepare, s
 from threebox.errors import UndefinedConditionalError
 from threebox.exact import (
     AllOf,
+    AnyOf,
     Experiment,
+    Negation,
     OutcomeAt,
     acceptance_probability,
     conditional_probability,
@@ -53,6 +55,25 @@ def leaf_sum(leaves, predicate):
     return sum((p for seq, p in leaves.items() if predicate(seq)), Fraction(0))
 
 
+def patterns(experiment):
+    """Random patterns over the experiment's events, from all three combinators and their atoms."""
+    events = experiment.manifestations
+    atoms = st.integers(1, len(events)).flatmap(
+        lambda ordinal: st.sampled_from(events[ordinal - 1].outcomes(experiment.deck)).map(
+            lambda outcome: OutcomeAt(ordinal, outcome)
+        )
+    )
+    return st.recursive(
+        atoms,
+        lambda children: st.one_of(
+            st.lists(children, max_size=3).map(lambda ps: AllOf(tuple(ps))),
+            st.lists(children, max_size=3).map(lambda ps: AnyOf(tuple(ps))),
+            children.map(Negation),
+        ),
+        max_leaves=8,
+    )
+
+
 @settings(max_examples=80, deadline=None)
 @given(experiments())
 def test_kernel_rows_equal_the_step_distribution_of_every_reachable_state(experiment):
@@ -72,7 +93,7 @@ def test_kernel_rows_equal_the_step_distribution_of_every_reachable_state(experi
             pool_size = int(event.pool_sizes[s])
             assert pool_size == len(state.pool_for(manifestation.variable))
             for i in range(pool_size):
-                outcome, after, _ = observe(state, manifestation, lambda n, i=i: i)
+                outcome, after = observe(state, manifestation, lambda n, i=i: i)
                 cell = s * event.width + i
                 assert event.outcomes[event.outcome_ids[cell]] == outcome
                 assert kernel.layers[depth + 1][event.successor_ids[cell]] == after
@@ -96,6 +117,18 @@ def test_forward_queries_equal_the_leaf_sums_of_the_enumeration(experiment, data
         joint = AllOf((OutcomeAt(first, a), OutcomeAt(second, b)))
         expected = leaf_sum(leaves, lambda seq: seq[first - 1] == a and seq[second - 1] == b)
         assert probability(experiment, joint) == expected
+    if events:
+        target, condition = data.draw(patterns(experiment)), data.draw(patterns(experiment))
+        assert probability(experiment, target) == leaf_sum(leaves, target.matches)
+        conditioning = leaf_sum(leaves, condition.matches)
+        if conditioning == 0:
+            with pytest.raises(UndefinedConditionalError):
+                conditional_probability(experiment, target, condition)
+        else:
+            hits = leaf_sum(leaves, lambda seq: target.matches(seq) and condition.matches(seq))
+            assert conditional_probability(experiment, target, condition) == hits / conditioning
+    assert probability(experiment, AllOf(())) == 1
+    assert probability(experiment, AnyOf(())) == 0
     if experiment.postselection is None:
         return
     ps_ordinal, ps_outcome = experiment.postselection
@@ -129,6 +162,21 @@ def test_depth_64_retrodiction_matches_the_closed_form(threebox):
         )
         expected = Fraction(2 * 4 ** (k - 1) + 1, 2 * (4**k - 1))
         assert retrodict_exact(experiment, 1, out(threebox, "Suit", "S")) == expected
+
+
+def test_depth_64_patterns_with_disjunction_and_negation_are_exact(threebox):
+    events = tuple(Manifestation(("Suit", "Face")[i % 2]) for i in range(64))
+    experiment = Experiment(threebox, out(threebox, "Face", "Q"), events)
+    k, s = out(threebox, "Face", "K"), out(threebox, "Suit", "S")
+    a = OutcomeAt(1, s) & ~OutcomeAt(64, k)
+    b = AnyOf((OutcomeAt(2, k), OutcomeAt(33, s))) & ~OutcomeAt(40, k)
+    for pattern in (a, b, a | b, a & b, ~a):
+        assert isinstance(probability(experiment, pattern), Fraction)
+    assert probability(experiment, a | b) == probability(experiment, a) + probability(experiment, b) - probability(
+        experiment, a & b
+    )
+    assert probability(experiment, ~a) == 1 - probability(experiment, a)
+    assert 0 < probability(experiment, a & b) < probability(experiment, a | b) < 1
 
 
 def test_general_patterns_enumerate_and_conflicting_atoms_give_zero(threebox):

@@ -57,9 +57,16 @@ class TestQState:
         with pytest.raises(InvalidArgumentsError):
             QState.normalized([1, bad])
 
-    def test_amplitudes_too_large_to_normalize_are_refused(self):
-        with pytest.raises(NotNormalizedError):
-            QState.normalized([1e200, 1e200])
+    def test_tiny_and_huge_amplitudes_normalize(self):
+        """No finite nonzero vector is refused for an underflowing or overflowing norm."""
+        half = math.sqrt(0.5)
+        for amplitudes, expected in (
+            ([1e-200, 1e-200], [half, half]),
+            ([1e200, -1e200], [half, -half]),
+            ([1e308 + 1e308j, 1e308 + 1e308j], [0.5 + 0.5j, 0.5 + 0.5j]),
+        ):
+            state = QState.normalized(amplitudes)
+            assert np.allclose(state.amplitudes, expected, rtol=0, atol=TOL)
 
     def test_amplitudes_are_read_only(self):
         state = QState.basis_state(3, 0)

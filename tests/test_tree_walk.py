@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -63,10 +64,11 @@ def test_every_tree_consumer_keeps_the_event_cap(threebox):
         tree_report,
         leaf_distribution,
         lambda e: tree_leaves(e, lambda ordinal, outcome: (outcome,), ()),
-        lambda e: probability(e, AnyOf((OutcomeAt(1, out(threebox, "Suit", "S")),))),
     ):
         with pytest.raises(SequenceTooLongError):
             consume(experiment)
+    # Pattern queries run forward, so the cap does not reach them.
+    assert probability(experiment, AnyOf((OutcomeAt(1, out(threebox, "Suit", "S")),))) == Fraction(1, 4)
 
 
 # Labels that JSON must escape (a quote, a backslash, a non-ASCII letter) and
