@@ -8,6 +8,10 @@ arithmetic), ``quantum`` (states, ABL rules, slit geometry), and
 Exit codes: 0 success (all claims passing), 1 a scenario claim failed,
 2 usage or validation error.  Output is deterministic for fixed arguments
 and seed; rationals print as ``num/den``, floats with 12 significant digits.
+
+A handler imports the modules its subcommand needs beyond the exact engine,
+so ``validate``, ``exact`` and ``formula`` run without loading numpy; only
+``simulate``, ``scenario`` and ``quantum`` load it.
 """
 
 from __future__ import annotations
@@ -18,14 +22,18 @@ import io
 import json
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .deck import format_cards
 from .deckfile import load_deck
 from .errors import ThreeBoxError
 from .exact import (
+    DEFAULT_SEED,
+    DEFAULT_TRIALS,
     OutcomeAt,
     acceptance_probability,
     experiment_from_options,
+    format_float,
     format_fraction,
     parse_outcome_reference,
     probability,
@@ -33,10 +41,16 @@ from .exact import (
     tree_header,
     tree_leaves,
 )
-from .formulas import RetrodictionInputs, retrodict_complete, retrodict_partial
-from .montecarlo import RunConfig, format_float, simulate
-from .scenarios import DEFAULT_SEED, DEFAULT_TRIALS, SCENARIOS, run_scenario
-from . import quantum
+
+if TYPE_CHECKING:
+    from .quantum import QState
+
+# The sorted names of :data:`threebox.scenarios.SCENARIOS`, the parser's
+# choices, spelled out so that building the parser loads no scenario code.
+SCENARIO_NAMES = ("aad", "counterfactual", "interference", "three-box-card", "three-box-quantum")
+
+# How a text report labels the outcome sequence of an experiment with no events.
+_NO_EVENTS = "(no events)"
 
 
 def _emit(report: dict, args: argparse.Namespace, text: str | None = None) -> None:
@@ -149,8 +163,10 @@ def _parse_amplitude(text: str) -> complex:
         raise ThreeBoxError(f"bad amplitude {text!r}: {error}") from None
 
 
-def _parse_state(text: str) -> quantum.QState:
-    return quantum.QState.normalized([_parse_amplitude(part) for part in text.split(",")])
+def _parse_state(text: str) -> QState:
+    from .quantum import QState
+
+    return QState.normalized([_parse_amplitude(part) for part in text.split(",")])
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +228,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     if args.csv:
         print(_csv([("outcomes", "probability"), *((key, f"{n}/{d}") for key, n, d in leaves)]), end="")
         return 0
-    lines = [f"{key or '(no events)'}: {n}/{d}" for key, n, d in leaves]
+    lines = [f"{key or _NO_EVENTS}: {n}/{d}" for key, n, d in leaves]
     if "acceptance_probability" in report:
         lines.append(f"acceptance: {report['acceptance_probability']}")
     print("\n".join(lines))
@@ -220,6 +236,8 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .montecarlo import RunConfig, simulate
+
     deck, experiment = _build_experiment(args)
     table = simulate(RunConfig(experiment, args.trials, args.seed))
     report = table.to_dict()
@@ -237,7 +255,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             frequency = table.marginal_frequency(ordinal, outcome)
             report["marginal"] = {"outcome": str(outcome), "frequency": format_float(frequency)}
     lines = [
-        f"{' '.join(row['outcomes'])}: {row['count']} ({row['frequency']})"
+        f"{' '.join(row['outcomes']) or _NO_EVENTS}: {row['count']} ({row['frequency']})"
         for row in report["sequences"]
     ]
     if "acceptance_rate" in report:
@@ -252,6 +270,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_formula(args: argparse.Namespace) -> int:
+    from .formulas import RetrodictionInputs, retrodict_complete, retrodict_partial
+
     if args.kind == "partial":
         value = retrodict_partial(
             RetrodictionInputs(
@@ -270,6 +290,8 @@ def _cmd_formula(args: argparse.Namespace) -> int:
 
 
 def _cmd_quantum(args: argparse.Namespace) -> int:
+    from . import quantum
+
     if args.operation in ("abl-complete", "abl-partial"):
         state = _parse_state(args.state)
         post = _parse_state(args.post)
@@ -315,6 +337,8 @@ def _cmd_quantum(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
+    from .scenarios import run_scenario
+
     report = run_scenario(args.name, trials=args.trials, seed=args.seed)
     payload = report.to_dict()
     lines = [f"scenario {report.name}: {'PASS' if report.passed else 'FAIL'}"]
@@ -417,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     qp.set_defaults(handler=_cmd_quantum)
 
     p = sub.add_parser("scenario", help="run a named worked example")
-    p.add_argument("name", choices=sorted(SCENARIOS), help="scenario name")
+    p.add_argument("name", choices=SCENARIO_NAMES, help="scenario name")
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help="Monte Carlo trials (0 to skip)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="64-bit stream seed")
     _add_format_flags(p)

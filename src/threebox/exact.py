@@ -49,6 +49,17 @@ def format_fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def format_float(x: float) -> str:
+    """A float with 12 significant digits, the form every report prints floats in."""
+    return f"{x:.12g}"
+
+
+# The Monte Carlo run a scenario or ``threebox simulate`` makes by default;
+# kept in this numpy-free module so that the command-line parser loads no numpy.
+DEFAULT_TRIALS = 100_000
+DEFAULT_SEED = 42
+
+
 # ---------------------------------------------------------------------------
 # Experiments
 # ---------------------------------------------------------------------------

@@ -8,8 +8,11 @@ its layer is its id.  Event ``e + 1`` gives every state of layer ``e``
   zero-probability outcomes included: ``(outcome, probability, next state
   id)``, the probability an exact ``Fraction``; the exact engine reads these;
 * one cell per draw index into the state's pool: the id of the reported
-  outcome and the next state id, as numpy arrays; the Monte Carlo walker
-  reads these.
+  outcome and the next state id; the Monte Carlo walker reads these.
+
+Rows and cells are plain tuples, the cells of ints, so compiling loads no
+numpy: the exact engine never needs it, and the walker turns an event's
+cells into arrays once per run (see :func:`threebox.montecarlo.simulate`).
 
 Every cell is one call of :func:`threebox.deck.observe`, and a row counts
 the cells that report its outcome, so the draw pools and the re-preparation
@@ -23,8 +26,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from .deck import Deck, Manifestation, Outcome, SystemState, observe, prepare
 from .errors import DrawOutOfRangeError
@@ -47,10 +48,10 @@ class Event(NamedTuple):
 
     outcomes: tuple[Outcome, ...]
     rows: tuple[tuple[Row, ...], ...]
-    pool_sizes: np.ndarray
+    pool_sizes: tuple[int, ...]
     width: int
-    outcome_ids: np.ndarray
-    successor_ids: np.ndarray
+    outcome_ids: tuple[int, ...]
+    successor_ids: tuple[int, ...]
 
 
 class Kernel:
@@ -82,12 +83,10 @@ class Kernel:
                 Event(
                     outcomes=outcomes,
                     rows=rows,
-                    pool_sizes=np.array([len(cells) for cells, _ in transitions], dtype=np.uint64),
+                    pool_sizes=tuple(len(cells) for cells, _ in transitions),
                     width=width,
-                    outcome_ids=np.array(padded, dtype=np.intp).ravel(),
-                    successor_ids=np.array(
-                        [[row[k][2] for k in cells] for cells, row in zip(padded, rows)], dtype=np.intp
-                    ).ravel(),
+                    outcome_ids=tuple(k for cells in padded for k in cells),
+                    successor_ids=tuple(row[k][2] for cells, row in zip(padded, rows) for k in cells),
                 )
             )
             layer = list(local)

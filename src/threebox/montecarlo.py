@@ -6,9 +6,10 @@ stream (see :mod:`threebox.rng`), so a run is a deterministic function of
 come back as frequency tables with binomial standard errors.
 
 :func:`run_trial` is the scalar definition of a trial.  :func:`simulate`
-gives the same counts faster: it walks the cells of the experiment's
-compiled kernel (see :mod:`threebox.kernel`) over fixed chunks of trials as
-numpy arrays, so memory stays bounded whatever the trial count.
+gives the same counts faster: it turns the cells of the experiment's
+compiled kernel (see :mod:`threebox.kernel`) into numpy arrays once, and
+walks them over fixed chunks of trials, so memory stays bounded whatever
+the trial count.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import numpy as np
 
 from .deck import Outcome, observe, prepare
 from .errors import InvalidArgumentsError, NoAcceptedTrialsError
-from .exact import Experiment, OutcomeAt, Pattern
-from .kernel import Kernel
+from .exact import Experiment, OutcomeAt, Pattern, format_float
+from .kernel import Event
 from .rng import CounterStream, CounterStreams
 
 # Trials walked together as one set of arrays.
@@ -160,23 +161,28 @@ def simulate(config: RunConfig) -> FrequencyTable:
     sizes = [len(m.outcomes(experiment.deck)) for m in experiment.manifestations]
     if math.prod(sizes) > np.iinfo(np.int64).max:
         raise InvalidArgumentsError("too many possible outcome sequences to tally in 64 bits")
-    kernel = experiment.kernel
+    events = experiment.kernel.events
+    cells = [
+        (
+            len(event.outcomes),
+            event.width,
+            np.array(event.pool_sizes, dtype=np.uint64),
+            np.array(event.outcome_ids, dtype=np.intp),
+            np.array(event.successor_ids, dtype=np.intp),
+        )
+        for event in events
+    ]
     tally: Counter[int] = Counter()
     for start in range(0, config.trials, CHUNK_TRIALS):
         trials = np.arange(start, min(start + CHUNK_TRIALS, config.trials), dtype=np.uint64)
-        codes, counts = np.unique(_walk(kernel, config.seed, trials), return_counts=True)
+        codes, counts = np.unique(_walk(cells, config.seed, trials), return_counts=True)
         tally.update(dict(zip(codes.tolist(), counts.tolist())))
     return FrequencyTable(
         experiment=experiment,
         trials=config.trials,
         seed=config.seed,
-        counts={_decode(kernel, code): n for code, n in tally.items()},
+        counts={_decode(events, code): n for code, n in tally.items()},
     )
-
-
-def format_float(x: float) -> str:
-    """A float with 12 significant digits, the form every report prints floats in."""
-    return f"{x:.12g}"
 
 
 def _sig12(x: float) -> float:
@@ -184,26 +190,28 @@ def _sig12(x: float) -> float:
     return float(format_float(x))
 
 
-def _walk(kernel: Kernel, seed: int, trials: np.ndarray) -> np.ndarray:
+def _walk(cells: list[tuple], seed: int, trials: np.ndarray) -> np.ndarray:
     """The outcome-sequence code of each of the given trials.
 
-    A code is mixed-radix over the events' outcome positions, the first
-    event being the most significant digit.
+    ``cells`` holds one ``(outcome count, width, pool sizes, outcome ids,
+    successor ids)`` per event, the last three as arrays.  A code is
+    mixed-radix over the events' outcome positions, the first event being
+    the most significant digit.
     """
     streams = CounterStreams(seed, trials)
     state = np.zeros(len(trials), dtype=np.intp)
     code = np.zeros(len(trials), dtype=np.int64)
-    for event in kernel.events:
-        cell = state * event.width + streams.uniform_index(event.pool_sizes[state]).astype(np.intp)
-        code = code * len(event.outcomes) + event.outcome_ids[cell]
-        state = event.successor_ids[cell]
+    for radix, width, pool_sizes, outcome_ids, successor_ids in cells:
+        cell = state * width + streams.uniform_index(pool_sizes[state]).astype(np.intp)
+        code = code * radix + outcome_ids[cell]
+        state = successor_ids[cell]
     return code
 
 
-def _decode(kernel: Kernel, code: int) -> tuple[Outcome, ...]:
+def _decode(events: tuple[Event, ...], code: int) -> tuple[Outcome, ...]:
     """The outcome sequence a code stands for."""
     sequence = []
-    for event in reversed(kernel.events):
+    for event in reversed(events):
         code, k = divmod(code, len(event.outcomes))
         sequence.append(event.outcomes[k])
     return tuple(reversed(sequence))

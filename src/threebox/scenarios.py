@@ -19,12 +19,15 @@ from .deck import Card, Deck, Manifestation, Outcome, prepare, step_distribution
 from .decks import three_box_deck, two_value_deck
 from .errors import InvalidArgumentsError, ZeroAcceptanceError
 from .exact import (
+    DEFAULT_SEED,
+    DEFAULT_TRIALS,
     AnyOf,
     Experiment,
     MixtureState,
     OutcomeAt,
     acceptance_probability,
     conditional_probability,
+    format_float,
     format_fraction,
     mixture_combine,
     probability,
@@ -32,10 +35,7 @@ from .exact import (
     single_step_probability,
 )
 from .formulas import RetrodictionInputs, retrodict_complete, retrodict_partial
-from .montecarlo import FrequencyTable, RunConfig, check_seed, format_float, simulate
-
-DEFAULT_TRIALS = 100_000
-DEFAULT_SEED = 42
+from .montecarlo import FrequencyTable, RunConfig, check_seed, simulate
 
 MODE_EXACT = "exact"
 MODE_ABS = "abs 1e-9"

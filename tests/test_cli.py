@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from threebox import cli
+from threebox import cli, scenarios
 from threebox.deckfile import serialize_deck
 from threebox.scenarios import ScenarioReport, Claim
 
@@ -216,6 +216,11 @@ class TestSimulate:
         assert code == 0
         assert "S:" in out
 
+    def test_no_events_is_labelled_as_exact_labels_it(self, capsys, deck_file):
+        argv = ("--deck", deck_file, "--prepare", "Face=Q")
+        assert run(capsys, "exact", *argv)[:2] == (0, "(no events): 1/1\n")
+        assert run(capsys, "simulate", *argv, "--trials", "3")[:2] == (0, "(no events): 3 (1.0)\n")
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_out_of_range_exits_2(self, capsys, deck_file, seed):
         code, out, err = run(
@@ -387,7 +392,7 @@ class TestScenario:
             name="aad",
             claims=[Claim("forced failure", "1", "test", "exact", {"route": "0"}, False)],
         )
-        monkeypatch.setattr(cli, "run_scenario", lambda *a, **k: failing)
+        monkeypatch.setattr(scenarios, "run_scenario", lambda *a, **k: failing)
         code, out, _ = run(capsys, "scenario", "aad")
         assert code == 1
         assert "[FAIL]" in out
