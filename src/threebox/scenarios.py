@@ -5,6 +5,13 @@ carrying the expected value, where that value comes from, the comparison
 mode (exact rational, absolute 1e-9, or five standard errors for Monte
 Carlo frequencies), and the value computed by each independent route.  A
 scenario passes only if every route of every claim agrees.
+
+The card scenarios are data: lists of :class:`Exact` and :class:`Sampled`
+claim specs that one evaluator answers.  Each route of a claim is a question
+whose type names its engine: :class:`Ask` the forward pass (or, in a
+:class:`Sampled` claim, a count in the Monte Carlo table), :class:`Step` the
+closed form, :class:`RetrodictionInputs` and :class:`Complete` the
+retrodiction formulas; any other value was computed by a procedure.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ import inspect
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import quantum
 from .deck import Card, Deck, Manifestation, Outcome, prepare, step_distribution
@@ -25,13 +33,13 @@ from .exact import (
     Experiment,
     MixtureState,
     OutcomeAt,
+    Pattern,
     acceptance_probability,
     conditional_probability,
     format_float,
     format_fraction,
     mixture_combine,
     probability,
-    retrodict_exact,
     single_step_probability,
 )
 from .formulas import RetrodictionInputs, retrodict_complete, retrodict_partial
@@ -77,29 +85,59 @@ class ScenarioReport:
         return report
 
 
-def _exact_claim(
-    description: str, source: str, expected: Fraction, routes: dict[str, Fraction]
-) -> Claim:
-    return Claim(
-        description=description,
-        expected=format_fraction(expected),
-        source=source,
-        mode=MODE_EXACT,
-        computed={route: format_fraction(value) for route, value in routes.items()},
-        passed=all(value == expected for value in routes.values()),
-    )
+class Ask(NamedTuple):
+    """The chance of ``target`` in a run of ``experiment``, conditioned on ``given`` if set."""
+
+    experiment: Experiment
+    target: Pattern
+    given: Pattern | None = None
 
 
-def _float_claim(
-    description: str, source: str, expected: float, routes: dict[str, float]
-) -> Claim:
+class Step(NamedTuple):
+    """The closed-form chance that the first observation after ``preparation`` reports ``outcome``."""
+
+    deck: Deck
+    preparation: Outcome
+    outcome: Outcome
+
+
+class Complete(NamedTuple):
+    """The complete-observation retrodiction of value ``position``."""
+
+    likelihoods: tuple[Fraction, ...]
+    priors: tuple[Fraction, ...]
+    position: int
+
+
+class Exact(NamedTuple):
+    """A claim that every route's question answers ``expected``."""
+
+    description: str
+    source: str
+    expected: Fraction | float
+    routes: dict[str, object]
+
+
+class Sampled(NamedTuple):
+    """A Monte Carlo frequency of ``ask``, checked against its forward pass."""
+
+    description: str
+    ask: Ask
+
+
+def _claim(description: str, source: str, expected: Fraction | float, routes: dict[str, Fraction | float]) -> Claim:
+    """Routes must equal a rational ``expected`` exactly, or a float one within 1e-9."""
+    if isinstance(expected, Fraction):
+        show, mode, agrees = format_fraction, MODE_EXACT, lambda value: value == expected
+    else:
+        show, mode, agrees = format_float, MODE_ABS, lambda value: abs(value - expected) <= 1e-9
     return Claim(
         description=description,
-        expected=format_float(expected),
+        expected=show(expected),
         source=source,
-        mode=MODE_ABS,
-        computed={route: format_float(value) for route, value in routes.items()},
-        passed=all(abs(value - expected) <= 1e-9 for value in routes.values()),
+        mode=mode,
+        computed={route: show(value) for route, value in routes.items()},
+        passed=all(agrees(value) for value in routes.values()),
     )
 
 
@@ -144,10 +182,62 @@ def _mc_claim(description: str, exact_value: Fraction, hits: int, samples: int) 
     )
 
 
-def _simulate(experiment: Experiment, trials: int, seed: int) -> FrequencyTable | None:
-    if trials == 0:
-        return None
-    return simulate(RunConfig(experiment, trials, seed))
+def _answer(question):
+    """The engine named by the question's type answers it; any other value answers itself.
+
+    Engines are looked up as module globals, so a wrapper put in their place sees every call.
+    """
+    if isinstance(question, Ask):
+        if question.given is None:
+            return probability(question.experiment, question.target)
+        return conditional_probability(*question)
+    if isinstance(question, Step):
+        return single_step_probability(*question)
+    if isinstance(question, RetrodictionInputs):
+        return retrodict_partial(question)
+    if isinstance(question, Complete):
+        return retrodict_complete(*question)
+    return question
+
+
+def _evaluate(specs: list, trials: int, seed: int) -> list[Claim]:
+    """Answer claim specs in order: each distinct question once, each experiment simulated at most once.
+
+    A :class:`Sampled` spec is checked against the forward pass of its question
+    and skipped when ``trials`` is 0; a :class:`Claim` passes through; any other
+    spec is called with ``answer`` and returns a claim built from answers.
+    """
+    answers: dict = {}
+    tables: dict[Experiment, FrequencyTable] = {}
+
+    def answer(question):
+        value = answers.get(question)
+        if value is None:
+            value = answers[question] = _answer(question)
+        return value
+
+    claims = []
+    for spec in specs:
+        if isinstance(spec, Exact):
+            routes = {route: answer(question) for route, question in spec.routes.items()}
+            claims.append(_claim(spec.description, spec.source, spec.expected, routes))
+        elif isinstance(spec, Sampled):
+            if trials == 0:
+                continue
+            experiment, target, given = spec.ask
+            table = tables.get(experiment)
+            if table is None:
+                table = tables[experiment] = simulate(RunConfig(experiment, trials, seed))
+            if given is None:
+                hits, samples = table.count(target), table.trials
+            else:
+                hits, samples = table.count(target & given), table.count(given)
+            claims.append(_mc_claim(spec.description, answer(spec.ask), hits, samples))
+        elif isinstance(spec, Claim):
+            claims.append(spec)
+        else:
+            claims.append(spec(answer))
+    return claims
 
 
 # ---------------------------------------------------------------------------
@@ -164,98 +254,62 @@ def three_box_card(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) -> Sc
     skip the Monte Carlo routes.
     """
     deck = three_box_deck()
-    report = ScenarioReport("three-box-card")
     prep = Outcome(deck.value("Face", "Q"))
     final = Outcome(deck.value("Face", "K"))
     ends_in_k = OutcomeAt(2, final)
-
-    for suit_label, chance in (("S", Fraction(1, 4)), ("D", Fraction(1, 4))):
-        suit = Outcome(deck.value("Suit", suit_label))
-        not_suit = Outcome(deck.value("Suit", suit_label), negated=True)
+    specs = []
+    for label in "SD":
+        suit = Outcome(deck.value("Suit", label))
+        not_suit = Outcome(deck.value("Suit", label), negated=True)
         experiment = Experiment(
             deck,
             prep,
-            (Manifestation("Suit", suit_label), Manifestation("Face")),
+            (Manifestation("Suit", label), Manifestation("Face")),
             postselection=(2, final),
         )
-        table = _simulate(experiment, trials, seed)
-
-        report.claims.append(
-            _exact_claim(
-                f"the {suit_label}-check reports {suit_label} with chance 1/4 from the prepared Q state",
-                "hand count: one matching card among the four unselected",
-                chance,
-                {
-                    "enumeration": probability(experiment, OutcomeAt(1, suit)),
-                    "closed form": single_step_probability(deck, prep, suit),
-                },
-            )
-        )
-        report.claims.append(
-            _exact_claim(
-                f"the {suit_label}-check reports ~{suit_label} with chance 3/4",
-                "complement of the value report",
-                1 - chance,
-                {
-                    "enumeration": probability(experiment, OutcomeAt(1, not_suit)),
-                    "closed form": single_step_probability(deck, prep, not_suit),
-                },
-            )
-        )
+        reports = Ask(experiment, OutcomeAt(1, suit))
+        retrodiction = Ask(experiment, OutcomeAt(1, suit), ends_in_k)
         inputs = RetrodictionInputs(
             likelihood=single_step_probability(deck, suit, final),
             prior=single_step_probability(deck, prep, suit),
             likelihood_negation=single_step_probability(deck, not_suit, final),
             prior_negation=single_step_probability(deck, prep, not_suit),
         )
-        report.claims.append(
-            _exact_claim(
-                f"given the final K, the {suit_label}-check is certain to have reported {suit_label}",
+        specs += [
+            Exact(
+                f"the {label}-check reports {label} with chance 1/4 from the prepared Q state",
+                "hand count: one matching card among the four unselected",
+                Fraction(1, 4),
+                {"enumeration": reports, "closed form": Step(deck, prep, suit)},
+            ),
+            Exact(
+                f"the {label}-check reports ~{label} with chance 3/4",
+                "complement of the value report",
+                Fraction(3, 4),
+                {"enumeration": Ask(experiment, OutcomeAt(1, not_suit)), "closed form": Step(deck, prep, not_suit)},
+            ),
+            Exact(
+                f"given the final K, the {label}-check is certain to have reported {label}",
                 "the negated branch carries no K, so the competing term vanishes",
                 Fraction(1),
-                {
-                    "enumeration": retrodict_exact(experiment, 1, suit),
-                    "retrodiction formula": retrodict_partial(inputs),
-                },
-            )
-        )
-        report.claims.append(
-            _exact_claim(
-                f"no K can follow the genuine ~{suit_label} state",
-                "the ~{0} pile's complement holds only {0} cards".format(suit_label),
+                {"enumeration": retrodiction, "retrodiction formula": inputs},
+            ),
+            Exact(
+                f"no K can follow the genuine ~{label} state",
+                f"the ~{label} pile's complement holds only {label} cards",
                 Fraction(0),
                 {
-                    "enumeration": conditional_probability(experiment, ends_in_k, OutcomeAt(1, not_suit)),
-                    "closed form": single_step_probability(deck, not_suit, final),
+                    "enumeration": Ask(experiment, ends_in_k, OutcomeAt(1, not_suit)),
+                    "closed form": Step(deck, not_suit, final),
                 },
-            )
-        )
-        if table is not None:
-            report.claims.append(
-                _mc_claim(
-                    f"Monte Carlo frequency of {suit_label} at the check",
-                    chance,
-                    table.count(OutcomeAt(1, suit)),
-                    table.trials,
-                )
-            )
-            report.claims.append(
-                _mc_claim(
-                    f"Monte Carlo acceptance rate of the final K filter ({suit_label}-check run)",
-                    acceptance_probability(experiment),
-                    table.accepted,
-                    table.trials,
-                )
-            )
-            report.claims.append(
-                _mc_claim(
-                    f"Monte Carlo retrodiction of {suit_label} among accepted runs",
-                    Fraction(1),
-                    table.count(OutcomeAt(1, suit) & ends_in_k),
-                    table.accepted,
-                )
-            )
-    return report
+            ),
+            Sampled(f"Monte Carlo frequency of {label} at the check", reports),
+            Sampled(
+                f"Monte Carlo acceptance rate of the final K filter ({label}-check run)", Ask(experiment, ends_in_k)
+            ),
+            Sampled(f"Monte Carlo retrodiction of {label} among accepted runs", retrodiction),
+        ]
+    return ScenarioReport("three-box-card", _evaluate(specs, trials, seed))
 
 
 def interference_demo(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) -> ScenarioReport:
@@ -269,7 +323,6 @@ def interference_demo(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) ->
     retrodicted suits become {1/2, 0, 1/2}.
     """
     deck = three_box_deck()
-    report = ScenarioReport("interference")
     prep = Outcome(deck.value("Face", "Q"))
     final = Outcome(deck.value("Face", "K"))
     suit_of = {label: Outcome(deck.value("Suit", label)) for label in "SHD"}
@@ -280,29 +333,19 @@ def interference_demo(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) ->
         postselection=(2, final),
     )
     ends_in_k = OutcomeAt(2, final)
-    table = _simulate(experiment, trials, seed)
+    specs = []
 
     for label, chance in (("S", Fraction(1, 4)), ("H", Fraction(1, 2)), ("D", Fraction(1, 4))):
-        report.claims.append(
-            _exact_claim(
+        reports = Ask(experiment, OutcomeAt(1, suit_of[label]))
+        specs += [
+            Exact(
                 f"complete suit observation reports {label} with chance {format_fraction(chance)}",
                 "hand count over the four unselected cards",
                 chance,
-                {
-                    "enumeration": probability(experiment, OutcomeAt(1, suit_of[label])),
-                    "closed form": single_step_probability(deck, prep, suit_of[label]),
-                },
-            )
-        )
-        if table is not None:
-            report.claims.append(
-                _mc_claim(
-                    f"Monte Carlo frequency of {label} under the complete observation",
-                    chance,
-                    table.count(OutcomeAt(1, suit_of[label])),
-                    table.trials,
-                )
-            )
+                {"enumeration": reports, "closed form": Step(deck, prep, suit_of[label])},
+            ),
+            Sampled(f"Monte Carlo frequency of {label} under the complete observation", reports),
+        ]
 
     mixture = mixture_combine(
         MixtureState(
@@ -314,7 +357,7 @@ def interference_demo(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) ->
     )
     expected_these = _multiset("KH KH KH KH QD JD")
     expected_others = _multiset("KH KH QS QS QS QD QD JS JS JS JD JD")
-    report.claims.append(
+    specs.append(
         _bool_claim(
             "the H∨D mixture combines to the partition [(4)KH, QD, JD | (2)KH, (3)QS, (2)QD, (3)JS, (2)JD]",
             "scale the H and D preparations by 2 and 1 and merge",
@@ -330,49 +373,8 @@ def interference_demo(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) ->
         (Manifestation("Suit", "S"), Manifestation("Face")),
         postselection=(2, final),
     )
-    k_after_not_s = conditional_probability(partial_experiment, ends_in_k, OutcomeAt(1, not_s))
-    report.claims.append(
-        _exact_claim(
-            "no K can follow the genuine ~S state",
-            "the ~S pile's complement holds only spades",
-            Fraction(0),
-            {
-                "enumeration": k_after_not_s,
-                "closed form": single_step_probability(deck, not_s, final),
-            },
-        )
-    )
-    h_or_d = AnyOf((OutcomeAt(1, suit_of["H"]), OutcomeAt(1, suit_of["D"])))
-    k_after_mixture = conditional_probability(experiment, ends_in_k, h_or_d)
-    mixture_k = step_distribution(mixture, Manifestation("Face"))[final]
-    report.claims.append(
-        _exact_claim(
-            "a K follows the H∨D mixture with chance 1/6",
-            "weighted average 2/3·0 + 1/3·1/2; equally 2 kings among the 12 merged Others",
-            Fraction(1, 6),
-            {"enumeration (conditional on H∨D)": k_after_mixture, "combined mixture": mixture_k},
-        )
-    )
-    if table is not None:
-        report.claims.append(
-            _mc_claim(
-                "Monte Carlo frequency of K among runs whose suit came out H or D",
-                Fraction(1, 6),
-                table.count(h_or_d & ends_in_k),
-                table.count(h_or_d),
-            )
-        )
-    report.claims.append(
-        _bool_claim(
-            "the genuine ~S state and the H∨D mixture have different futures",
-            "certainty versus 1/6",
-            {
-                "~S then K": format_fraction(k_after_not_s),
-                "H∨D then K": format_fraction(k_after_mixture),
-            },
-            k_after_not_s != k_after_mixture,
-        )
-    )
+    k_after_not_s = Ask(partial_experiment, ends_in_k, OutcomeAt(1, not_s))
+    k_after_mixture = Ask(experiment, ends_in_k, AnyOf((OutcomeAt(1, suit_of["H"]), OutcomeAt(1, suit_of["D"]))))
 
     indistinguishable = True
     for variable in (deck.face.name, deck.suit.name):
@@ -384,53 +386,70 @@ def interference_demo(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) ->
                     deck, target, suit_of["D"]
                 )
                 indistinguishable = indistinguishable and lhs == rhs
-    report.claims.append(
+
+    def futures_differ(answer) -> Claim:
+        after_not_s, after_mixture = answer(k_after_not_s), answer(k_after_mixture)
+        return _bool_claim(
+            "the genuine ~S state and the H∨D mixture have different futures",
+            "certainty versus 1/6",
+            {"~S then K": format_fraction(after_not_s), "H∨D then K": format_fraction(after_mixture)},
+            after_not_s != after_mixture,
+        )
+
+    specs += [
+        Exact(
+            "no K can follow the genuine ~S state",
+            "the ~S pile's complement holds only spades",
+            Fraction(0),
+            {"enumeration": k_after_not_s, "closed form": Step(deck, not_s, final)},
+        ),
+        Exact(
+            "a K follows the H∨D mixture with chance 1/6",
+            "weighted average 2/3·0 + 1/3·1/2; equally 2 kings among the 12 merged Others",
+            Fraction(1, 6),
+            {
+                "enumeration (conditional on H∨D)": k_after_mixture,
+                "combined mixture": step_distribution(mixture, Manifestation("Face"))[final],
+            },
+        ),
+        Sampled("Monte Carlo frequency of K among runs whose suit came out H or D", k_after_mixture),
+        futures_differ,
         _bool_claim(
             "single-step statistics cannot tell ~S from H∨D under any preparation",
             "chance of ~S equals chance of H plus chance of D, state by state",
             {"all 12 preparations agree": str(indistinguishable).lower()},
             indistinguishable,
-        )
-    )
+        ),
+    ]
 
-    likelihoods = [single_step_probability(deck, suit_of[l], final) for l in "SHD"]
-    priors = [single_step_probability(deck, prep, suit_of[l]) for l in "SHD"]
-    for position, (label, expected) in enumerate(
-        (("S", Fraction(1, 2)), ("H", Fraction(0)), ("D", Fraction(1, 2)))
-    ):
-        report.claims.append(
-            _exact_claim(
+    likelihoods = tuple(single_step_probability(deck, suit_of[l], final) for l in "SHD")
+    priors = tuple(single_step_probability(deck, prep, suit_of[l]) for l in "SHD")
+    retrodictions = [Ask(experiment, OutcomeAt(1, suit_of[l]), ends_in_k) for l in "SHD"]
+    for position, (label, expected) in enumerate((("S", Fraction(1, 2)), ("H", Fraction(0)), ("D", Fraction(1, 2)))):
+        specs += [
+            Exact(
                 f"under the complete observation, {label} retrodicts to {format_fraction(expected)}",
                 "all three competing terms stay in the denominator",
                 expected,
                 {
-                    "enumeration": retrodict_exact(experiment, 1, suit_of[label]),
-                    "retrodiction formula": retrodict_complete(likelihoods, priors, position),
+                    "enumeration": retrodictions[position],
+                    "retrodiction formula": Complete(likelihoods, priors, position),
                 },
-            )
-        )
-        if table is not None:
-            report.claims.append(
-                _mc_claim(
-                    f"Monte Carlo retrodiction of {label} among accepted runs",
-                    expected,
-                    table.count(OutcomeAt(1, suit_of[label]) & ends_in_k),
-                    table.accepted,
-                )
-            )
-    report.claims.append(
-        _bool_claim(
+            ),
+            Sampled(f"Monte Carlo retrodiction of {label} among accepted runs", retrodictions[position]),
+        ]
+
+    def certainty_lost(answer) -> Claim:
+        values = [answer(question) for question in retrodictions]
+        return _bool_claim(
             "completeness destroys the certainty: no suit retrodicts to 1",
             "the largest retrodicted value is 1/2",
-            {
-                "retrodictions": ", ".join(
-                    format_fraction(retrodict_exact(experiment, 1, suit_of[l])) for l in "SHD"
-                )
-            },
-            all(retrodict_exact(experiment, 1, suit_of[l]) < 1 for l in "SHD"),
+            {"retrodictions": ", ".join(format_fraction(value) for value in values)},
+            all(value < 1 for value in values),
         )
-    )
-    return report
+
+    specs.append(certainty_lost)
+    return ScenarioReport("interference", _evaluate(specs, trials, seed))
 
 
 def three_box_quantum() -> ScenarioReport:
@@ -440,7 +459,7 @@ def three_box_quantum() -> ScenarioReport:
 
     for box in (1, 2):
         report.claims.append(
-            _float_claim(
+            _claim(
                 f"opening box {box} alone finds the particle with certainty",
                 "the untested amplitude products cancel coherently",
                 1.0,
@@ -448,7 +467,7 @@ def three_box_quantum() -> ScenarioReport:
             )
         )
     report.claims.append(
-        _float_claim(
+        _claim(
             "opening box 3 alone scores 1/5",
             "product 1/9 against a coherent remainder of 4/9",
             0.2,
@@ -457,7 +476,7 @@ def three_box_quantum() -> ScenarioReport:
     )
     for box in (1, 2, 3):
         report.claims.append(
-            _float_claim(
+            _claim(
                 f"a complete observation retrodicts box {box} to 1/3",
                 "all three amplitude products weigh 1/9",
                 1 / 3,
@@ -476,7 +495,7 @@ def three_box_quantum() -> ScenarioReport:
     geometry = quantum.three_slit_design(separation=10.0, wavelength=1.0)
     excess = math.hypot(geometry.distance, geometry.separation) - geometry.distance
     report.claims.append(
-        _float_claim(
+        _claim(
             "slit geometry: the outer path exceeds the middle path by half a wavelength",
             "detector distance a²/λ − λ/4 = 99.75 wavelengths at a = 10λ",
             0.5,
@@ -485,7 +504,7 @@ def three_box_quantum() -> ScenarioReport:
     )
     amplitudes = geometry.detector_amplitudes()
     report.claims.append(
-        _float_claim(
+        _claim(
             "either outer path alone cancels the middle path at the detector",
             "half a wavelength of extra phase flips the sign",
             0.0,
@@ -496,7 +515,7 @@ def three_box_quantum() -> ScenarioReport:
         )
     )
     report.claims.append(
-        _float_claim(
+        _claim(
             "the detector sees the (1, 1, −1)/√3 amplitude pattern of the post state",
             "overlap magnitude with the post state, phase quotiented",
             1.0,
@@ -521,7 +540,7 @@ def aad_curious(alpha: complex = 1 / math.sqrt(2), beta: complex = 1 / math.sqrt
     expected_complete = 1 / (1 + 2 * product)
 
     report.claims.append(
-        _float_claim(
+        _claim(
             "partial check of the middle X value is certain",
             "only the shared eigenstate connects pre to post",
             1.0,
@@ -529,7 +548,7 @@ def aad_curious(alpha: complex = 1 / math.sqrt(2), beta: complex = 1 / math.sqrt
         )
     )
     report.claims.append(
-        _float_claim(
+        _claim(
             "partial check of the shared value in the rotated basis is equally certain",
             "the two rotated partners cancel coherently for every admissible (α, β)",
             1.0,
@@ -537,7 +556,7 @@ def aad_curious(alpha: complex = 1 / math.sqrt(2), beta: complex = 1 / math.sqrt
         )
     )
     report.claims.append(
-        _float_claim(
+        _claim(
             "complete observation in the X basis still gives certainty",
             "the outer products vanish separately",
             1.0,
@@ -545,7 +564,7 @@ def aad_curious(alpha: complex = 1 / math.sqrt(2), beta: complex = 1 / math.sqrt
         )
     )
     report.claims.append(
-        _float_claim(
+        _claim(
             "complete observation in the rotated basis gives 1/(1+2|αβ|²)",
             "direct evaluation of the complete retrodiction over the rotated basis",
             expected_complete,
@@ -588,43 +607,10 @@ def counterfactual_trace(
         (Manifestation("Face"), Manifestation("Suit")),
         postselection=(2, final),
     )
-    acceptance = acceptance_probability(experiment)
-    if acceptance == 0:
+    if acceptance_probability(experiment) == 0:
         raise ZeroAcceptanceError(
             f"postselecting Suit=H never fires on the deck {deck}: "
             "after preparing Face=K, the unselected pile holds no hearts"
-        )
-
-    report = ScenarioReport("counterfactual")
-    table = _simulate(experiment, trials, seed)
-
-    report.claims.append(
-        _exact_claim(
-            "an intermediate complete Face observation retrodicts K with certainty",
-            "repeated observation draws from the K-only pile",
-            Fraction(1),
-            {"enumeration": retrodict_exact(experiment, 1, prep)},
-        )
-    )
-    report.claims.append(
-        _exact_claim(
-            "the Suit=H filter accepts with chance 2/3",
-            "two hearts among the three unselected cards",
-            Fraction(2, 3),
-            {"enumeration": acceptance},
-        )
-    )
-    if table is not None:
-        report.claims.append(
-            _mc_claim("Monte Carlo acceptance rate", acceptance, table.accepted, table.trials)
-        )
-        report.claims.append(
-            _mc_claim(
-                "Monte Carlo retrodiction of K among accepted runs",
-                Fraction(1),
-                table.count(OutcomeAt(1, prep) & OutcomeAt(2, final)),
-                table.accepted,
-            )
         )
 
     # Walk the likeliest accepted branch through the kernel and snapshot the
@@ -640,10 +626,25 @@ def counterfactual_trace(
         snapshots.append(
             _snapshot(deck, f"event {depth}: observe {manifestation}", outcome, kernel.layers[depth][s])
         )
-    report.trace = snapshots
-
     before, after = snapshots[1], snapshots[2]
-    report.claims.append(
+
+    accepts = Ask(experiment, OutcomeAt(2, final))
+    retrodiction = Ask(experiment, OutcomeAt(1, prep), OutcomeAt(2, final))
+    specs = [
+        Exact(
+            "an intermediate complete Face observation retrodicts K with certainty",
+            "repeated observation draws from the K-only pile",
+            Fraction(1),
+            {"enumeration": retrodiction},
+        ),
+        Exact(
+            "the Suit=H filter accepts with chance 2/3",
+            "two hearts among the three unselected cards",
+            Fraction(2, 3),
+            {"enumeration": accepts},
+        ),
+        Sampled("Monte Carlo acceptance rate", accepts),
+        Sampled("Monte Carlo retrodiction of K among accepted runs", retrodiction),
         _bool_claim(
             "before the Suit event: memory reads Face, Face is sharp at K, no Suit value exists",
             "machine state inspected from the trace",
@@ -651,9 +652,7 @@ def counterfactual_trace(
             before["memory"] == "Face"
             and before["values"]["Face"] == "K"
             and before["values"]["Suit"] is None,
-        )
-    )
-    report.claims.append(
+        ),
         _bool_claim(
             "after the Suit event: memory reads Suit, Suit is sharp at H, no Face value exists",
             "machine state inspected from the trace",
@@ -661,17 +660,15 @@ def counterfactual_trace(
             after["memory"] == "Suit"
             and after["values"]["Suit"] == "H"
             and after["values"]["Face"] is None,
-        )
-    )
-    report.claims.append(
+        ),
         _bool_claim(
             "the trace holds one snapshot per event plus the preparation",
             "bookkeeping",
             {"snapshots": str(len(snapshots))},
             len(snapshots) == len(experiment.manifestations) + 1,
-        )
-    )
-    return report
+        ),
+    ]
+    return ScenarioReport("counterfactual", _evaluate(specs, trials, seed), trace=snapshots)
 
 
 def _multiset(text: str) -> tuple[Card, ...]:

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from threebox import scenarios
 from threebox.decks import three_box_deck
 from threebox.errors import ZeroAcceptanceError
 from threebox.scenarios import (
@@ -148,3 +149,49 @@ def test_monte_carlo_tolerances_are_five_sigma():
     expected, tolerance = claim.expected.split(" ± ")
     p = float(expected)
     assert math.isclose(float(tolerance), 5 * math.sqrt(p * (1 - p) / TRIALS), rel_tol=1e-6)
+
+
+# Monte Carlo runs per scenario at trials > 0, one per sampled experiment.
+MC_RUNS = {"three-box-card": 2, "interference": 1, "counterfactual": 1, "three-box-quantum": 0, "aad": 0}
+
+
+@pytest.mark.parametrize("name", ["three-box-card", "interference", "counterfactual"])
+def test_no_claim_has_two_routes_from_one_engine(monkeypatch, name):
+    """A question's type names its engine, so two routes of one type would compare a value with itself."""
+    specs = []
+    evaluate = scenarios._evaluate
+
+    def capture(claim_specs, trials, seed):
+        specs.extend(claim_specs)
+        return evaluate(claim_specs, trials, seed)
+
+    monkeypatch.setattr(scenarios, "_evaluate", capture)
+    run_scenario(name, trials=0)
+    exact = [spec for spec in specs if isinstance(spec, scenarios.Exact)]
+    assert exact
+    for spec in exact:
+        engines = [type(question) for question in spec.routes.values()]
+        assert len(set(engines)) == len(engines), spec.description
+
+
+@pytest.mark.parametrize("trials", [0, 200])
+@pytest.mark.parametrize("name", sorted(MC_RUNS))
+def test_each_experiment_is_simulated_once(monkeypatch, name, trials):
+    configs = []
+    simulate = scenarios.simulate
+    monkeypatch.setattr(scenarios, "simulate", lambda config: configs.append(config) or simulate(config))
+    run_scenario(name, trials=trials, seed=3)
+    assert len(configs) == (MC_RUNS[name] if trials else 0)
+    assert len({config.experiment for config in configs}) == len(configs)
+
+
+@pytest.mark.parametrize("name", ["three-box-card", "interference", "counterfactual"])
+def test_each_forward_pass_question_is_answered_once(monkeypatch, name):
+    """A sampled claim reuses the answer of the identical question in its exact twin."""
+    asked = []
+    for query in ("probability", "conditional_probability"):
+        engine = getattr(scenarios, query)
+        monkeypatch.setattr(scenarios, query, lambda *args, engine=engine: asked.append(args) or engine(*args))
+    run_scenario(name, trials=200, seed=3)
+    assert asked
+    assert len(set(asked)) == len(asked)
