@@ -28,8 +28,8 @@ sequence (cards sorted by face label, then suit label).
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -48,43 +48,108 @@ DrawSource = Callable[[int], int]
 MAX_CARDS = 1_000_000
 
 
-@dataclass(frozen=True, order=True)
-class Card:
-    """One card: a face label paired with a suit label."""
+_set = object.__setattr__
 
-    face: str
-    suit: str
+
+class Value:
+    """Base of the immutable value types.
+
+    A subclass lists its fields in ``__slots__``, before any private cache,
+    and its ``__init__`` sets each with ``_set``, then ``_key`` to the tuple
+    of the field values in that order and ``_hash`` to ``None``.  Two values
+    are equal when they have the same class and equal keys.  Fields cannot
+    be assigned or deleted, and copying or pickling rebuilds a value from
+    its key.
+
+    The hash is the key's, computed on first use and kept: hashing a state
+    hashes every card of its piles, and the kernel compiler builds a state
+    for every draw index but hashes one per outcome.  These are plain
+    classes, not dataclasses, because creating a dataclass compiles
+    generated source and needs ``dataclasses`` and ``inspect``, a cost that
+    every fresh command-line call would pay at import.
+    """
+
+    __slots__ = ("_key", "_hash")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash(self._key)
+            _set(self, "_hash", h)
+        return h
+
+    def __repr__(self) -> str:
+        names = next(c.__slots__ for c in type(self).__mro__ if c.__slots__)
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, self._key))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._key
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+@functools.total_ordering
+class Card(Value):
+    """One card: a face label paired with a suit label, ordered by (face, suit)."""
+
+    __slots__ = ("face", "suit")
+
+    def __init__(self, face: str, suit: str) -> None:
+        _set(self, "face", face)
+        _set(self, "suit", suit)
+        _set(self, "_key", (face, suit))
+        _set(self, "_hash", None)
+
+    def __lt__(self, other: Card) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key < other._key
+        return NotImplemented
 
     def __str__(self) -> str:
         sep = "" if len(self.face) == 1 and len(self.suit) == 1 else "·"
         return f"{self.face}{sep}{self.suit}"
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(Value):
     """A named system variable with its ordered value labels."""
 
-    name: str
-    labels: tuple[str, ...]
+    __slots__ = ("name", "labels")
 
-    def __post_init__(self) -> None:
-        if len(set(self.labels)) != len(self.labels):
-            raise InvalidArgumentsError(f"duplicate value labels for variable {self.name!r}")
+    def __init__(self, name: str, labels: tuple[str, ...]) -> None:
+        if len(set(labels)) != len(labels):
+            raise InvalidArgumentsError(f"duplicate value labels for variable {name!r}")
+        _set(self, "name", name)
+        _set(self, "labels", labels)
+        _set(self, "_key", (name, labels))
+        _set(self, "_hash", None)
 
 
-@dataclass(frozen=True)
-class CardValue:
+class CardValue(Value):
     """A single value of a single variable, e.g. Face=Q."""
 
-    variable: str
-    label: str
+    __slots__ = ("variable", "label")
+
+    def __init__(self, variable: str, label: str) -> None:
+        _set(self, "variable", variable)
+        _set(self, "label", label)
+        _set(self, "_key", (variable, label))
+        _set(self, "_hash", None)
 
     def __str__(self) -> str:
         return self.label
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(Value):
     """A value or its negation: the report of an observation, and equally a
     preparation target (``prepare`` consumes reported outcomes directly).
 
@@ -92,8 +157,13 @@ class Outcome:
     ``Outcome(v, negated=True)`` asserts it carries any value but ``v``.
     """
 
-    value: CardValue
-    negated: bool = False
+    __slots__ = ("value", "negated")
+
+    def __init__(self, value: CardValue, negated: bool = False) -> None:
+        _set(self, "value", value)
+        _set(self, "negated", negated)
+        _set(self, "_key", (value, negated))
+        _set(self, "_hash", None)
 
     @property
     def variable(self) -> str:
@@ -107,8 +177,7 @@ class Outcome:
         return f"~{self.value.label}" if self.negated else self.value.label
 
 
-@dataclass(frozen=True)
-class Manifestation:
+class Manifestation(Value):
     """How a variable is forced to take a value at an event.
 
     ``partial_on=None`` is the complete observation (any value may be
@@ -116,8 +185,13 @@ class Manifestation:
     either ``label`` or its negation.
     """
 
-    variable: str
-    partial_on: str | None = None
+    __slots__ = ("variable", "partial_on")
+
+    def __init__(self, variable: str, partial_on: str | None = None) -> None:
+        _set(self, "variable", variable)
+        _set(self, "partial_on", partial_on)
+        _set(self, "_key", (variable, partial_on))
+        _set(self, "_hash", None)
 
     @property
     def complete(self) -> bool:
@@ -143,8 +217,7 @@ class Manifestation:
         return self.variable if self.partial_on is None else f"{self.variable}?{self.partial_on}"
 
 
-@dataclass(frozen=True)
-class Deck:
+class Deck(Value):
     """A validated deck: two variables and a canonical card multiset.
 
     ``cards`` lists every card with repetition, sorted by (face, suit); a
@@ -153,11 +226,18 @@ class Deck:
     ``values_per_variable`` values, so the deck holds their product.
     """
 
-    face: Variable
-    suit: Variable
-    cards: tuple[Card, ...]
-    values_per_variable: int
-    copies_per_value: int
+    __slots__ = ("face", "suit", "cards", "values_per_variable", "copies_per_value")
+
+    def __init__(
+        self, face: Variable, suit: Variable, cards: tuple[Card, ...], values_per_variable: int, copies_per_value: int
+    ) -> None:
+        _set(self, "face", face)
+        _set(self, "suit", suit)
+        _set(self, "cards", cards)
+        _set(self, "values_per_variable", values_per_variable)
+        _set(self, "copies_per_value", copies_per_value)
+        _set(self, "_key", (face, suit, cards, values_per_variable, copies_per_value))
+        _set(self, "_hash", None)
 
     @property
     def size(self) -> int:
@@ -218,8 +298,7 @@ class Deck:
         return "{" + format_cards(self.cards) + "}"
 
 
-@dataclass(frozen=True)
-class SystemState:
+class SystemState(Value):
     """Complete internal state: the [These | Others] partition plus memory.
 
     ``these`` and ``others`` are canonical card sequences whose multiset
@@ -227,13 +306,16 @@ class SystemState:
     last-prepared) variable and selects the draw pool for the next event.
     """
 
-    deck: Deck
-    these: tuple[Card, ...]
-    others: tuple[Card, ...]
-    memory: str
+    __slots__ = ("deck", "these", "others", "memory")
 
-    def __post_init__(self) -> None:
-        self.deck.variable(self.memory)
+    def __init__(self, deck: Deck, these: tuple[Card, ...], others: tuple[Card, ...], memory: str) -> None:
+        deck.variable(memory)
+        _set(self, "deck", deck)
+        _set(self, "these", these)
+        _set(self, "others", others)
+        _set(self, "memory", memory)
+        _set(self, "_key", (deck, these, others, memory))
+        _set(self, "_hash", None)
 
     def pool_for(self, variable: str) -> tuple[Card, ...]:
         """The pool the next observation of ``variable`` would draw from."""

@@ -24,13 +24,11 @@ of system states merged into one enlarged [These | Others] partition.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, ClassVar, Iterator, Sequence, TypeVar
 
-from .deck import Card, Deck, Manifestation, Outcome, SystemState
+from .deck import Card, Deck, Manifestation, Outcome, SystemState, Value
 from .errors import (
     InvalidArgumentsError,
     SequenceTooLongError,
@@ -38,6 +36,8 @@ from .errors import (
     WeightsNotNormalizedError,
 )
 from .kernel import Kernel, Row
+
+_set = object.__setattr__
 
 # Leaf counts grow as (values per variable + 1)^depth; decks are tiny but
 # every leaf is listed, so cap the event count of a tree.
@@ -65,8 +65,7 @@ DEFAULT_SEED = 42
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Experiment:
+class Experiment(Value):
     """Preparation, ordered manifestations, and an optional postselection.
 
     Ordinals are 1-based: ordinal ``k`` is the ``k``-th manifestation; the
@@ -74,19 +73,29 @@ class Experiment:
     the outcome accepted runs must show there.
     """
 
-    deck: Deck
-    preparation: Outcome
-    manifestations: tuple[Manifestation, ...] = ()
-    postselection: tuple[int, Outcome] | None = None
+    __slots__ = ("deck", "preparation", "manifestations", "postselection", "_kernel")
 
-    def __post_init__(self) -> None:
-        self.deck.value(self.preparation.variable, self.preparation.value.label)
-        for m in self.manifestations:
-            self.deck.variable(m.variable)
+    def __init__(
+        self,
+        deck: Deck,
+        preparation: Outcome,
+        manifestations: tuple[Manifestation, ...] = (),
+        postselection: tuple[int, Outcome] | None = None,
+    ) -> None:
+        deck.value(preparation.variable, preparation.value.label)
+        for m in manifestations:
+            deck.variable(m.variable)
             if m.partial_on is not None:
-                self.deck.value(m.variable, m.partial_on)
-        if self.postselection is not None:
-            ordinal, outcome = self.postselection
+                deck.value(m.variable, m.partial_on)
+        _set(self, "deck", deck)
+        _set(self, "preparation", preparation)
+        _set(self, "manifestations", manifestations)
+        _set(self, "postselection", postselection)
+        _set(self, "_kernel", None)
+        _set(self, "_key", (deck, preparation, manifestations, postselection))
+        _set(self, "_hash", None)
+        if postselection is not None:
+            ordinal, outcome = postselection
             self.check_outcome_at(ordinal, outcome, "postselection")
 
     def check_outcome_at(self, ordinal: int, outcome: Outcome, role: str = "outcome") -> Manifestation:
@@ -127,10 +136,12 @@ class Experiment:
             )
         return OutcomeAt(ps_ordinal, ps_outcome)
 
-    @functools.cached_property
+    @property
     def kernel(self) -> Kernel:
         """The experiment's transition table, compiled on first use and kept with the experiment."""
-        return Kernel(self.deck, self.preparation, self.manifestations)
+        if self._kernel is None:
+            _set(self, "_kernel", Kernel(self.deck, self.preparation, self.manifestations))
+        return self._kernel
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +149,7 @@ class Experiment:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(Value):
     """One node of the enumeration tree.
 
     ``outcomes`` is the outcome sequence down to this node and
@@ -147,10 +157,21 @@ class Branch:
     outcome of the next manifestation, zero-probability ones included.
     """
 
-    state: SystemState
-    outcomes: tuple[Outcome, ...]
-    probability: Fraction
-    children: tuple["Branch", ...] = ()
+    __slots__ = ("state", "outcomes", "probability", "children")
+
+    def __init__(
+        self,
+        state: SystemState,
+        outcomes: tuple[Outcome, ...],
+        probability: Fraction,
+        children: tuple[Branch, ...] = (),
+    ) -> None:
+        _set(self, "state", state)
+        _set(self, "outcomes", outcomes)
+        _set(self, "probability", probability)
+        _set(self, "children", children)
+        _set(self, "_key", (state, outcomes, probability, children))
+        _set(self, "_hash", None)
 
     def leaves(self) -> Iterator["Branch"]:
         """The leaves under this node, depth first in child order."""
@@ -271,8 +292,10 @@ def tree_report(experiment: Experiment) -> dict:
 # ---------------------------------------------------------------------------
 
 
-class Pattern:
+class Pattern(Value):
     """A predicate over outcome sequences, built from (ordinal, outcome) atoms."""
+
+    __slots__ = ()
 
     def matches(self, outcomes: Sequence[Outcome]) -> bool:
         raise NotImplementedError
@@ -294,12 +317,16 @@ class Pattern:
         return Negation(self)
 
 
-@dataclass(frozen=True)
 class OutcomeAt(Pattern):
     """The event at ``ordinal`` reported exactly this outcome."""
 
-    ordinal: int
-    outcome: Outcome
+    __slots__ = ("ordinal", "outcome")
+
+    def __init__(self, ordinal: int, outcome: Outcome) -> None:
+        _set(self, "ordinal", ordinal)
+        _set(self, "outcome", outcome)
+        _set(self, "_key", (ordinal, outcome))
+        _set(self, "_hash", None)
 
     def matches(self, outcomes: Sequence[Outcome]) -> bool:
         return outcomes[self.ordinal - 1] == self.outcome
@@ -311,12 +338,16 @@ class OutcomeAt(Pattern):
         return {self.ordinal}
 
 
-@dataclass(frozen=True)
 class _Junction(Pattern):
     """A conjunction or disjunction, settled as soon as one part settles to ``decisive``."""
 
-    patterns: tuple[Pattern, ...]
+    __slots__ = ("patterns",)
     decisive: ClassVar[bool]
+
+    def __init__(self, patterns: tuple[Pattern, ...]) -> None:
+        _set(self, "patterns", patterns)
+        _set(self, "_key", (patterns,))
+        _set(self, "_hash", None)
 
     def given(self, ordinal: int, outcome: Outcome) -> "bool | Pattern":
         rest = []
@@ -337,6 +368,7 @@ class _Junction(Pattern):
 class AllOf(_Junction):
     """Every one of the patterns holds."""
 
+    __slots__ = ()
     decisive = False
 
     def matches(self, outcomes: Sequence[Outcome]) -> bool:
@@ -346,15 +378,22 @@ class AllOf(_Junction):
 class AnyOf(_Junction):
     """At least one of the patterns holds."""
 
+    __slots__ = ()
     decisive = True
 
     def matches(self, outcomes: Sequence[Outcome]) -> bool:
         return any(p.matches(outcomes) for p in self.patterns)
 
 
-@dataclass(frozen=True)
 class Negation(Pattern):
-    pattern: Pattern
+    """The pattern does not hold."""
+
+    __slots__ = ("pattern",)
+
+    def __init__(self, pattern: Pattern) -> None:
+        _set(self, "pattern", pattern)
+        _set(self, "_key", (pattern,))
+        _set(self, "_hash", None)
 
     def matches(self, outcomes: Sequence[Outcome]) -> bool:
         return not self.pattern.matches(outcomes)
@@ -486,20 +525,22 @@ def single_step_probability(deck: Deck, preparation: Outcome, outcome: Outcome) 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MixtureState:
+class MixtureState(Value):
     """System states combined with positive rational weights summing to one."""
 
-    components: tuple[tuple[SystemState, Fraction], ...]
+    __slots__ = ("components",)
 
-    def __post_init__(self) -> None:
-        if not self.components:
+    def __init__(self, components: tuple[tuple[SystemState, Fraction], ...]) -> None:
+        if not components:
             raise WeightsNotNormalizedError("a mixture needs at least one component")
-        if any(weight <= 0 for _, weight in self.components):
+        if any(weight <= 0 for _, weight in components):
             raise WeightsNotNormalizedError("mixture weights must be positive")
-        total = sum(weight for _, weight in self.components)
+        total = sum(weight for _, weight in components)
         if total != 1:
             raise WeightsNotNormalizedError(f"mixture weights sum to {total}, not 1")
+        _set(self, "components", components)
+        _set(self, "_key", (components,))
+        _set(self, "_hash", None)
 
 
 def mixture_combine(mixture: MixtureState) -> SystemState:

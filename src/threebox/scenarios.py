@@ -34,7 +34,6 @@ from .exact import (
     MixtureState,
     OutcomeAt,
     Pattern,
-    acceptance_probability,
     conditional_probability,
     format_float,
     format_fraction,
@@ -200,14 +199,15 @@ def _answer(question):
     return question
 
 
-def _evaluate(specs: list, trials: int, seed: int) -> list[Claim]:
+def _evaluate(specs: list, trials: int, seed: int, answers: dict | None = None) -> list[Claim]:
     """Answer claim specs in order: each distinct question once, each experiment simulated at most once.
 
     A :class:`Sampled` spec is checked against the forward pass of its question
     and skipped when ``trials`` is 0; a :class:`Claim` passes through; any other
     spec is called with ``answer`` and returns a claim built from answers.
+    ``answers`` maps the questions the caller has already answered to their answers.
     """
-    answers: dict = {}
+    answers = {} if answers is None else answers
     tables: dict[Experiment, FrequencyTable] = {}
 
     def answer(question):
@@ -483,12 +483,13 @@ def three_box_quantum() -> ScenarioReport:
                 {"complete retrodiction": quantum.abl_complete(pre, basis, box - 1, post)},
             )
         )
+    holds = quantum.threebox_condition_check(pre, post, basis)
     report.claims.append(
         _bool_claim(
             "the pre/post pair satisfies the two-boxes-certain condition",
             "products are (1/3, 1/3, -1/3)",
-            {"condition check": str(quantum.threebox_condition_check(pre, post, basis)).lower()},
-            quantum.threebox_condition_check(pre, post, basis),
+            {"condition check": str(holds).lower()},
+            holds,
         )
     )
 
@@ -607,7 +608,10 @@ def counterfactual_trace(
         (Manifestation("Face"), Manifestation("Suit")),
         postselection=(2, final),
     )
-    if acceptance_probability(experiment) == 0:
+    # The guard's forward pass is handed to the evaluator, which answers the acceptance claims with it.
+    accepts = Ask(experiment, OutcomeAt(2, final))
+    answers = {accepts: _answer(accepts)}
+    if answers[accepts] == 0:
         raise ZeroAcceptanceError(
             f"postselecting Suit=H never fires on the deck {deck}: "
             "after preparing Face=K, the unselected pile holds no hearts"
@@ -628,7 +632,6 @@ def counterfactual_trace(
         )
     before, after = snapshots[1], snapshots[2]
 
-    accepts = Ask(experiment, OutcomeAt(2, final))
     retrodiction = Ask(experiment, OutcomeAt(1, prep), OutcomeAt(2, final))
     specs = [
         Exact(
@@ -668,7 +671,7 @@ def counterfactual_trace(
             len(snapshots) == len(experiment.manifestations) + 1,
         ),
     ]
-    return ScenarioReport("counterfactual", _evaluate(specs, trials, seed), trace=snapshots)
+    return ScenarioReport("counterfactual", _evaluate(specs, trials, seed, answers), trace=snapshots)
 
 
 def _multiset(text: str) -> tuple[Card, ...]:

@@ -1,4 +1,4 @@
-"""What a call loads: the exact path runs without numpy, and the package exports its names lazily."""
+"""What a call loads: the exact path runs without numpy or dataclasses, and the package exports its names lazily."""
 
 import argparse
 import importlib
@@ -15,19 +15,27 @@ from threebox import cli, scenarios
 ROOT = Path(__file__).resolve().parent.parent
 DECK = str(ROOT / "decks" / "threebox.deck")
 HEAVY = ("numpy", "threebox.montecarlo", "threebox.rng", "threebox.quantum", "threebox.scenarios")
+# What ``dataclass`` needs: on the exact path, value types are plain ``__slots__`` classes.
+CLASS_MACHINERY = ("dataclasses", "inspect")
 
-# Run in a fresh interpreter with the CLI arguments, or with none to import
-# the package alone; its last line names the heavy modules then loaded.
+# Run in a fresh interpreter with the CLI arguments; with "setup" to import the
+# CLI, build its parser and load a deck, which is what every call pays first;
+# or with none to import the package alone.  Its last line names the heavy
+# modules and the class machinery then loaded.
 PROBE = """
 import contextlib, io, sys
-if sys.argv[1:]:
+if sys.argv[1:] == ["setup"]:
+    import threebox.cli
+    threebox.cli.build_parser()
+    threebox.cli.load_deck(%r)
+elif sys.argv[1:]:
     import threebox.cli
     with contextlib.redirect_stdout(io.StringIO()):
         assert threebox.cli.main(sys.argv[1:]) == 0
 else:
     import threebox
 print(" ".join(m for m in %r if m in sys.modules))
-""" % (HEAVY,)
+""" % (DECK, HEAVY + CLASS_MACHINERY)
 
 EXACT = [
     "exact", "--deck", DECK, "--prepare", "Face=Q",
@@ -72,6 +80,13 @@ def loaded_after(*argv: str) -> list[str]:
     ids=["import threebox", "exact", "validate", "formula"],
 )
 def test_the_exact_path_loads_no_numpy(argv):
+    assert [m for m in loaded_after(*argv) if m in HEAVY] == []
+
+
+@pytest.mark.parametrize(
+    "argv", [["setup"], EXACT, ["validate", "--deck", DECK]], ids=["cli setup", "exact", "validate"]
+)
+def test_the_exact_path_creates_no_dataclass(argv):
     assert loaded_after(*argv) == []
 
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from threebox import scenarios
+from threebox import exact, quantum, scenarios
 from threebox.decks import three_box_deck
 from threebox.errors import ZeroAcceptanceError
 from threebox.scenarios import (
@@ -161,9 +161,9 @@ def test_no_claim_has_two_routes_from_one_engine(monkeypatch, name):
     specs = []
     evaluate = scenarios._evaluate
 
-    def capture(claim_specs, trials, seed):
+    def capture(claim_specs, *args):
         specs.extend(claim_specs)
-        return evaluate(claim_specs, trials, seed)
+        return evaluate(claim_specs, *args)
 
     monkeypatch.setattr(scenarios, "_evaluate", capture)
     run_scenario(name, trials=0)
@@ -187,11 +187,36 @@ def test_each_experiment_is_simulated_once(monkeypatch, name, trials):
 
 @pytest.mark.parametrize("name", ["three-box-card", "interference", "counterfactual"])
 def test_each_forward_pass_question_is_answered_once(monkeypatch, name):
-    """A sampled claim reuses the answer of the identical question in its exact twin."""
-    asked = []
-    for query in ("probability", "conditional_probability"):
-        engine = getattr(scenarios, query)
-        monkeypatch.setattr(scenarios, query, lambda *args, engine=engine: asked.append(args) or engine(*args))
+    """A sampled claim reuses the answer of the identical question in its exact twin.
+
+    ``exact.probability`` is counted as well, so a helper such as
+    ``acceptance_probability`` cannot ask a question again; the passes that a
+    ``conditional_probability`` makes inside itself are not counted.
+    """
+    asked, depth = [], [0]
+
+    def counted(engine):
+        def ask(*args):
+            if not depth[0]:
+                asked.append(args)
+            depth[0] += 1
+            try:
+                return engine(*args)
+            finally:
+                depth[0] -= 1
+
+        return ask
+
+    for module, query in ((scenarios, "probability"), (scenarios, "conditional_probability"), (exact, "probability")):
+        monkeypatch.setattr(module, query, counted(getattr(module, query)))
     run_scenario(name, trials=200, seed=3)
     assert asked
     assert len(set(asked)) == len(asked)
+
+
+def test_the_quantum_condition_is_checked_once(monkeypatch):
+    calls = []
+    check = quantum.threebox_condition_check
+    monkeypatch.setattr(quantum, "threebox_condition_check", lambda *args: calls.append(args) or check(*args))
+    assert three_box_quantum().passed
+    assert len(calls) == 1

@@ -1,0 +1,238 @@
+"""Value semantics of the deck and exact types: equality, hashing, immutability, copies and reprs."""
+
+import copy
+import inspect
+import pickle
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from test_deck import balanced_decks
+from threebox import exact
+from threebox.deck import Card, CardValue, Deck, Manifestation, Outcome, SystemState, Variable, observe, prepare
+from threebox.decks import three_box_deck, two_value_deck
+from threebox.errors import InvalidArgumentsError, UnknownLabelError, WeightsNotNormalizedError
+from threebox.exact import AllOf, AnyOf, Branch, Experiment, MixtureState, Negation, OutcomeAt
+
+
+def samples():
+    """Per class: a factory that builds a fresh value on each call, and a value that differs from it."""
+    deck = two_value_deck()
+    king, heart = Outcome(CardValue("Face", "K")), Outcome(CardValue("Suit", "H"), negated=True)
+    state = prepare(deck, king)
+    events = (Manifestation("Face"), Manifestation("Suit", "H"))
+    at_1, at_2 = OutcomeAt(1, king), OutcomeAt(2, heart)
+    return {
+        Card: (lambda: Card("K", "H"), Card("K", "S")),
+        Variable: (lambda: Variable("Face", ("K", "Q")), Variable("Face", ("Q", "K"))),
+        CardValue: (lambda: CardValue("Face", "K"), CardValue("Face", "Q")),
+        Outcome: (lambda: Outcome(CardValue("Suit", "H"), negated=True), Outcome(CardValue("Suit", "H"))),
+        Manifestation: (lambda: Manifestation("Suit", "H"), Manifestation("Suit")),
+        Deck: (two_value_deck, three_box_deck()),
+        SystemState: (lambda: prepare(deck, king), prepare(deck, Outcome(CardValue("Face", "Q")))),
+        Experiment: (lambda: Experiment(deck, king, events, (2, heart)), Experiment(deck, king, events)),
+        Branch: (lambda: Branch(state, (king,), Fraction(1, 2)), Branch(state, (king,), Fraction(1, 3))),
+        OutcomeAt: (lambda: OutcomeAt(1, king), OutcomeAt(2, king)),
+        AllOf: (lambda: AllOf((at_1, at_2)), AllOf((at_2, at_1))),
+        AnyOf: (lambda: AnyOf((at_1, at_2)), AllOf((at_1, at_2))),
+        Negation: (lambda: Negation(at_2), Negation(at_1)),
+        MixtureState: (
+            lambda: MixtureState(((state, Fraction(1, 3)), (state, Fraction(2, 3)))),
+            MixtureState(((state, Fraction(1)),)),
+        ),
+    }
+
+
+SAMPLES = samples()
+CLASSES = list(SAMPLES)
+
+
+def field_names(cls) -> list[str]:
+    """The fields of a value type, in order: the parameters of its constructor."""
+    return list(inspect.signature(cls).parameters)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_equal_values_are_equal_and_hash_equal(cls):
+    make, other = SAMPLES[cls]
+    a, b = make(), make()
+    assert a is not b and type(a) is cls
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert {a: "first"}[b] == "first"
+    assert a != other and not a == other
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_values_carry_no_instance_dict(cls):
+    assert not hasattr(SAMPLES[cls][0](), "__dict__")
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_equality_is_type_strict(cls):
+    value = SAMPLES[cls][0]()
+    fields = tuple(getattr(value, name) for name in field_names(cls))
+    assert value != fields and fields != value
+    assert value != tuple(fields) and value != list(fields)
+    assert value != None  # noqa: E711 -- the comparison itself is under test
+
+
+def test_values_of_different_classes_with_equal_fields_differ():
+    assert CardValue("Face", "K") != Card("Face", "K")
+    assert Card("Face", "K") != CardValue("Face", "K")
+    assert len({CardValue("Face", "K"), Card("Face", "K")}) == 2
+    patterns = (OutcomeAt(1, Outcome(CardValue("Face", "K"))),)
+    assert AllOf(patterns) != AnyOf(patterns) and len({AllOf(patterns), AnyOf(patterns)}) == 2
+    assert Manifestation("Face", "K") != CardValue("Face", "K")
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_fields_cannot_be_assigned_or_deleted(cls):
+    value = SAMPLES[cls][0]()
+    slots = [name for c in cls.__mro__ for name in getattr(c, "__slots__", ())]
+    for name in [*field_names(cls), *slots, "other"]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value == SAMPLES[cls][0]()
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copies_are_equal_values(cls, duplicate):
+    value = SAMPLES[cls][0]()
+    twin = duplicate(value)
+    assert type(twin) is cls
+    assert twin == value and hash(twin) == hash(value)
+    assert repr(twin) == repr(value)
+
+
+# The reprs that the same values had as frozen dataclasses.
+TWO_VALUE_DECK = (
+    "Deck(face=Variable(name='Face', labels=('K', 'Q')), suit=Variable(name='Suit', labels=('S', 'H')), "
+    "cards=(Card(face='K', suit='H'), Card(face='K', suit='S'), Card(face='K', suit='S'), "
+    "Card(face='Q', suit='H'), Card(face='Q', suit='H'), Card(face='Q', suit='S')), "
+    "values_per_variable=2, copies_per_value=3)"
+)
+KING = "Outcome(value=CardValue(variable='Face', label='K'), negated=False)"
+NOT_HEART = "Outcome(value=CardValue(variable='Suit', label='H'), negated=True)"
+KING_STATE = (
+    f"SystemState(deck={TWO_VALUE_DECK}, "
+    "these=(Card(face='K', suit='H'), Card(face='K', suit='S'), Card(face='K', suit='S')), "
+    "others=(Card(face='Q', suit='H'), Card(face='Q', suit='H'), Card(face='Q', suit='S')), memory='Face')"
+)
+REPRS = {
+    Card: "Card(face='K', suit='H')",
+    Variable: "Variable(name='Face', labels=('K', 'Q'))",
+    CardValue: "CardValue(variable='Face', label='K')",
+    Outcome: NOT_HEART,
+    Manifestation: "Manifestation(variable='Suit', partial_on='H')",
+    Deck: TWO_VALUE_DECK,
+    SystemState: KING_STATE,
+    Experiment: (
+        f"Experiment(deck={TWO_VALUE_DECK}, preparation={KING}, manifestations=(Manifestation(variable='Face', "
+        f"partial_on=None), Manifestation(variable='Suit', partial_on='H')), postselection=(2, {NOT_HEART}))"
+    ),
+    Branch: f"Branch(state={KING_STATE}, outcomes=({KING},), probability=Fraction(1, 2), children=())",
+    OutcomeAt: f"OutcomeAt(ordinal=1, outcome={KING})",
+    AllOf: f"AllOf(patterns=(OutcomeAt(ordinal=1, outcome={KING}), OutcomeAt(ordinal=2, outcome={NOT_HEART})))",
+    AnyOf: f"AnyOf(patterns=(OutcomeAt(ordinal=1, outcome={KING}), OutcomeAt(ordinal=2, outcome={NOT_HEART})))",
+    Negation: f"Negation(pattern=OutcomeAt(ordinal=2, outcome={NOT_HEART}))",
+    MixtureState: f"MixtureState(components=(({KING_STATE}, Fraction(1, 3)), ({KING_STATE}, Fraction(2, 3))))",
+}
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_repr_is_the_keyword_form(cls):
+    assert repr(SAMPLES[cls][0]()) == REPRS[cls]
+
+
+def test_cards_sort_by_face_then_suit():
+    hand = [Card("Q", "S"), Card("K", "S"), Card("J", "D"), Card("K", "H"), Card("Q", "D")]
+    assert sorted(hand) == sorted(hand, key=lambda card: (card.face, card.suit))
+    assert [str(card) for card in sorted(hand)] == ["JD", "KH", "KS", "QD", "QS"]
+    low, high = Card("K", "H"), Card("K", "S")
+    assert low < high and low <= high and high > low and high >= low and low <= Card("K", "H")
+    assert not (high < low or high <= low or low > high or low >= high)
+    with pytest.raises(TypeError):
+        low < ("K", "S")  # noqa: B015 -- the comparison itself is under test
+    with pytest.raises(TypeError):
+        low < CardValue("K", "S")  # noqa: B015
+
+
+def test_construction_keeps_its_checks():
+    deck = two_value_deck()
+    king = Outcome(CardValue("Face", "K"))
+    with pytest.raises(InvalidArgumentsError, match="duplicate value labels for variable 'Face'"):
+        Variable("Face", ("K", "K"))
+    with pytest.raises(UnknownLabelError, match="unknown variable 'Colour'"):
+        SystemState(deck, deck.cards, (), "Colour")
+    with pytest.raises(UnknownLabelError, match="has no value 'A'"):
+        Experiment(deck, Outcome(CardValue("Face", "A")))
+    with pytest.raises(UnknownLabelError, match="unknown variable 'Colour'"):
+        Experiment(deck, king, (Manifestation("Colour"),))
+    with pytest.raises(UnknownLabelError, match="has no value 'D'"):
+        Experiment(deck, king, (Manifestation("Suit", "D"),))
+    with pytest.raises(InvalidArgumentsError, match="postselection ordinal 2 does not name a manifestation"):
+        Experiment(deck, king, (Manifestation("Suit"),), (2, Outcome(CardValue("Suit", "H"))))
+    state = prepare(deck, king)
+    with pytest.raises(WeightsNotNormalizedError, match="at least one component"):
+        MixtureState(())
+    with pytest.raises(WeightsNotNormalizedError, match="must be positive"):
+        MixtureState(((state, Fraction(0)), (state, Fraction(1))))
+    with pytest.raises(WeightsNotNormalizedError, match="sum to 1/2, not 1"):
+        MixtureState(((state, Fraction(1, 2)),))
+
+
+def test_the_kernel_compiles_once_and_stays_out_of_equality(monkeypatch):
+    compiled = []
+    kernel = exact.Kernel
+    monkeypatch.setattr(exact, "Kernel", lambda *args: compiled.append(args) or kernel(*args))
+    make = SAMPLES[Experiment][0]
+    fresh, used = make(), make()
+    before = hash(used)
+    assert used.kernel is used.kernel
+    assert len(compiled) == 1
+    assert used == fresh and fresh == used and hash(used) == before == hash(fresh)
+    assert repr(used) == repr(fresh)
+    assert copy.copy(used) == used and pickle.loads(pickle.dumps(used)) == used
+    assert len(compiled) == 1
+
+
+def test_states_reached_twice_intern_to_one_kernel_state(threebox):
+    # The Suit event leads to three Suit states (H with chance zero), and the Face event's
+    # nine rows from them re-prepare one of the same three Face states.
+    king = Outcome(threebox.value("Face", "K"))
+    kernel = Experiment(threebox, king, (Manifestation("Suit"), Manifestation("Face"))).kernel
+    after_suit, after_face = kernel.layers[1:]
+    assert len(after_suit) == 3
+    assert sum(len(rows) for rows in kernel.events[1].rows) == 9
+    assert sorted(str(state) for state in after_face) == sorted(
+        str(prepare(threebox, Outcome(threebox.value("Face", label)))) for label in "KQJ"
+    )
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_state_reached_by_two_routes_is_one_value(data):
+    """Observing Face from two different Suit states re-prepares equal, equally hashed Face states."""
+    deck = data.draw(balanced_decks())
+    label = data.draw(st.sampled_from(deck.face.labels))
+    target = Outcome(CardValue("Face", label))
+    prepared = prepare(deck, target)
+    reached = []
+    for suit in deck.suit.labels:
+        state = prepare(deck, Outcome(CardValue("Suit", suit)))
+        for index, card in enumerate(state.others):
+            if card.face == label:
+                outcome, after = observe(state, Manifestation("Face"), lambda n, index=index: index)
+                assert outcome == target
+                reached.append(after)
+    assert reached  # every face value sits outside some suit's pile
+    for after in reached:
+        assert after == prepared and hash(after) == hash(prepared)
+        assert after is not prepared
+    assert len({prepared, *reached}) == 1
