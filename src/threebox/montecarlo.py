@@ -8,15 +8,17 @@ come back as frequency tables with binomial standard errors.
 :func:`run_trial` is the scalar definition of a trial.  :func:`simulate`
 gives the same counts faster: it turns the cells of the experiment's
 compiled kernel (see :mod:`threebox.kernel`) into numpy arrays once, and
-walks them over fixed chunks of trials, so memory stays bounded whatever
-the trial count.
+walks them over fixed chunks of trials.  A chunk's outcome sequences come
+out as integer codes, which are counted in one array over the whole code
+space when that space is small, and otherwise merged as sorted distinct
+codes with their counts.  Memory follows the code space or the number of
+distinct sequences, never the trial count.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,10 @@ from .rng import CounterStream, CounterStreams
 
 # Trials walked together as one set of arrays.
 CHUNK_TRIALS = 4096
+# The largest code space tallied in one int64 array of counts (0.5 MiB).  A
+# chunk's bincount touches every code, so a much larger space would cost
+# more per chunk than the walk itself.
+TALLY_CODES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -42,6 +48,9 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise InvalidArgumentsError("a run needs at least one trial")
+        if self.trials > 1 << 64:
+            # Trial indices key the stream modulo 2**64, so more would replay trial 0.
+            raise InvalidArgumentsError(f"a run takes at most 2**64 trials, got {self.trials}")
         check_seed(self.seed)
 
 
@@ -155,33 +164,54 @@ def simulate(config: RunConfig) -> FrequencyTable:
 
     The counts equal those of :func:`run_trial` over trials ``0 .. trials-1``
     exactly.  Chunk tallies merge by plain count addition, so the result
-    does not depend on the order trials are executed in.
+    does not depend on the order trials are executed in.  A code space of at
+    most :data:`TALLY_CODES` sequences is tallied in one array of counts;
+    a larger one by merging each chunk's distinct codes and their counts.
     """
     experiment = config.experiment
-    sizes = [len(m.outcomes(experiment.deck)) for m in experiment.manifestations]
-    if math.prod(sizes) > np.iinfo(np.int64).max:
+    space = math.prod(len(m.outcomes(experiment.deck)) for m in experiment.manifestations)
+    if space > np.iinfo(np.int64).max:
         raise InvalidArgumentsError("too many possible outcome sequences to tally in 64 bits")
     events = experiment.kernel.events
-    cells = [
-        (
-            len(event.outcomes),
-            event.width,
-            np.array(event.pool_sizes, dtype=np.uint64),
-            np.array(event.outcome_ids, dtype=np.intp),
-            np.array(event.successor_ids, dtype=np.intp),
+    # Each event's cells as arrays, its outcome positions scaled by the
+    # event's place in the mixed-radix code (the first event most significant).
+    cells, place = [], 1
+    for event in reversed(events):
+        cells.append(
+            (
+                event.width,
+                np.array(event.pool_sizes, dtype=np.uint64),
+                np.array(event.outcome_ids, dtype=np.int64) * place,
+                np.array(event.successor_ids, dtype=np.int64),
+            )
         )
-        for event in events
-    ]
-    tally: Counter[int] = Counter()
-    for start in range(0, config.trials, CHUNK_TRIALS):
-        trials = np.arange(start, min(start + CHUNK_TRIALS, config.trials), dtype=np.uint64)
-        codes, counts = np.unique(_walk(cells, config.seed, trials), return_counts=True)
-        tally.update(dict(zip(codes.tolist(), counts.tolist())))
+        place *= len(event.outcomes)
+    cells.reverse()
+    chunks = (
+        _walk(cells, config.seed, np.arange(start, min(start + CHUNK_TRIALS, config.trials), dtype=np.uint64))
+        for start in range(0, config.trials, CHUNK_TRIALS)
+    )
+    if space <= TALLY_CODES:
+        total = np.zeros(space, dtype=np.int64)
+        for code in chunks:
+            total += np.bincount(code, minlength=space)
+        codes = np.flatnonzero(total)
+        counts = total[codes]
+    else:
+        # Merge whenever the unmerged chunk tallies outgrow the merged one,
+        # so memory follows the number of distinct sequences, not of trials.
+        tallies, held = [], 0
+        for code in chunks:
+            tallies.append(np.unique(code, return_counts=True))
+            held += len(tallies[-1][0])
+            if held > max(TALLY_CODES, len(tallies[0][0])):
+                tallies, held = [_merge(tallies)], 0
+        codes, counts = _merge(tallies)
     return FrequencyTable(
         experiment=experiment,
         trials=config.trials,
         seed=config.seed,
-        counts={_decode(events, code): n for code, n in tally.items()},
+        counts=dict(zip(_decode(events, codes), counts.tolist())),
     )
 
 
@@ -193,25 +223,37 @@ def _sig12(x: float) -> float:
 def _walk(cells: list[tuple], seed: int, trials: np.ndarray) -> np.ndarray:
     """The outcome-sequence code of each of the given trials.
 
-    ``cells`` holds one ``(outcome count, width, pool sizes, outcome ids,
-    successor ids)`` per event, the last three as arrays.  A code is
-    mixed-radix over the events' outcome positions, the first event being
-    the most significant digit.
+    ``cells`` holds one ``(width, pool sizes, code digits, successor ids)``
+    per event, the last three as arrays; a cell's code digit is its outcome
+    position times the event's place value, so a code is the sum of the
+    digits of the cells a trial passes through.
     """
     streams = CounterStreams(seed, trials)
-    state = np.zeros(len(trials), dtype=np.intp)
+    state = np.zeros(len(trials), dtype=np.int64)
     code = np.zeros(len(trials), dtype=np.int64)
-    for radix, width, pool_sizes, outcome_ids, successor_ids in cells:
-        cell = state * width + streams.uniform_index(pool_sizes[state]).astype(np.intp)
-        code = code * radix + outcome_ids[cell]
+    for width, pool_sizes, digits, successor_ids in cells:
+        # An index is below its pool size, so its uint64 bits read as the same int64.
+        cell = streams.uniform_index(pool_sizes[state]).view(np.int64)
+        cell += state * width
+        code += digits[cell]
         state = successor_ids[cell]
     return code
 
 
-def _decode(events: tuple[Event, ...], code: int) -> tuple[Outcome, ...]:
-    """The outcome sequence a code stands for."""
-    sequence = []
+def _merge(tallies: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Sum ``(codes, counts)`` tallies into one, with distinct codes in order."""
+    codes = np.concatenate([c for c, _ in tallies])
+    counts = np.concatenate([n for _, n in tallies])
+    order = np.argsort(codes)
+    codes, counts = codes[order], counts[order]
+    first = np.flatnonzero(np.diff(codes, prepend=-1))
+    return codes[first], np.add.reduceat(counts, first)
+
+
+def _decode(events: tuple[Event, ...], codes: np.ndarray) -> list[tuple[Outcome, ...]]:
+    """The outcome sequences the codes stand for, one per code."""
+    columns = []
     for event in reversed(events):
-        code, k = divmod(code, len(event.outcomes))
-        sequence.append(event.outcomes[k])
-    return tuple(reversed(sequence))
+        codes, positions = np.divmod(codes, len(event.outcomes))
+        columns.append(np.fromiter(event.outcomes, dtype=object, count=len(event.outcomes))[positions])
+    return list(zip(*reversed(columns))) if columns else [()] * len(codes)

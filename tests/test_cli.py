@@ -221,6 +221,18 @@ class TestSimulate:
         assert run(capsys, "exact", *argv)[:2] == (0, "(no events): 1/1\n")
         assert run(capsys, "simulate", *argv, "--trials", "3")[:2] == (0, "(no events): 3 (1.0)\n")
 
+    def test_more_than_2_to_the_64_trials_exits_2_before_any_trial(self, capsys, deck_file, monkeypatch):
+        from threebox import montecarlo
+
+        monkeypatch.setattr(montecarlo, "_walk", lambda *args: pytest.fail("a trial ran"))
+        code, out, err = run(
+            capsys,
+            "simulate", "--deck", deck_file, "--prepare", "Face=Q", "--observe", "Suit",
+            "--trials", str(2**64 + 1),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "2**64 trials" in err
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_out_of_range_exits_2(self, capsys, deck_file, seed):
         code, out, err = run(

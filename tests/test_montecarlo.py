@@ -13,7 +13,8 @@ from test_kernel import experiments
 from threebox.deck import Manifestation, Outcome, validate_deck
 from threebox.errors import DrawOutOfRangeError, InvalidArgumentsError, NoAcceptedTrialsError
 from threebox.exact import AnyOf, Experiment, OutcomeAt, acceptance_probability, retrodict_exact
-from threebox.montecarlo import CHUNK_TRIALS, RunConfig, run_trial, simulate
+from threebox import montecarlo
+from threebox.montecarlo import CHUNK_TRIALS, TALLY_CODES, RunConfig, run_trial, simulate
 from threebox.rng import CounterStream, CounterStreams, finalize
 
 GOLDEN = 0x9E3779B97F4A7C15
@@ -88,6 +89,24 @@ class TestCounterStreams:
             with pytest.raises(ValueError):
                 streams.uniform_index(np.array(sizes))
 
+    @pytest.mark.parametrize("pool", [(1, 3, 2**63 + 1, 2**64 - 1), (1,)])
+    def test_the_layer_wide_bound_only_flags_suspects(self, pool):
+        # The largest pool size sets one bound for every trial, so it flags
+        # words that the small pools beside it must accept, and words that
+        # 2**63 + 1 and 2**64 - 1 reject.
+        trials = np.arange(1200, dtype=np.uint64) + 2**40
+        sizes = np.resize(np.array(pool, dtype=np.uint64), len(trials))
+        streams = CounterStreams(99, trials)
+        draws = [streams.uniform_index(sizes) for _ in range(3)]
+        words = streams.words
+        for j, n in enumerate(sizes.tolist()):
+            scalar = CounterStream(99, 2**40 + j)
+            assert [scalar.uniform_index(n) for _ in range(3)] == [int(d[j]) for d in draws]
+            assert scalar.words == words[j]
+        assert (words[sizes <= 3] == 3).all()
+        if len(pool) > 1:
+            assert words.max() > 3
+
     def test_each_trial_has_its_own_pool_size(self):
         sizes = np.random.default_rng(0).integers(1, 60, 500).astype(np.uint64)
         streams = CounterStreams(7, np.arange(500) + 10**6)
@@ -152,6 +171,12 @@ class TestSimulate:
         with pytest.raises(InvalidArgumentsError):
             RunConfig(spade_check(threebox), trials=0, seed=1)
 
+    def test_trials_must_not_outrun_the_64_bit_trial_index(self, threebox):
+        # Trial 2**64 would key the stream of trial 0 again.
+        with pytest.raises(InvalidArgumentsError, match="at most 2\\*\\*64 trials"):
+            RunConfig(spade_check(threebox), trials=2**64 + 1, seed=1)
+        assert RunConfig(spade_check(threebox), trials=2**64, seed=1).trials == 2**64
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_must_fit_64_bits(self, threebox, seed):
         with pytest.raises(InvalidArgumentsError):
@@ -171,6 +196,36 @@ class TestSimulate:
         experiment = Experiment(threebox, out(threebox, "Face", "Q"), events)
         reference = Counter(run_trial(experiment, 8, t) for t in range(300))
         assert simulate(RunConfig(experiment, 300, 8)).counts == dict(reference)
+
+    @pytest.mark.parametrize("trials", [CHUNK_TRIALS - 1, CHUNK_TRIALS + 1])
+    @pytest.mark.parametrize(
+        "events, in_one_array",
+        [
+            (8, True),  # 3**8 = 6,561 sequences: one bincount total
+            (12, False),  # 3**12 = 531,441: merged chunk tallies
+            (0, True),  # one empty sequence
+        ],
+    )
+    def test_both_tallies_match_the_observe_loop(self, threebox, events, in_one_array, trials):
+        manifestations = tuple(Manifestation(("Suit", "Face")[k % 2]) for k in range(events))
+        experiment = Experiment(threebox, out(threebox, "Face", "Q"), manifestations)
+        space = math.prod(len(m.outcomes(threebox)) for m in manifestations)
+        assert (space <= TALLY_CODES) == in_one_array
+        reference = Counter(run_trial(experiment, 17, t) for t in range(trials))
+        assert simulate(RunConfig(experiment, trials, 17)).counts == dict(reference)
+
+    def test_merging_as_it_goes_gives_the_one_array_counts(self, threebox, monkeypatch):
+        # With a tiny bound the 6,561-sequence experiment takes the merge
+        # branch and merges many times during the run, not only at its end.
+        events = tuple(Manifestation(("Suit", "Face")[k % 2]) for k in range(8))
+        config = RunConfig(Experiment(threebox, out(threebox, "Face", "Q"), events), 10 * CHUNK_TRIALS + 7, 5)
+        in_one_array = simulate(config).counts
+        merges = []
+        merge = montecarlo._merge
+        monkeypatch.setattr(montecarlo, "_merge", lambda tallies: merges.append(len(tallies)) or merge(tallies))
+        monkeypatch.setattr(montecarlo, "TALLY_CODES", 64)
+        assert simulate(config).counts == in_one_array
+        assert len(merges) > 2
 
     def test_empty_pool_fails_as_in_the_scalar_walk(self):
         deck = validate_deck([("K", "S", 2)])
