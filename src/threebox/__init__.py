@@ -61,15 +61,12 @@ _EXPORTS = {
     "formulas": ("RetrodictionInputs", "retrodict_complete", "retrodict_partial"),
     "montecarlo": ("FrequencyTable", "RetrodictionEstimate", "RunConfig", "run_trial", "simulate"),
     "quantum": (
-        "Projector",
         "QState",
         "SlitGeometry",
         "abl_complete",
         "abl_partial",
         "aad_analysis",
         "born_probability",
-        "complement_projector",
-        "sandwich_probability",
         "three_box_pair",
         "three_slit_design",
         "threebox_condition_check",

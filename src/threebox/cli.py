@@ -10,8 +10,8 @@ Exit codes: 0 success (all claims passing), 1 a scenario claim failed,
 and seed; rationals print as ``num/den``, floats with 12 significant digits.
 
 A handler imports the modules its subcommand needs beyond the exact engine,
-so ``validate``, ``exact`` and ``formula`` run without loading numpy; only
-``simulate``, ``scenario`` and ``quantum`` load it.
+so ``validate``, ``exact``, ``formula`` and ``quantum`` run without loading
+numpy; only ``simulate`` and ``scenario`` load it.
 """
 
 from __future__ import annotations
@@ -320,9 +320,7 @@ def _cmd_quantum(args: argparse.Namespace) -> int:
             "separation": format_float(geometry.separation),
             "wavelength": format_float(geometry.wavelength),
             "distance": format_float(geometry.distance),
-            "amplitude_pattern": [
-                format_float(x) for x in (geometry.detector_state().amplitudes.real.round(12))
-            ],
+            "amplitude_pattern": [format_float(round(a.real, 12)) for a in geometry.detector_state().amplitudes],
         }
         _emit(report, args, f"detector distance: {format_float(geometry.distance)}")
     else:  # aad

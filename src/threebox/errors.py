@@ -93,10 +93,6 @@ class NotNormalizedError(ThreeBoxError):
     """A state vector does not have unit norm."""
 
 
-class NonProjectorError(ThreeBoxError):
-    """A matrix is not Hermitian and idempotent within tolerance."""
-
-
 class BasisNotOrthonormalError(ThreeBoxError):
     """A claimed basis is not orthonormal and complete within tolerance."""
 

@@ -9,15 +9,16 @@ That neutrality lets the same arithmetic arbitrate between the card machine
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .deck import Value
 from .errors import InvalidArgumentsError, LengthMismatchError, ZeroDenominatorError
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class RetrodictionInputs:
+
+class RetrodictionInputs(Value):
     """Inputs for a partial-observation retrodiction.
 
     ``likelihood`` and ``prior`` describe the queried value j: the chance of
@@ -26,20 +27,21 @@ class RetrodictionInputs:
     be complementary.
     """
 
-    likelihood: Fraction
-    prior: Fraction
-    likelihood_negation: Fraction
-    prior_negation: Fraction
+    __slots__ = ("likelihood", "prior", "likelihood_negation", "prior_negation")
 
-    def __post_init__(self) -> None:
-        for name in ("likelihood", "prior", "likelihood_negation", "prior_negation"):
-            p = getattr(self, name)
+    def __init__(
+        self, likelihood: Fraction, prior: Fraction, likelihood_negation: Fraction, prior_negation: Fraction
+    ) -> None:
+        fields = (likelihood, prior, likelihood_negation, prior_negation)
+        for name, p in zip(self.__slots__, fields):
             if not 0 <= p <= 1:
                 raise InvalidArgumentsError(f"{name} = {p} is not a probability")
-        if self.prior + self.prior_negation != 1:
-            raise InvalidArgumentsError(
-                f"priors must sum to 1, got {self.prior} + {self.prior_negation}"
-            )
+        if prior + prior_negation != 1:
+            raise InvalidArgumentsError(f"priors must sum to 1, got {prior} + {prior_negation}")
+        for name, p in zip(self.__slots__, fields):
+            _set(self, name, p)
+        _set(self, "_key", fields)
+        _set(self, "_hash", None)
 
 
 def retrodict_partial(inputs: RetrodictionInputs) -> Fraction:

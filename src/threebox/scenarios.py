@@ -16,7 +16,6 @@ retrodiction formulas; any other value was computed by a procedure.
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -708,6 +707,9 @@ SCENARIOS = {
     "counterfactual": counterfactual_trace,
 }
 
+# The scenarios that take ``trials`` and ``seed``: the ones with Monte Carlo routes.
+SAMPLED_SCENARIOS = frozenset({"three-box-card", "interference", "counterfactual"})
+
 
 def run_scenario(name: str, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) -> ScenarioReport:
     """Run a scenario by CLI name, forwarding Monte Carlo options where used.
@@ -721,6 +723,6 @@ def run_scenario(name: str, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SE
         raise InvalidArgumentsError(f"trials must be 0 (to skip Monte Carlo) or positive, got {trials}")
     check_seed(seed)
     scenario = SCENARIOS[name]
-    if "trials" in inspect.signature(scenario).parameters:
+    if name in SAMPLED_SCENARIOS:
         return scenario(trials=trials, seed=seed)
     return scenario()

@@ -26,13 +26,12 @@ from threebox.exact import (
     retrodict_exact,
     single_step_probability,
 )
+from haar import haar_random_basis, haar_random_state
 from threebox.formulas import RetrodictionInputs, retrodict_complete, retrodict_partial
 from threebox.montecarlo import RunConfig, simulate
 from threebox.quantum import (
     abl_complete,
     abl_partial,
-    haar_random_basis,
-    haar_random_state,
     three_box_pair,
     threebox_condition_check,
 )

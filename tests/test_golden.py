@@ -127,3 +127,110 @@ def test_scenario_stdout_is_byte_identical(capsys, key):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+# ``threebox quantum`` requests, each asked in text, ``--json`` and ``--csv``:
+# every operation, a custom basis, complex amplitudes, a 4-dim state, three
+# slit geometries and complex α/β.  Recorded while the quantum module still
+# computed with numpy arrays.
+QUANTUM_REQUESTS = {
+    "abl-complete": ["abl-complete", "--state", "1,1,1", "--post", "1,1,-1", "--index", "2"],
+    "abl-complete-basis": [
+        "abl-complete", "--state", "1,2i,-1", "--post", "1-2i,1,0.5", "--index", "0", "--basis", "1,1,0;1,-1,0;0,0,1",
+    ],
+    "abl-complete-4d": ["abl-complete", "--state", "1,2,-1i,0.5", "--post", "1-2i,1,1,-1", "--index", "3"],
+    "abl-partial": ["abl-partial", "--state", "1,1,1", "--post", "1,1,-1", "--index", "2"],
+    "abl-partial-basis": [
+        "abl-partial", "--state", "1-2i,1,1", "--post", "1,1i,-1", "--index", "1", "--basis", "1,1i,0;1,-1i,0;0,0,1",
+    ],
+    "abl-partial-4d": ["abl-partial", "--state", "1,2,-1i,0.5", "--post", "1-2i,1,1,-1", "--index", "0"],
+    "born": ["born", "--state", "1,1,1", "--post", "1,1,-1"],
+    "born-complex": ["born", "--state", "1-2i,2+i", "--post", "1,1i"],
+    "condition": ["condition", "--state", "1,1,1", "--post", "1,1,-1"],
+    "condition-fails": ["condition", "--state", "1,2i,-1", "--post", "1,1,1"],
+    "slits-10-1": ["slits", "--separation", "10", "--wavelength", "1"],
+    "slits-3.7-0.21": ["slits", "--separation", "3.7", "--wavelength", "0.21"],
+    "slits-1e6-0.5": ["slits", "--separation", "1e6", "--wavelength", "0.5"],
+    "aad": ["aad"],
+    "aad-complex": ["aad", "--alpha", "0.6+0.48i", "--beta", "0.64"],
+    "aad-imaginary": ["aad", "--alpha", "0.6i", "--beta", "0.8"],
+}
+QUANTUM_FORMATS = {"text": [], "json": ["--json"], "csv": ["--csv"]}
+
+# "<request> <format>": (exit code, sha256 of stdout)
+GOLDEN_QUANTUM = {
+    "abl-complete text": (0, "7e1afa6b59f3dc3bed99cee62a79a5d04702e9f51fba0ec6353ed78c08ac2801"),
+    "abl-complete json": (0, "f8cb303ce3da68e657a9f85394e5b120eeb26a223c88d4646e5e8d4bcb87eb58"),
+    "abl-complete csv": (0, "be657512570959313fa304b65bc79c01f2acb77a0fb2b68ce6a62030b3aa8c63"),
+    "abl-complete-basis text": (0, "503826b28982b174b5ddfed5c376601f2749d895080d959a56929cdf0f958518"),
+    "abl-complete-basis json": (0, "53f005de42cd3874eb411649b8ff4a8b6ddad4259166a184bdd9848c8e3bc614"),
+    "abl-complete-basis csv": (0, "32cf668bbdf346d579cd08bc0a9ae13d1a891ba9a4bf073645fd9370dd046391"),
+    "abl-complete-4d text": (0, "2cc549b918b667783620deb6d7309509bf03c0557fc069b6ba9361eff50a059c"),
+    "abl-complete-4d json": (0, "f13c37421c3a41a6b46bba5d1a314da7868f502a68d0dfb6907cc105949c184d"),
+    "abl-complete-4d csv": (0, "6ac3e2b2fd1a9d1d68dc14b2953b1e4d28111219322b0001c3a170102bbb3e50"),
+    "abl-partial text": (0, "88930bd051d214a973581b9492a5ca110aea3fdd5dc65a68bc444b6173877bbd"),
+    "abl-partial json": (0, "ae0acdba7227b29a3e750f499be9545485778dd6068c23309c6d466a3e0a2e11"),
+    "abl-partial csv": (0, "9450c8cb8d3d8922661a42eb1d4accb422eb4a62a9a6f8c05f2a16d2bf097e32"),
+    "abl-partial-basis text": (0, "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    "abl-partial-basis json": (0, "00fa4e56b9154fe5bf3e66e210826387351bd06dbd2a38937dab71d668a83c37"),
+    "abl-partial-basis csv": (0, "a01644246de97c659150dd43501676329f132fd21f011a4e04cf7bd6a301003a"),
+    "abl-partial-4d text": (0, "d75f4c0e835410635615cc48f4218a763c7c6b5b46621a2038eb0218a362ce46"),
+    "abl-partial-4d json": (0, "70b4232057a7789d73185f0dc0b92609017975f177ec0046ba5ddf9df1c8bb49"),
+    "abl-partial-4d csv": (0, "2f8f944ee06abc509033c4efee35fa12c8fc73b69229bb8c97ea40e3646366c0"),
+    "born text": (0, "07cabe8802d24c21920c95f5556df09d9e0cccc1fd550c769fc01e64a939cae7"),
+    "born json": (0, "39951fc390e3b403204b784eab4ed91883cbbe5da0bb6a6c73b555c2fef74f60"),
+    "born csv": (0, "af6040ceb2f9d7a5fa5dbfe606b0c0436976d7a08fc4bbee6ae136103c57030e"),
+    "born-complex text": (0, "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
+    "born-complex json": (0, "9b07f69345e4f075502114ffe27e9c6a18aa4842da5a8ee8b2a00e4422e1965a"),
+    "born-complex csv": (0, "29ee12142f8df8efbccfd16458a7dc9832589cbf3d99bee055cbd852f70229af"),
+    "condition text": (0, "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74"),
+    "condition json": (0, "3a2413926231b860c478cf5eae0b2ceff9c5fe7fe18ead1934b66eebee8edd9d"),
+    "condition csv": (0, "b09bf272a9624c2704ab641e108861817e65d1586ad29415b12fcf9753750601"),
+    "condition-fails text": (0, "2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0"),
+    "condition-fails json": (0, "3b1903fab3cc91e06ddeee3f835aff6f321e0ce7622720d59f55d431da780c03"),
+    "condition-fails csv": (0, "12a8a9eae7032942d0ba58edb2a73f152d4b0bca80f826102f3a2aba1b6e72d0"),
+    "slits-10-1 text": (0, "dc0b3672f8b70a776b412e0b27e3b71cacf086f97038dfcbc623d33bd5fd27c5"),
+    "slits-10-1 json": (0, "e3046ec05b757b11bcdc9f2c091077f9cb360c7aae0c26d844cbf1154cef6368"),
+    "slits-10-1 csv": (0, "1e8eee498957837d8d85981ae567d77c9a9bf2888a4a6c023dee73f81d972cb5"),
+    "slits-3.7-0.21 text": (0, "586fdb43e30ab864fbc5ef02dd5b454c900edf6687a3f15453cd0c6d7cb6f9cc"),
+    "slits-3.7-0.21 json": (0, "3674a5e36c08f9eeaf2c73547461474994fa6d46ac8f8b86ab00a68e644f97e3"),
+    "slits-3.7-0.21 csv": (0, "b6f85d704de9194969a0576785eb2aa5067c9225f26d97a8bc6c4bd2fabd4f10"),
+    "slits-1e6-0.5 text": (0, "186775baddc50ad1d83573ce4721f17cdcba5585d728f2ac8ce0d13ccb9f8e88"),
+    "slits-1e6-0.5 json": (0, "8116230096d2d780dd9f97d9de0a04b42a76d8469c9296afb529463fecc07458"),
+    "slits-1e6-0.5 csv": (0, "80453c24d65cd6833eec0e7b7ef75e13862055ae677b11954e0dd3b41d016b1a"),
+    "aad text": (0, "42709516118eae1876f91255db79225cfb7419ff565a55d541157dec41f547c3"),
+    "aad json": (0, "b9e56fb6e70f1057cf14e77499f6fe2e4953d9ab520d19180bffd00beb37b463"),
+    "aad csv": (0, "410a391a95c046e1da622c830443dab53b894b337f901b27b2bef7d33edba4ea"),
+    "aad-complex text": (0, "4713b95e32652c88830d549205f3dd67f8be596b9ffda410e3279a9c91cb20f6"),
+    "aad-complex json": (0, "d532360e2d015cccfde2881233871448c107cc3c618ce88076abd86beabcb9cc"),
+    "aad-complex csv": (0, "96c6317bc4cf6ebef28c48014cd7855f3c340e4881582df59783cdedd951692a"),
+    "aad-imaginary text": (0, "d3425ff8b6f49ad721e6503e171170eb2ead6595dc49630f11fc726b57b74f51"),
+    "aad-imaginary json": (0, "1cc68313ddfb381b276308b81cdeb0bbc1b510ac3b9b9759eea7ea8327e2d04a"),
+    "aad-imaginary csv": (0, "c86f27bad0dfa063efc66484071d0adf2fee5abae0ca2e9a5e6c3cfc2df91d30"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_QUANTUM))
+def test_quantum_stdout_is_byte_identical(capsys, key):
+    name, fmt = key.split()
+    code, digest = GOLDEN_QUANTUM[key]
+    assert cli.main(["quantum", *QUANTUM_REQUESTS[name], *QUANTUM_FORMATS[fmt]]) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+
+# Refused requests: exit 2, nothing on stdout, one ``error:`` line on stderr.
+QUANTUM_REFUSALS = {
+    "zero denominator": ["abl-complete", "--state", "1,0", "--post", "0,1", "--index", "0"],
+    "non-orthonormal basis": ["abl-partial", "--state", "1,1", "--post", "1,-1", "--index", "0", "--basis", "1,0;1,1"],
+    "non-finite state": ["born", "--state", "nan,1", "--post", "1,0"],
+}
+
+
+@pytest.mark.parametrize("key", sorted(QUANTUM_REFUSALS))
+def test_quantum_refusal_is_one_error_line(capsys, key):
+    assert cli.main(["quantum", *QUANTUM_REFUSALS[key]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

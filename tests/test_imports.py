@@ -1,4 +1,4 @@
-"""What a call loads: the exact path runs without numpy or dataclasses, and the package exports its names lazily."""
+"""What a call loads: the exact and quantum paths run without numpy or dataclasses, and the package exports its names lazily."""
 
 import argparse
 import importlib
@@ -45,8 +45,13 @@ FORMULA = [
     "formula", "partial", "--likelihood", "1/2", "--prior", "1/4",
     "--likelihood-negation", "0", "--prior-negation", "3/4",
 ]
+SLITS = ["quantum", "slits", "--separation", "10", "--wavelength", "1", "--json"]
+ABL_PARTIAL = ["quantum", "abl-partial", "--state", "1,1,1", "--post", "1,1,-1", "--index", "0"]
+# The quantum subcommand loads its own module, and nothing else of the heavy ones.
+QUANTUM = ["threebox.quantum"]
 
-# Every name the package exported when it imported all of its modules eagerly, by module.
+# Every name the package exported when it imported all of its modules eagerly, by module,
+# less the projector algebra that only tests used.
 EXPORTS = {
     "deck": "Card CardValue Deck Manifestation Outcome SystemState Variable format_cards observe prepare "
     "step_distribution validate_deck",
@@ -57,8 +62,8 @@ EXPORTS = {
     "retrodict_exact single_step_probability tree_leaves tree_report",
     "formulas": "RetrodictionInputs retrodict_complete retrodict_partial",
     "montecarlo": "FrequencyTable RetrodictionEstimate RunConfig run_trial simulate",
-    "quantum": "Projector QState SlitGeometry abl_complete abl_partial aad_analysis born_probability "
-    "complement_projector sandwich_probability three_box_pair three_slit_design threebox_condition_check",
+    "quantum": "QState SlitGeometry abl_complete abl_partial aad_analysis born_probability three_box_pair "
+    "three_slit_design threebox_condition_check",
     "scenarios": "SCENARIOS Claim ScenarioReport run_scenario",
 }
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names.split()]
@@ -75,19 +80,22 @@ def loaded_after(*argv: str) -> list[str]:
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [[], EXACT, ["validate", "--deck", DECK], FORMULA],
-    ids=["import threebox", "exact", "validate", "formula"],
+    "argv, expected",
+    [([], []), (EXACT, []), (["validate", "--deck", DECK], []), (FORMULA, []), (SLITS, QUANTUM), (ABL_PARTIAL, QUANTUM)],
+    ids=["import threebox", "exact", "validate", "formula", "quantum slits", "quantum abl-partial"],
 )
-def test_the_exact_path_loads_no_numpy(argv):
-    assert [m for m in loaded_after(*argv) if m in HEAVY] == []
+def test_the_exact_path_loads_no_numpy(argv, expected):
+    assert [m for m in loaded_after(*argv) if m in HEAVY] == expected
 
 
 @pytest.mark.parametrize(
-    "argv", [["setup"], EXACT, ["validate", "--deck", DECK]], ids=["cli setup", "exact", "validate"]
+    "argv, expected",
+    [(["setup"], []), (EXACT, []), (["validate", "--deck", DECK], []), (FORMULA, []), (SLITS, QUANTUM),
+     (ABL_PARTIAL, QUANTUM)],
+    ids=["cli setup", "exact", "validate", "formula", "quantum slits", "quantum abl-partial"],
 )
-def test_the_exact_path_creates_no_dataclass(argv):
-    assert loaded_after(*argv) == []
+def test_the_exact_path_creates_no_dataclass(argv, expected):
+    assert loaded_after(*argv) == expected
 
 
 def test_simulate_loads_numpy():
@@ -96,7 +104,7 @@ def test_simulate_loads_numpy():
 
 
 def test_every_export_is_the_defining_modules_object():
-    assert len(NAMES) == 61
+    assert len(NAMES) == 58
     for module, name in NAMES:
         assert getattr(threebox, name) is getattr(importlib.import_module(f"threebox.{module}"), name), name
 

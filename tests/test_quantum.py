@@ -1,4 +1,4 @@
-"""States, projectors, ABL retrodiction, slit geometry, rotated bases."""
+"""States, ABL retrodiction, slit geometry, rotated bases; numpy matrices serve as the oracle."""
 
 import math
 
@@ -10,13 +10,12 @@ from threebox.errors import (
     DimensionMismatchError,
     GeometryInfeasibleError,
     InvalidArgumentsError,
-    NonProjectorError,
     NotNormalizedError,
     ZeroDenominatorError,
 )
+from haar import haar_random_basis, haar_random_state
 from threebox.formulas import RetrodictionInputs, retrodict_partial
 from threebox.quantum import (
-    Projector,
     QState,
     SlitGeometry,
     TOLERANCE,
@@ -24,11 +23,7 @@ from threebox.quantum import (
     abl_partial,
     aad_analysis,
     born_probability,
-    complement_projector,
-    haar_random_basis,
-    haar_random_state,
     rotated_basis,
-    sandwich_probability,
     shared_eigenstate_pair,
     three_box_pair,
     three_slit_design,
@@ -70,8 +65,11 @@ class TestQState:
 
     def test_amplitudes_are_read_only(self):
         state = QState.basis_state(3, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             state.amplitudes[0] = 0
+        with pytest.raises(AttributeError):
+            state.amplitudes = (0, 1, 0)
+        assert state.amplitudes == (1, 0, 0)
 
 
 class TestBorn:
@@ -91,61 +89,62 @@ class TestBorn:
             born_probability(QState.basis_state(2, 0), QState.basis_state(3, 0))
 
 
-class TestProjector:
-    def test_validation(self):
-        with pytest.raises(NonProjectorError):
-            Projector(np.array([[0, 1], [0, 0]]))  # not Hermitian
-        with pytest.raises(NonProjectorError):
-            Projector(np.array([[2, 0], [0, 0]]))  # not idempotent
-        with pytest.raises(NonProjectorError):
-            Projector(np.zeros((2, 3)))
+def _projector(state: QState) -> np.ndarray:
+    """|v⟩⟨v| as a numpy matrix."""
+    v = np.array(state.amplitudes)
+    return np.outer(v, v.conj())
 
-    def test_algebra_on_constructed_projectors(self):
-        rng = np.random.default_rng(8)
-        for _ in range(25):
-            p = Projector.onto(haar_random_state(3, rng))
-            m = p.matrix
-            assert np.allclose(m @ m, m, atol=TOL)
-            assert np.allclose(m, m.conj().T, atol=TOL)
-            c = complement_projector(p)
-            assert np.allclose(m + c.matrix, np.eye(3), atol=TOL)
 
-    def test_complement_rank_and_involution(self):
-        p = Projector.onto(QState.basis_state(3, 0))
-        c = complement_projector(p)
-        assert p.rank == 1 and c.rank == 2
-        assert np.allclose(complement_projector(c).matrix, p.matrix, atol=TOL)
-
-    def test_complement_fixes_the_other_basis_states(self):
-        pre, post, basis = three_box_pair()
-        c = complement_projector(Projector.onto(basis[0]))
-        for other in basis[1:]:
-            assert np.allclose(c.matrix @ other.amplitudes, other.amplitudes, atol=TOL)
+def _sandwich(state: QState, first: np.ndarray, second: np.ndarray) -> float:
+    """Wigner's formula for successive outcomes: Tr(ρ Π_first Π_second Π_first), ρ = |state⟩⟨state|."""
+    value = np.trace(_projector(state) @ first @ second @ first)
+    assert abs(value.imag) < 1e-12
+    return float(value.real)
 
 
 class TestSandwich:
+    """The Born and ABL rules against Wigner's sandwich formula on numpy matrices."""
+
     def test_identical_projectors_collapse(self):
         pre, post, basis = three_box_pair()
-        p = Projector.onto(basis[0])
-        assert abs(sandwich_probability(pre, p, p) - born_probability(pre, basis[0])) < TOL
+        p = _projector(basis[0])
+        assert abs(_sandwich(pre, p, p) - born_probability(pre, basis[0])) < TOL
 
     def test_three_box_pair_value(self):
-        # Direct amplitude oracle: Tr(ρ Π_p Π_q Π_p) = |<q|p1>|^2 |<p1|s>|^2 = 1/9.
+        # Tr(ρ Π_b Π_post Π_b) = |<post|b>|^2 |<b|pre>|^2 = 1/9 for every box b.
         pre, post, basis = three_box_pair()
-        value = sandwich_probability(pre, Projector.onto(basis[0]), Projector.onto(post))
-        oracle = abs(post.inner(basis[0])) ** 2 * abs(basis[0].inner(pre)) ** 2
-        assert abs(value - oracle) < TOL
-        assert abs(value - 1 / 9) < TOL
+        for b in basis:
+            assert abs(_sandwich(pre, _projector(b), _projector(post)) - 1 / 9) < TOL
 
     def test_identity_first_projector_reduces_to_born(self):
         pre, post, _ = three_box_pair()
-        value = sandwich_probability(pre, Projector.identity(3), Projector.onto(post))
-        assert abs(value - born_probability(pre, post)) < TOL
+        assert abs(_sandwich(pre, np.eye(3), _projector(post)) - born_probability(pre, post)) < TOL
 
     def test_dimension_mismatch(self):
         pre, post, _ = three_box_pair()
-        with pytest.raises(DimensionMismatchError):
-            sandwich_probability(pre, Projector.identity(2), Projector.onto(post))
+        basis = [QState.basis_state(2, k) for k in range(2)]
+        for rule in (abl_complete, abl_partial):
+            with pytest.raises(DimensionMismatchError):
+                rule(pre, basis, 0, post)
+
+    def test_abl_rules_are_normalized_sandwiches(self):
+        """Complete: sandwich_j / Σ_t sandwich_t.  Partial: the outcomes are Π_j and 𝟙 − Π_j, and
+
+        Tr(ρ (𝟙−Π_j) Π_post (𝟙−Π_j)) = |Σ_{t≠j} ⟨post|b_t⟩⟨b_t|pre⟩|², the coherent remainder.
+        """
+        rng = np.random.default_rng(41)
+        for dimension in (2, 3, 4):
+            for _ in range(100):
+                basis = haar_random_basis(dimension, rng)
+                pre, post = haar_random_state(dimension, rng), haar_random_state(dimension, rng)
+                final = _projector(post)
+                sandwiches = [_sandwich(pre, _projector(b), final) for b in basis]
+                for j, b in enumerate(basis):
+                    complete = sandwiches[j] / sum(sandwiches)
+                    assert abs(abl_complete(pre, basis, j, post) - complete) <= 1e-12
+                    rest = _sandwich(pre, np.eye(dimension) - _projector(b), final)
+                    partial = sandwiches[j] / (sandwiches[j] + rest)
+                    assert abs(abl_partial(pre, basis, j, post) - partial) <= 1e-12
 
 
 class TestABLComplete:

@@ -1,5 +1,6 @@
 """Scenario reports: every claim checked, traces populated, diagnoses raised."""
 
+import inspect
 import math
 
 import pytest
@@ -219,4 +220,20 @@ def test_the_quantum_condition_is_checked_once(monkeypatch):
     check = quantum.threebox_condition_check
     monkeypatch.setattr(quantum, "threebox_condition_check", lambda *args: calls.append(args) or check(*args))
     assert three_box_quantum().passed
+    assert len(calls) == 1
+
+
+def test_sampled_scenarios_are_those_taking_trials():
+    """``run_scenario`` forwards ``trials`` and ``seed`` to exactly the scenarios whose signature takes them."""
+    taking = {name for name, scenario in SCENARIOS.items() if "trials" in inspect.signature(scenario).parameters}
+    assert scenarios.SAMPLED_SCENARIOS == taking
+    assert all("seed" in inspect.signature(SCENARIOS[name]).parameters for name in taking)
+
+
+def test_equal_formula_inputs_are_answered_once(monkeypatch):
+    """The S- and D-checks build equal ``RetrodictionInputs``, so one formula call answers both."""
+    calls = []
+    partial = scenarios.retrodict_partial
+    monkeypatch.setattr(scenarios, "retrodict_partial", lambda inputs: calls.append(inputs) or partial(inputs))
+    assert three_box_card(trials=0).passed
     assert len(calls) == 1

@@ -1,4 +1,4 @@
-"""Value semantics of the deck and exact types: equality, hashing, immutability, copies and reprs."""
+"""Value semantics of the deck, exact, formula and slit types: equality, hashing, immutability, copies and reprs."""
 
 import copy
 import inspect
@@ -13,8 +13,15 @@ from test_deck import balanced_decks
 from threebox import exact
 from threebox.deck import Card, CardValue, Deck, Manifestation, Outcome, SystemState, Variable, observe, prepare
 from threebox.decks import three_box_deck, two_value_deck
-from threebox.errors import InvalidArgumentsError, UnknownLabelError, WeightsNotNormalizedError
+from threebox.errors import (
+    GeometryInfeasibleError,
+    InvalidArgumentsError,
+    UnknownLabelError,
+    WeightsNotNormalizedError,
+)
 from threebox.exact import AllOf, AnyOf, Branch, Experiment, MixtureState, Negation, OutcomeAt
+from threebox.formulas import RetrodictionInputs
+from threebox.quantum import SlitGeometry, three_slit_design
 
 
 def samples():
@@ -42,6 +49,14 @@ def samples():
             lambda: MixtureState(((state, Fraction(1, 3)), (state, Fraction(2, 3)))),
             MixtureState(((state, Fraction(1)),)),
         ),
+        RetrodictionInputs: (
+            lambda: RetrodictionInputs(Fraction(1, 2), Fraction(1, 4), Fraction(0), Fraction(3, 4)),
+            RetrodictionInputs(
+                likelihood=Fraction(1, 2), prior=Fraction(1, 4), likelihood_negation=Fraction(1, 3),
+                prior_negation=Fraction(3, 4),
+            ),
+        ),
+        SlitGeometry: (lambda: three_slit_design(10.0, 1.0), three_slit_design(3.7, 0.21)),
     }
 
 
@@ -142,6 +157,11 @@ REPRS = {
     AnyOf: f"AnyOf(patterns=(OutcomeAt(ordinal=1, outcome={KING}), OutcomeAt(ordinal=2, outcome={NOT_HEART})))",
     Negation: f"Negation(pattern=OutcomeAt(ordinal=2, outcome={NOT_HEART}))",
     MixtureState: f"MixtureState(components=(({KING_STATE}, Fraction(1, 3)), ({KING_STATE}, Fraction(2, 3))))",
+    RetrodictionInputs: (
+        "RetrodictionInputs(likelihood=Fraction(1, 2), prior=Fraction(1, 4), likelihood_negation=Fraction(0, 1), "
+        "prior_negation=Fraction(3, 4))"
+    ),
+    SlitGeometry: "SlitGeometry(separation=10.0, wavelength=1.0, distance=99.75)",
 }
 
 
@@ -185,6 +205,14 @@ def test_construction_keeps_its_checks():
         MixtureState(((state, Fraction(0)), (state, Fraction(1))))
     with pytest.raises(WeightsNotNormalizedError, match="sum to 1/2, not 1"):
         MixtureState(((state, Fraction(1, 2)),))
+    with pytest.raises(InvalidArgumentsError, match="^likelihood_negation = 3/2 is not a probability$"):
+        RetrodictionInputs(Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(1, 2))
+    with pytest.raises(InvalidArgumentsError, match="^priors must sum to 1, got 1/2 \\+ 1/4$"):
+        RetrodictionInputs(likelihood=1, prior=Fraction(1, 2), likelihood_negation=0, prior_negation=Fraction(1, 4))
+    with pytest.raises(GeometryInfeasibleError, match="^distance must be a positive finite length, got -1.0$"):
+        SlitGeometry(10.0, 1.0, -1.0)
+    with pytest.raises(GeometryInfeasibleError, match="is not half the wavelength 1.0$"):
+        SlitGeometry(separation=10.0, wavelength=1.0, distance=50.0)
 
 
 def test_the_kernel_compiles_once_and_stays_out_of_equality(monkeypatch):
