@@ -8,7 +8,10 @@ come back as frequency tables with binomial standard errors.
 :func:`run_trial` is the scalar definition of a trial.  :func:`simulate`
 gives the same counts faster: it turns the cells of the experiment's
 compiled kernel (see :mod:`threebox.kernel`) into numpy arrays once, and
-walks them over fixed chunks of trials.  A chunk's outcome sequences come
+walks them over fixed chunks of trials, each event drawing from its table
+of pool sizes (see :meth:`threebox.rng.CounterStreams.uniform_index`).  The
+first event starts every trial from the prepared state, and the last one's
+successors are never gathered.  A chunk's outcome sequences come
 out as integer codes, which are counted in one array over the whole code
 space when that space is small, and otherwise merged as sorted distinct
 codes with their counts.  Memory follows the code space or the number of
@@ -20,6 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -136,17 +140,18 @@ class FrequencyTable:
         return math.sqrt(p * (1 - p) / n) if n else float("inf")
 
     def to_dict(self) -> dict:
+        # Each sequence's labels are made once, for the sort and the row, and
+        # each distinct count's frequency and error are formatted once.
+        labelled = sorted(((tuple(map(str, seq)), n) for seq, n in self.counts.items()), key=itemgetter(0))
+        formatted = {}
         rows = []
-        for seq in sorted(self.counts, key=lambda s: tuple(map(str, s))):
-            n = self.counts[seq]
-            p = n / self.trials
+        for labels, n in labelled:
+            if n not in formatted:
+                p = n / self.trials
+                formatted[n] = (_sig12(p), _sig12(self.standard_error(p)))
+            frequency, standard_error = formatted[n]
             rows.append(
-                {
-                    "outcomes": [str(o) for o in seq],
-                    "count": n,
-                    "frequency": _sig12(p),
-                    "standard_error": _sig12(self.standard_error(p)),
-                }
+                {"outcomes": list(labels), "count": n, "frequency": frequency, "standard_error": standard_error}
             )
         report = {
             "trials": self.trials,
@@ -180,7 +185,7 @@ def simulate(config: RunConfig) -> FrequencyTable:
         cells.append(
             (
                 event.width,
-                np.array(event.pool_sizes, dtype=np.uint64),
+                event.pool_sizes,
                 np.array(event.outcome_ids, dtype=np.int64) * place,
                 np.array(event.successor_ids, dtype=np.int64),
             )
@@ -188,7 +193,7 @@ def simulate(config: RunConfig) -> FrequencyTable:
         place *= len(event.outcomes)
     cells.reverse()
     chunks = (
-        _walk(cells, config.seed, np.arange(start, min(start + CHUNK_TRIALS, config.trials), dtype=np.uint64))
+        _walk(cells, config.seed, range(start, min(start + CHUNK_TRIALS, config.trials)))
         for start in range(0, config.trials, CHUNK_TRIALS)
     )
     if space <= TALLY_CODES:
@@ -220,23 +225,30 @@ def _sig12(x: float) -> float:
     return float(format_float(x))
 
 
-def _walk(cells: list[tuple], seed: int, trials: np.ndarray) -> np.ndarray:
+def _walk(cells: list[tuple], seed: int, trials: range) -> np.ndarray:
     """The outcome-sequence code of each of the given trials.
 
     ``cells`` holds one ``(width, pool sizes, code digits, successor ids)``
-    per event, the last three as arrays; a cell's code digit is its outcome
-    position times the event's place value, so a code is the sum of the
-    digits of the cells a trial passes through.
+    per event, the pool sizes as a tuple and the last two as arrays; a cell's
+    code digit is its outcome position times the event's place value, so a
+    code is the sum of the digits of the cells a trial passes through.
     """
+    if not cells:
+        return np.zeros(len(trials), dtype=np.int64)
     streams = CounterStreams(seed, trials)
-    state = np.zeros(len(trials), dtype=np.int64)
-    code = np.zeros(len(trials), dtype=np.int64)
-    for width, pool_sizes, digits, successor_ids in cells:
+    # Every trial starts in the prepared state, id 0, so the first event's cell is the draw itself.
+    state = code = None
+    for k, (width, pool_sizes, digits, successor_ids) in enumerate(cells, 1):
         # An index is below its pool size, so its uint64 bits read as the same int64.
-        cell = streams.uniform_index(pool_sizes[state]).view(np.int64)
-        cell += state * width
-        code += digits[cell]
-        state = successor_ids[cell]
+        cell = streams.uniform_index(pool_sizes, state).view(np.int64)
+        if state is None:
+            code = digits[cell]
+        else:
+            state *= width
+            cell += state
+            code += digits[cell]
+        if k < len(cells):
+            state = successor_ids[cell]
     return code
 
 

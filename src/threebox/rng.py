@@ -19,11 +19,16 @@ Algorithm (all arithmetic modulo 2**64):
 Any change to these constants or steps is a new version and a new name.
 
 :class:`CounterStream` is the scalar definition.  :class:`CounterStreams`
-evaluates the same words for many trials at once over numpy ``uint64``
+evaluates the same words for a range of trials at once over numpy ``uint64``
 arrays, whose arithmetic wraps modulo 2**64 exactly as the algorithm asks,
 so its indices and word counts are those of the scalar streams, bit for bit.
-It advances each trial's stream position by one addition per word and
-mixes the words in place through one reused scratch array.
+A draw takes the table of pool sizes, one per state, and settles the rule
+on the table: a table of powers of two rejects no word and masks, any other
+table scans for rejections only above its smallest limit, and a table of
+one size divides by a scalar.  Sizes are gathered per trial only when they
+differ.  Each trial's stream position advances by one addition per word, a
+word count is the draw count plus the trial's own redraws, and the words
+are mixed from the positions through one reused scratch array.
 """
 
 from __future__ import annotations
@@ -77,78 +82,113 @@ class CounterStream:
                 return word % n
 
 
-def finalize_array(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """:func:`finalize` of every element of a ``uint64`` array, in place.
+def finalize_array(z: np.ndarray, scratch: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """:func:`finalize` of every element of a ``uint64`` array, into ``out`` (default: ``z`` itself).
 
     ``scratch`` is a ``uint64`` array of the same shape that receives each
-    shifted copy, so the mix allocates nothing.  Returns ``z``.
+    shifted copy, so the mix allocates nothing.  The first step reads ``z``
+    and writes ``out``, so mixing into another array needs no copy of ``z``.
+    Returns ``out``.
     """
+    out = z if out is None else out
     np.right_shift(z, 30, out=scratch)
-    z ^= scratch
-    z *= _C1
-    np.right_shift(z, 27, out=scratch)
-    z ^= scratch
-    z *= _C2
-    np.right_shift(z, 31, out=scratch)
-    z ^= scratch
-    return z
+    np.bitwise_xor(z, scratch, out=out)
+    out *= _C1
+    np.right_shift(out, 27, out=scratch)
+    out ^= scratch
+    out *= _C2
+    np.right_shift(out, 31, out=scratch)
+    out ^= scratch
+    return out
+
+
+def _last_accepted(n: int) -> int:
+    """The largest word the draw rule accepts for a pool of ``n``: ``2**64 - 1 - 2**64 % n``."""
+    return _MASK - (1 << 64) % n
 
 
 class CounterStreams:
-    """The word streams of many trials of one seed, one array element per trial.
+    """The word streams of a range of trials of one seed, one array element per trial.
 
-    Element ``j`` follows ``CounterStream(seed, trials[j])`` exactly: each
-    trial keeps its own word counter, so a rejected word delays only the
-    trial that drew it.  Each trial's position ``base + count * golden`` is
-    kept beside its counter and advanced by one addition per word.
+    Element ``j`` follows ``CounterStream(seed, trials[j])`` exactly.  Every
+    draw takes one word from each trial, and a rejected word costs only the
+    trial that drew it a redraw, so a trial's word count is the number of
+    draws plus its own redraws.  Each trial's position ``base + count *
+    golden`` is kept and advanced by one addition per word.
     """
 
-    def __init__(self, seed: int, trials: np.ndarray):
+    def __init__(self, seed: int, trials: range):
         self._scratch = np.empty(len(trials), dtype=np.uint64)
-        position = finalize_array(trials.astype(np.uint64), self._scratch)
+        # The trial indices are finalized in place: they become the stream keys.
+        position = finalize_array(np.arange(trials.start, trials.stop, trials.step, dtype=np.uint64), self._scratch)
         position ^= np.uint64(finalize(seed))
         self._position = finalize_array(position, self._scratch)
-        self._count = np.zeros(len(trials), dtype=np.uint64)
+        self._draws = 0
+        self._redraws = np.zeros(len(trials), dtype=np.uint64)
 
     @property
     def words(self) -> np.ndarray:
         """Words consumed so far, per trial."""
-        return self._count.copy()
+        return self._redraws + np.uint64(self._draws)
 
-    def uniform_index(self, n: np.ndarray) -> np.ndarray:
-        """One exactly uniform index per trial, into pools of the sizes ``n``.
+    def uniform_index(self, sizes: tuple[int, ...], state: np.ndarray | None = None) -> np.ndarray:
+        """One exactly uniform index per trial, into a pool of ``sizes[state[j]]`` cards for trial ``j``.
 
-        ``n`` holds one positive pool size per trial.  A word is redrawn, as
-        in the scalar rule, when ``w >= 2**64 - 2**64 % n``.  That limit is
-        2**64 itself for a power-of-two ``n`` and does not fit a ``uint64``,
-        so words are compared against the limit minus one.  Since
-        ``2**64 % n < n``, only words above ``2**64 - 1 - n`` can be
-        rejected; the words above ``2**64 - 1 - max(n)`` include all of
-        them, and the exact limit is computed for those alone.
+        ``sizes`` is the table of pool sizes, a positive int per state, and
+        ``state`` an int64 array of each trial's state id.  ``state`` is read
+        only when the sizes differ; a table of one size needs none.
+
+        The rule is settled on the table, not per trial.  A word is redrawn
+        when it lies above ``2**64 - 1 - 2**64 % n``, so the words at or below
+        the smallest such limit of the table are kept without a second look.
+        When every size is a power of two, every limit is ``2**64 - 1``: no
+        word is rejected and ``w % n`` is ``w & (n - 1)``.  Otherwise one size
+        divides by a scalar, and differing sizes take the remainder by each
+        trial's own size.
         """
-        n = np.asarray(n, dtype=np.uint64)
-        if n.shape != self._count.shape or not n.all():
-            raise ValueError("pool sizes must be positive, one per trial")
-        self._count += np.uint64(1)
+        smallest = min(sizes, default=0)
+        if smallest <= 0:
+            raise ValueError(f"pool sizes must be positive, got {sizes}")
+        if state is not None and state.shape != self._position.shape:
+            raise ValueError("state ids must be given one per trial")
+        largest = max(sizes)
+        table = None
+        if smallest != largest:
+            if state is None:
+                raise ValueError("the pool sizes differ by state, so each trial's state id is needed")
+            # A negative id reads as a huge one in uint64, so one scan finds both kinds outside the table.
+            if state.view(np.uint64).max(initial=0) >= len(sizes):
+                raise ValueError(f"state ids must index the {len(sizes)} pool sizes")
+            table = np.array(sizes, dtype=np.uint64)
+        self._draws += 1
         self._position += _STEP
-        words = finalize_array(self._position.copy(), self._scratch)
-        top, largest = np.uint64(_MASK), n.max(initial=1)
-        if words.max(initial=0) > top - largest:
-            suspects = np.flatnonzero(words > top - largest)
-            sizes = n[suspects]
-            last = top - (top % sizes + np.uint64(1)) % sizes
+        words = finalize_array(self._position, self._scratch, np.empty_like(self._position))
+        bound = min(map(_last_accepted, sizes))
+        if bound == _MASK:
+            # Every size is a power of two, so it divides 2**64.
+            words &= np.uint64(largest - 1) if table is None else (table - np.uint64(1))[state]
+            return words
+        if words.max(initial=0) > np.uint64(bound):
+            suspects = np.flatnonzero(words > np.uint64(bound))
+            if table is None:
+                last = np.uint64(bound)
+            else:
+                last = np.array([_last_accepted(n) for n in sizes], dtype=np.uint64)[state[suspects]]
             rejected = words[suspects] > last
             while rejected.any():
-                suspects, last = suspects[rejected], last[rejected]
-                self._count[suspects] += np.uint64(1)
+                suspects = suspects[rejected]
+                if table is not None:
+                    last = last[rejected]
+                self._redraws[suspects] += np.uint64(1)
                 self._position[suspects] += _STEP
                 redrawn = self._position[suspects]
                 words[suspects] = finalize_array(redrawn, np.empty_like(redrawn))
                 rejected = words[suspects] > last
-        if n.min(initial=largest) == largest:
+        if table is None:
             # One pool size for every trial: numpy divides by a scalar several times faster.
-            np.floor_divide(words, largest, out=self._scratch)
-            self._scratch *= largest
+            n = np.uint64(largest)
+            np.floor_divide(words, n, out=self._scratch)
+            self._scratch *= n
             words -= self._scratch
             return words
-        return np.remainder(words, n, out=words)
+        return np.remainder(words, table[state], out=words)

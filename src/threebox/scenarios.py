@@ -17,7 +17,7 @@ retrodiction formulas; any other value was computed by a procedure.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -76,7 +76,17 @@ class ScenarioReport:
         report = {
             "scenario": self.name,
             "passed": self.passed,
-            "claims": [asdict(claim) for claim in self.claims],
+            "claims": [
+                {
+                    "description": claim.description,
+                    "expected": claim.expected,
+                    "source": claim.source,
+                    "mode": claim.mode,
+                    "computed": dict(claim.computed),
+                    "passed": claim.passed,
+                }
+                for claim in self.claims
+            ],
         }
         if self.trace is not None:
             report["trace"] = self.trace

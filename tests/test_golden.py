@@ -234,3 +234,60 @@ def test_quantum_refusal_is_one_error_line(capsys, key):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+TWOVALUE_DECK = str(Path(DECK).parent / "twovalue.deck")
+README_EXPERIMENT = [
+    "--deck", DECK, "--prepare", "Face=Q", "--observe", "Suit?S", "--observe", "Face", "--postselect", "Face=K",
+]
+
+
+def alternating(depth: int) -> list[str]:
+    return [arg for i in range(depth) for arg in ("--observe", ("Suit", "Face")[i % 2])]
+
+
+# ``threebox simulate`` requests at seed 42: the README request, complete
+# Suit/Face events at depth 4 (one array of counts) and 12 (merged chunk
+# tallies), the two-value deck, whose pools hold 3 cards, and one trial
+# (no query: one trial at seed 42 is not accepted).
+SIMULATE_REQUESTS = {
+    "readme": [*README_EXPERIMENT, "--query", "Suit=S", "--trials", "100000", "--seed", "42"],
+    "suit-face-d4": [
+        "--deck", DECK, "--prepare", "Face=Q", *alternating(4), "--postselect", "4:Face=K", "--query", "1:Suit=S",
+        "--trials", "20000", "--seed", "42",
+    ],
+    "suit-face-d12": ["--deck", DECK, "--prepare", "Face=Q", *alternating(12), "--trials", "3000", "--seed", "42"],
+    "twovalue": [
+        "--deck", TWOVALUE_DECK, "--prepare", "Face=Q", "--observe", "Suit", "--observe", "Face",
+        "--postselect", "Face=K", "--query", "Suit=S", "--trials", "100000", "--seed", "42",
+    ],
+    "trials-1": [*README_EXPERIMENT, "--trials", "1", "--seed", "42"],
+}
+SIMULATE_FORMATS = {"text": [], "json": ["--json"], "csv": ["--csv"]}
+
+# "<request> <format>": (exit code, sha256 of stdout); recorded while every
+# chunk of a run still derived its draw rule from a per-trial size array.
+GOLDEN_SIMULATE = {
+    "readme text": (0, "2ba27fa2757e2ca92e24ebc47396eca3ca47b63249b4b3f76574a3fcfb025b5e"),
+    "readme json": (0, "338d13a0ebbc2c3f20e7a305d64da680d8cdef52dbbe01c1b6c0da4d68e64482"),
+    "readme csv": (0, "1ea7c370581c9e5697a45cef6574ce7dcb3d88afcc7bbec4b1b961e597af76ec"),
+    "suit-face-d4 text": (0, "84680b1be3d4f42bf23e41bc3b06dced6b3ab6caad8f578dadbaeb9303047af7"),
+    "suit-face-d4 json": (0, "b529126257437cd225b3ed1a38983b09cb2a100bbbe6ffbbab127f02685e4245"),
+    "suit-face-d12 json": (0, "cf0f715484454cc2a47a8657d0ebd7c4fbb7d14a1cb9f9a4d44e38731bb4eb29"),
+    "suit-face-d12 csv": (0, "7b19f3308ca89615327fdd6744bda5b4edfcb860cd592253dba8ef35516b02f2"),
+    "twovalue text": (0, "2236b836b9e78cd2d6deb387ba40abe25d1557fc4f2a838a8b5ae375939a1b48"),
+    "twovalue csv": (0, "e2d2f80e42049180d9555e11365cc211bc74ba9d1d423f128c30ba16cdb5a5f0"),
+    "twovalue json": (0, "99a0ceb73554e9de4226de857cc073674115685af6c96f3dab73f4ab98ceeda3"),
+    "trials-1 text": (0, "088b732725464550aab11f1da3ab0a9aa36c516d7fe19e44c84ca7678114e2ac"),
+    "trials-1 json": (0, "18d1b243105fa39541977dbb54b346f90b1648bdd983c38984a3ec2724e969d3"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_SIMULATE))
+def test_simulate_stdout_is_byte_identical(capsys, key):
+    name, fmt = key.split()
+    code, digest = GOLDEN_SIMULATE[key]
+    assert cli.main(["simulate", *SIMULATE_REQUESTS[name], *SIMULATE_FORMATS[fmt]]) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest

@@ -65,55 +65,62 @@ class TestCounterStream:
             CounterStream(0, 0).uniform_index(0)
 
 
+def assert_matches_the_scalar_streams(seed, trials, sizes, state=None, draws=3):
+    """Every trial's draws and word count equal those of its scalar stream; returns the word counts."""
+    streams = CounterStreams(seed, trials)
+    indices = [streams.uniform_index(sizes, state) for _ in range(draws)]
+    words = streams.words
+    for j, trial in enumerate(trials):
+        n = sizes[0 if state is None else state[j]]
+        scalar = CounterStream(seed, trial)
+        assert [scalar.uniform_index(n) for _ in range(draws)] == [int(d[j]) for d in indices]
+        assert scalar.words == words[j]
+    return words
+
+
 class TestCounterStreams:
-    @pytest.mark.parametrize("n", [2**63 + 1, 2**63, 6])
+    @pytest.mark.parametrize("n", [1, 4, 6, 2**63, 2**63 + 1])
     def test_vector_draws_match_the_scalar_stream(self, n):
         # At n = 2**63 + 1 about half of all words are rejected, so the
         # redraw loop runs for many trials, often several times; 2**63 is a
         # power of two, whose limit 2**64 does not fit a uint64.
-        trials = np.arange(1500, dtype=np.uint64)
         for seed in (0, 99, 2**64 - 1):
-            streams = CounterStreams(seed, trials)
-            draws = [streams.uniform_index(np.full(len(trials), n, dtype=np.uint64)) for _ in range(2)]
-            words = streams.words
-            for trial in range(len(trials)):
-                scalar = CounterStream(seed, trial)
-                assert [scalar.uniform_index(n) for _ in range(2)] == [int(d[trial]) for d in draws]
-                assert scalar.words == words[trial]
+            words = assert_matches_the_scalar_streams(seed, range(1500), (n,), draws=2)
             if n == 2**63 + 1:
                 assert words.max() > 6
 
-    def test_pool_sizes_must_be_positive_one_per_trial(self):
-        streams = CounterStreams(0, np.arange(3))
-        for sizes in ([2, 0, 2], [2, 2]):
+    def test_invalid_draws_are_refused(self):
+        streams = CounterStreams(0, range(3))
+        for sizes, state in [
+            ((0,), None),  # a zero size
+            ((2, 0), np.array([0, 1, 0])),
+            ((2, 3), None),  # differing sizes, but no state ids
+            ((2, 3), np.array([0, 1])),  # not one state id per trial
+            ((2, 3), np.array([0, 2, 1])),  # a state id outside the table
+            ((2, 3), np.array([0, -1, 1])),
+        ]:
             with pytest.raises(ValueError):
-                streams.uniform_index(np.array(sizes))
+                streams.uniform_index(sizes, state)
+        assert (streams.words == 0).all()
 
-    @pytest.mark.parametrize("pool", [(1, 3, 2**63 + 1, 2**64 - 1), (1,)])
+    @pytest.mark.parametrize(
+        "pool",
+        [(1, 3, 2**63 + 1, 2**64 - 1), (1,), (1, 3, 4, 2**63, 2**63 + 1, 2**64 - 1), (1, 4, 2**63), (4, 2)],
+    )
     def test_the_layer_wide_bound_only_flags_suspects(self, pool):
-        # The largest pool size sets one bound for every trial, so it flags
-        # words that the small pools beside it must accept, and words that
-        # 2**63 + 1 and 2**64 - 1 reject.
-        trials = np.arange(1200, dtype=np.uint64) + 2**40
-        sizes = np.resize(np.array(pool, dtype=np.uint64), len(trials))
-        streams = CounterStreams(99, trials)
-        draws = [streams.uniform_index(sizes) for _ in range(3)]
-        words = streams.words
-        for j, n in enumerate(sizes.tolist()):
-            scalar = CounterStream(99, 2**40 + j)
-            assert [scalar.uniform_index(n) for _ in range(3)] == [int(d[j]) for d in draws]
-            assert scalar.words == words[j]
-        assert (words[sizes <= 3] == 3).all()
-        if len(pool) > 1:
-            assert words.max() > 3
+        # The smallest limit of the table sets one bound for every trial, so
+        # it flags words that the small pools beside it must accept, and
+        # words that 2**63 + 1 and 2**64 - 1 reject.  A table of powers of
+        # two rejects nothing.
+        trials = range(2**40, 2**40 + 1200)
+        state = np.arange(len(trials)) % len(pool)
+        words = assert_matches_the_scalar_streams(99, trials, pool, state)
+        assert (words[np.array(pool)[state] <= 4] == 3).all()
+        assert (words.max() > 3) == any(n > 2**62 and n & (n - 1) for n in pool)
 
     def test_each_trial_has_its_own_pool_size(self):
-        sizes = np.random.default_rng(0).integers(1, 60, 500).astype(np.uint64)
-        streams = CounterStreams(7, np.arange(500) + 10**6)
-        draws = [streams.uniform_index(sizes) for _ in range(3)]
-        for j, n in enumerate(sizes.tolist()):
-            scalar = CounterStream(7, 10**6 + j)
-            assert [scalar.uniform_index(n) for _ in range(3)] == [int(d[j]) for d in draws]
+        state = np.random.default_rng(0).integers(0, 59, 500)
+        assert_matches_the_scalar_streams(7, range(10**6, 10**6 + 500), tuple(range(1, 60)), state)
 
 
 class TestSimulate:
@@ -190,6 +197,23 @@ class TestSimulate:
         experiment = spade_check(threebox)
         reference = Counter(run_trial(experiment, 13, t) for t in range(trials))
         assert simulate(RunConfig(experiment, trials, 13)).counts == dict(reference)
+
+    def test_a_layer_mixing_a_power_of_two_pool_with_another_size(self):
+        # A face check on a 4-face deck leaves a suit pool of 2 cards after K
+        # and of 6 after not-K, so the second event masks some trials' words
+        # and takes others modulo 6 in one draw.
+        deck = validate_deck([("K", "S", 1), ("K", "D", 1), ("Q", "D", 1), ("Q", "H", 1),
+                              ("J", "H", 1), ("J", "C", 1), ("A", "C", 1), ("A", "S", 1)])
+        experiment = Experiment(
+            deck,
+            out(deck, "Suit", "S"),
+            (Manifestation("Face", "K"), Manifestation("Suit"), Manifestation("Face")),
+            postselection=(3, out(deck, "Face", "K")),
+        )
+        assert [event.pool_sizes for event in experiment.kernel.events] == [(6,), (6, 2), (6, 6, 6, 6)]
+        trials = CHUNK_TRIALS + 1
+        reference = Counter(run_trial(experiment, 19, t) for t in range(trials))
+        assert simulate(RunConfig(experiment, trials, 19)).counts == dict(reference)
 
     def test_experiments_longer_than_the_tree_cap(self, threebox):
         events = tuple(Manifestation(("Suit", "Face")[k % 2], ("S", None)[k % 2]) for k in range(12))

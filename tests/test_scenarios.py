@@ -1,5 +1,6 @@
 """Scenario reports: every claim checked, traces populated, diagnoses raised."""
 
+import dataclasses
 import inspect
 import math
 
@@ -138,9 +139,10 @@ def test_report_serialization_shape():
     payload = report.to_dict()
     assert payload["scenario"] == "counterfactual"
     assert payload["passed"] is True
-    assert {"description", "expected", "source", "mode", "computed", "passed"} <= set(
-        payload["claims"][0]
-    )
+    for claim, row in zip(report.claims, payload["claims"], strict=True):
+        assert list(row) == ["description", "expected", "source", "mode", "computed", "passed"]
+        assert row == dataclasses.asdict(claim)
+        assert row["computed"] is not claim.computed
     assert isinstance(payload["trace"], list)
 
 
