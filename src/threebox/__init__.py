@@ -40,7 +40,6 @@ _EXPORTS = {
     "exact": (
         "AllOf",
         "AnyOf",
-        "Branch",
         "Experiment",
         "MixtureState",
         "Negation",
@@ -48,7 +47,6 @@ _EXPORTS = {
         "Pattern",
         "acceptance_probability",
         "conditional_probability",
-        "enumerate_tree",
         "format_fraction",
         "leaf_distribution",
         "mixture_combine",
@@ -56,7 +54,6 @@ _EXPORTS = {
         "retrodict_exact",
         "single_step_probability",
         "tree_leaves",
-        "tree_report",
     ),
     "formulas": ("RetrodictionInputs", "retrodict_complete", "retrodict_partial"),
     "montecarlo": ("FrequencyTable", "RetrodictionEstimate", "RunConfig", "run_trial", "simulate"),

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 
 from .deck import format_cards
 from .deckfile import load_deck
-from .errors import ThreeBoxError
+from .errors import NoAcceptedTrialsError, ThreeBoxError
 from .exact import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
@@ -244,12 +244,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.query is not None:
         ordinal, outcome = parse_outcome_reference(deck, experiment.manifestations, args.query)
         if experiment.postselection is not None:
-            estimate = table.retrodiction(ordinal, outcome)
+            try:
+                estimate = table.retrodiction(ordinal, outcome)
+            except NoAcceptedTrialsError:  # a valid request whose run kept no trial
+                value = error = None
+            else:
+                value, error = format_float(estimate.estimate), format_float(estimate.standard_error)
             report["retrodiction"] = {
                 "outcome": str(outcome),
-                "estimate": format_float(estimate.estimate),
-                "standard_error": format_float(estimate.standard_error),
-                "accepted": estimate.accepted,
+                "estimate": value,
+                "standard_error": error,
+                "accepted": table.accepted,
             }
         else:
             frequency = table.marginal_frequency(ordinal, outcome)
@@ -262,7 +267,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         lines.append(f"accepted: {report['accepted']} (rate {report['acceptance_rate']})")
     if "retrodiction" in report:
         r = report["retrodiction"]
-        lines.append(f"retrodiction of {r['outcome']}: {r['estimate']} ± {r['standard_error']}")
+        if r["estimate"] is None:
+            lines.append(f"retrodiction of {r['outcome']}: undecided (no accepted trials)")
+        else:
+            lines.append(f"retrodiction of {r['outcome']}: {r['estimate']} ± {r['standard_error']}")
     if "marginal" in report:
         lines.append(f"frequency of {report['marginal']['outcome']}: {report['marginal']['frequency']}")
     _emit(report, args, "\n".join(lines))
@@ -448,9 +456,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The options whose value is a list of amplitudes, which may start with a minus sign.
+_AMPLITUDE_OPTIONS = ("--state", "--post", "--basis", "--alpha", "--beta")
+# How an amplitude list with a leading minus sign starts.
+_NEGATIVE_STARTS = frozenset("-" + c for c in "0123456789.")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """``argv`` with an amplitude option and a next token like ``-1,1`` joined as ``--state=-1,1``.
+
+    argparse reads a token that starts with ``-`` and is not a plain number
+    as an option, so it would refuse ``--state -1,1`` or ``--beta -0.8i``.
+    """
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] in _AMPLITUDE_OPTIONS and token[:2] in _NEGATIVE_STARTS:
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.handler(args)
     except ThreeBoxError as error:

@@ -62,8 +62,8 @@ class Value:
     its key.
 
     The hash is the key's, computed on first use and kept: hashing a state
-    hashes every card of its piles, and the kernel compiler builds a state
-    for every draw index but hashes one per outcome.  These are plain
+    hashes every card of its piles, and a state is looked up by value each
+    time the kernel compiler meets it again.  These are plain
     classes, not dataclasses, because creating a dataclass compiles
     generated source and needs ``dataclasses`` and ``inspect``, a cost that
     every fresh command-line call would pay at import.
@@ -249,9 +249,6 @@ class Deck(Value):
         if name == self.suit.name:
             return self.suit
         raise UnknownLabelError(f"unknown variable {name!r}; deck has {self.face.name!r} and {self.suit.name!r}")
-
-    def other_variable(self, name: str) -> Variable:
-        return self.suit if self.variable(name) is self.face else self.face
 
     def value(self, variable: str, label: str) -> CardValue:
         var = self.variable(variable)

@@ -12,10 +12,7 @@ kernel, each carrying the part of the pattern still open, in time linear in
 the event count for a given pattern.  ``tree_leaves`` lists every outcome
 sequence with its probability, walking the kernel rows and sharing the
 leaves below a state among every path that reaches it; only tree listings
-read it, so only they are capped at ``MAX_EVENTS``.  ``enumerate_tree``
-expands the same sequences into a tree of :class:`Branch` nodes, one node
-per path; it is the oracle that the forward pass and the walk are tested
-against.
+read it, so only they are capped at ``MAX_EVENTS``.
 
 The module also carries the deck's closed-form single-step probability
 (checkable against enumeration), and mixture states: weighted combinations
@@ -26,7 +23,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, ClassVar, Iterator, Sequence, TypeVar
+from typing import Callable, ClassVar, Sequence, TypeVar
 
 from .deck import Card, Deck, Manifestation, Outcome, SystemState, Value
 from .errors import (
@@ -145,43 +142,8 @@ class Experiment(Value):
 
 
 # ---------------------------------------------------------------------------
-# Branch trees
+# Leaf listings
 # ---------------------------------------------------------------------------
-
-
-class Branch(Value):
-    """One node of the enumeration tree.
-
-    ``outcomes`` is the outcome sequence down to this node and
-    ``probability`` the exact chance of that sequence; children cover every
-    outcome of the next manifestation, zero-probability ones included.
-    """
-
-    __slots__ = ("state", "outcomes", "probability", "children")
-
-    def __init__(
-        self,
-        state: SystemState,
-        outcomes: tuple[Outcome, ...],
-        probability: Fraction,
-        children: tuple[Branch, ...] = (),
-    ) -> None:
-        _set(self, "state", state)
-        _set(self, "outcomes", outcomes)
-        _set(self, "probability", probability)
-        _set(self, "children", children)
-        _set(self, "_key", (state, outcomes, probability, children))
-        _set(self, "_hash", None)
-
-    def leaves(self) -> Iterator["Branch"]:
-        """The leaves under this node, depth first in child order."""
-        pending = [self]
-        while pending:
-            node = pending.pop()
-            if node.children:
-                pending.extend(reversed(node.children))
-            else:
-                yield node
 
 
 def _check_tree_depth(experiment: Experiment) -> None:
@@ -191,34 +153,13 @@ def _check_tree_depth(experiment: Experiment) -> None:
         )
 
 
-def enumerate_tree(experiment: Experiment) -> Branch:
-    """Expand every outcome sequence of the experiment with exact probabilities.
-
-    Raises SequenceTooLongError beyond ``MAX_EVENTS`` events.
-    """
-    _check_tree_depth(experiment)
-    kernel = experiment.kernel
-
-    def expand(depth: int, s: int, outcomes: tuple[Outcome, ...], probability: Fraction) -> Branch:
-        state = kernel.layers[depth][s]
-        if depth == len(kernel.events):
-            return Branch(state, outcomes, probability)
-        children = tuple(
-            expand(depth + 1, t, outcomes + (outcome,), probability * p)
-            for outcome, p, t in kernel.events[depth].rows[s]
-        )
-        return Branch(state, outcomes, probability, children)
-
-    return expand(0, 0, (), Fraction(1))
-
-
 Key = TypeVar("Key", str, tuple)
 
 
 def tree_leaves(
     experiment: Experiment, unit: Callable[[int, Outcome], Key], empty: Key
 ) -> list[tuple[Key, int, int]]:
-    """Every leaf of the tree as ``(key, numerator, denominator)``, in the order of ``enumerate_tree``.
+    """Every leaf of the tree as ``(key, numerator, denominator)``, depth first in row order.
 
     A leaf's key is ``empty`` followed by ``unit(ordinal, outcome)`` for each
     outcome on its path, joined with ``+``; ``unit`` is called once per
@@ -274,16 +215,6 @@ def tree_header(experiment: Experiment) -> dict:
     if experiment.postselection is not None:
         ordinal, outcome = experiment.postselection
         report["postselection"] = {"ordinal": ordinal, "outcome": str(outcome)}
-    return report
-
-
-def tree_report(experiment: Experiment) -> dict:
-    """JSON-ready report: every leaf sequence with its exact probability."""
-    report = tree_header(experiment)
-    report["leaves"] = [
-        {"outcomes": list(key), "probability": f"{n}/{d}"}
-        for key, n, d in tree_leaves(experiment, lambda ordinal, outcome: (str(outcome),), ())
-    ]
     return report
 
 

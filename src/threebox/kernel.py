@@ -14,12 +14,16 @@ Rows and cells are plain tuples, the cells of ints, so compiling loads no
 numpy: the exact engine never needs it, and the walker turns an event's
 cells into arrays once per run (see :func:`threebox.montecarlo.simulate`).
 
-Every cell is one call of :func:`threebox.deck.observe`, and a row counts
-the cells that report its outcome, so the draw pools and the re-preparation
-rule are applied by the deck module alone.  A state met again at a later
-event reuses the transitions already derived for it, so a compile costs
-time linear in the event count once every reachable (state, manifestation)
-pair has been seen; the card machine has few reachable states.
+A cell is the outcome the state's pool card reports
+(:meth:`~threebox.deck.Manifestation.outcome_for` of its label), a row
+counts the cells that report its outcome, and every outcome's next state is
+:meth:`~threebox.deck.SystemState.after_report` of it, so the draw pools and
+the re-preparation rule are stated by the deck module alone.  Deriving a
+state's transitions costs time linear in its pool size, with one
+re-preparation per outcome.  A state met again at a later event reuses the
+transitions already derived for it, so a compile costs time linear in the
+event count once every reachable (state, manifestation) pair has been seen;
+the card machine has few reachable states.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .deck import Deck, Manifestation, Outcome, SystemState, observe, prepare
+from .deck import Deck, Manifestation, Outcome, SystemState, prepare
 from .errors import DrawOutOfRangeError
 
 # One row: the reported outcome, its exact probability, the next state's id.
@@ -102,37 +106,25 @@ def _derive(
     states: list[SystemState],
     ids: dict[SystemState, int],
 ) -> Transition:
-    """Observe ``state`` once per draw index and count the reports per outcome.
+    """Count the reports of the cards in ``state``'s pool per outcome.
 
-    An outcome no draw reports keeps its row, with probability zero and the
+    An outcome no card reports keeps its row, with probability zero and the
     state :meth:`SystemState.after_report` gives, so that enumeration can
     still list its branch.  New states are appended to ``states``.
     """
-
-    def intern(after: SystemState) -> int:
+    pool = state.pool_for(manifestation.variable)
+    if not pool:
+        raise DrawOutOfRangeError(f"draw pool for {manifestation} is empty")
+    deck, variable = state.deck, manifestation.variable
+    position = {outcome: k for k, outcome in enumerate(outcomes)}
+    # Each label's report, worked out once rather than once per card.
+    reported = {label: position[manifestation.outcome_for(label)] for label in deck.variable(variable).labels}
+    cells = tuple(reported[deck.label_of(card, variable)] for card in pool)
+    rows = []
+    for k, outcome in enumerate(outcomes):
+        after = state.after_report(outcome)
         g = ids.setdefault(after, len(states))
         if g == len(states):
             states.append(after)
-        return g
-
-    size = len(state.pool_for(manifestation.variable))
-    if not size:
-        raise DrawOutOfRangeError(f"draw pool for {manifestation} is empty")
-    position = {outcome: k for k, outcome in enumerate(outcomes)}
-    successors: list[int | None] = [None] * len(outcomes)
-    cells = []
-    for i in range(size):
-        outcome, after = observe(state, manifestation, lambda n, i=i: i)
-        k = position[outcome]
-        cells.append(k)
-        if successors[k] is None:
-            successors[k] = intern(after)
-    rows = tuple(
-        (
-            outcome,
-            Fraction(cells.count(k), size),
-            intern(state.after_report(outcome)) if successors[k] is None else successors[k],
-        )
-        for k, outcome in enumerate(outcomes)
-    )
-    return tuple(cells), rows
+        rows.append((outcome, Fraction(cells.count(k), len(pool)), g))
+    return cells, tuple(rows)

@@ -105,9 +105,6 @@ class FrequencyTable:
             return self.trials
         return self.count(OutcomeAt(*self.experiment.postselection))
 
-    def frequency(self, outcomes: tuple[Outcome, ...]) -> float:
-        return self.counts.get(outcomes, 0) / self.trials
-
     def marginal_frequency(self, ordinal: int, outcome: Outcome) -> float:
         """Empirical chance that the event at ``ordinal`` reported ``outcome``."""
         self.experiment.check_outcome_at(ordinal, outcome, "query")

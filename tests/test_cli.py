@@ -370,6 +370,35 @@ class TestQuantum:
         code, out, _ = run(capsys, "quantum", "born", "--state", state, "--post", "1,0")
         assert (code, out) == (0, "0.5\n")
 
+    @pytest.mark.parametrize(
+        "apart, joined",
+        [
+            ("born --state -1,1 --post 1,0", "born --state=-1,1 --post 1,0"),
+            ("born --state 1,1 --post -.6,0.8", "born --state 1,1 --post=-.6,0.8"),
+            (
+                "abl-partial --state -1,-1,-1 --post 1,1,-1 --index 0",
+                "abl-partial --state=-1,-1,-1 --post 1,1,-1 --index 0",
+            ),
+            (
+                "abl-complete --state 1,1,1 --post -1,1,-1 --index 2 --basis -1,0,0;0,1,0;0,0,1",
+                "abl-complete --state 1,1,1 --post=-1,1,-1 --index 2 --basis=-1,0,0;0,1,0;0,0,1",
+            ),
+            ("condition --state 1,1,1 --post -1,-1,1", "condition --state 1,1,1 --post=-1,-1,1"),
+            ("aad --alpha 0.6 --beta -0.8i", "aad --alpha 0.6 --beta=-0.8i"),
+            ("aad --alpha -0.6 --beta 0.8 --json", "aad --alpha=-0.6 --beta 0.8 --json"),
+        ],
+    )
+    def test_a_negative_amplitude_may_be_a_separate_argument(self, capsys, apart, joined):
+        printed = run(capsys, "quantum", *apart.split())
+        assert printed == run(capsys, "quantum", *joined.split())
+        assert printed[0] == 0 and printed[1]
+
+    def test_an_option_is_not_read_as_an_amplitude(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["quantum", "born", "--state", "--post", "1,0"])
+        assert exit_.value.code == 2
+        assert "argument --state: expected one argument" in capsys.readouterr().err
+
     def test_unnormalizable_state_exits_2(self, capsys):
         code, _, err = run(capsys, "quantum", "born", "--state", "0,0", "--post", "1,0")
         assert code == 2

@@ -248,8 +248,8 @@ def alternating(depth: int) -> list[str]:
 
 # ``threebox simulate`` requests at seed 42: the README request, complete
 # Suit/Face events at depth 4 (one array of counts) and 12 (merged chunk
-# tallies), the two-value deck, whose pools hold 3 cards, and one trial
-# (no query: one trial at seed 42 is not accepted).
+# tallies), the two-value deck, whose pools hold 3 cards, and one trial,
+# which at seed 42 is not accepted, without and with a query.
 SIMULATE_REQUESTS = {
     "readme": [*README_EXPERIMENT, "--query", "Suit=S", "--trials", "100000", "--seed", "42"],
     "suit-face-d4": [
@@ -262,6 +262,7 @@ SIMULATE_REQUESTS = {
         "--postselect", "Face=K", "--query", "Suit=S", "--trials", "100000", "--seed", "42",
     ],
     "trials-1": [*README_EXPERIMENT, "--trials", "1", "--seed", "42"],
+    "trials-1-query": [*README_EXPERIMENT, "--query", "Suit=S", "--trials", "1", "--seed", "42"],
 }
 SIMULATE_FORMATS = {"text": [], "json": ["--json"], "csv": ["--csv"]}
 
@@ -280,6 +281,11 @@ GOLDEN_SIMULATE = {
     "twovalue json": (0, "99a0ceb73554e9de4226de857cc073674115685af6c96f3dab73f4ab98ceeda3"),
     "trials-1 text": (0, "088b732725464550aab11f1da3ab0a9aa36c516d7fe19e44c84ca7678114e2ac"),
     "trials-1 json": (0, "18d1b243105fa39541977dbb54b346f90b1648bdd983c38984a3ec2724e969d3"),
+    # Recorded when a run with no accepted trial began to report its query as
+    # undecided; until then the request exited 2.
+    "trials-1-query text": (0, "75b623e45207ae6e798dddbbbbc129064f79d5d1a18b5f4ca73ef9c85e8edbdc"),
+    "trials-1-query json": (0, "59e8d9aa9c2ada6c2dc85482b1babbb55e57325e89c0afe7b9055625a37846d2"),
+    "trials-1-query csv": (0, "f3f7f77f7cb2496c87b58a146049e749c7f235309cec13763901ef62a54ff515"),
 }
 
 

@@ -51,15 +51,15 @@ ABL_PARTIAL = ["quantum", "abl-partial", "--state", "1,1,1", "--post", "1,1,-1",
 QUANTUM = ["threebox.quantum"]
 
 # Every name the package exported when it imported all of its modules eagerly, by module,
-# less the projector algebra that only tests used.
+# less the projector algebra and the branch-tree oracle that only tests used.
 EXPORTS = {
     "deck": "Card CardValue Deck Manifestation Outcome SystemState Variable format_cards observe prepare "
     "step_distribution validate_deck",
     "deckfile": "load_deck parse_deck save_deck serialize_deck",
     "decks": "three_box_deck two_value_deck",
-    "exact": "AllOf AnyOf Branch Experiment MixtureState Negation OutcomeAt Pattern acceptance_probability "
-    "conditional_probability enumerate_tree format_fraction leaf_distribution mixture_combine probability "
-    "retrodict_exact single_step_probability tree_leaves tree_report",
+    "exact": "AllOf AnyOf Experiment MixtureState Negation OutcomeAt Pattern acceptance_probability "
+    "conditional_probability format_fraction leaf_distribution mixture_combine probability "
+    "retrodict_exact single_step_probability tree_leaves",
     "formulas": "RetrodictionInputs retrodict_complete retrodict_partial",
     "montecarlo": "FrequencyTable RetrodictionEstimate RunConfig run_trial simulate",
     "quantum": "QState SlitGeometry abl_complete abl_partial aad_analysis born_probability three_box_pair "
@@ -104,7 +104,7 @@ def test_simulate_loads_numpy():
 
 
 def test_every_export_is_the_defining_modules_object():
-    assert len(NAMES) == 58
+    assert len(NAMES) == 55
     for module, name in NAMES:
         assert getattr(threebox, name) is getattr(importlib.import_module(f"threebox.{module}"), name), name
 

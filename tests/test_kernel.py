@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import enumerate_tree
 from test_deck import balanced_decks
+from threebox import deck as deck_module
 from threebox import exact
-from threebox.deck import CardValue, Manifestation, Outcome, observe, prepare, step_distribution
+from threebox.deck import CardValue, Manifestation, Outcome, observe, prepare, step_distribution, validate_deck
 from threebox.errors import UndefinedConditionalError
 from threebox.exact import (
     AllOf,
@@ -18,7 +20,6 @@ from threebox.exact import (
     OutcomeAt,
     acceptance_probability,
     conditional_probability,
-    enumerate_tree,
     leaf_distribution,
     parse_manifestation,
     probability,
@@ -142,6 +143,21 @@ def test_forward_queries_equal_the_leaf_sums_of_the_enumeration(experiment, data
                 continue
             hits = leaf_sum(leaves, lambda seq: seq[ps_ordinal - 1] == ps_outcome and seq[ordinal - 1] == outcome)
             assert retrodict_exact(experiment, ordinal, outcome) == hits / accepted
+
+
+def test_compile_cost_does_not_grow_with_the_deck_size(monkeypatch):
+    """A transition re-prepares the deck once per outcome, not once per card of the pool."""
+    calls = []
+    original = deck_module.prepare
+    monkeypatch.setattr(deck_module, "prepare", lambda *args: calls.append(args) or original(*args))
+    counts = []
+    for copies in (1, 1000):
+        deck = validate_deck([(face, suit, copies) for face in "KQ" for suit in "SH"])
+        events = (Manifestation("Suit"), Manifestation("Face"), Manifestation("Suit", "S"))
+        calls.clear()
+        Experiment(deck, out(deck, "Face", "Q"), events).kernel
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_the_three_box_deck_has_few_reachable_states(threebox):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from oracles import enumerate_tree
 from test_kernel import experiments
 from threebox import cli
 from threebox.deck import Manifestation, Outcome, validate_deck
@@ -18,13 +19,12 @@ from threebox.exact import (
     Experiment,
     OutcomeAt,
     acceptance_probability,
-    enumerate_tree,
     experiment_from_options,
     format_fraction,
     leaf_distribution,
     probability,
+    tree_header,
     tree_leaves,
-    tree_report,
 )
 
 
@@ -45,23 +45,17 @@ def test_walk_leaves_equal_the_enumerated_leaves_in_order(experiment):
     spelled = tree_leaves(experiment, lambda ordinal, outcome: f"{outcome};", "")
     assert [key for key, _, _ in spelled] == ["".join(f"{o};" for o in outcomes) for outcomes, _ in oracle]
     assert leaf_distribution(experiment) == dict(oracle)
-    assert tree_report(experiment)["leaves"] == [
-        {"outcomes": [str(o) for o in outcomes], "probability": format_fraction(p)} for outcomes, p in oracle
-    ]
 
 
 def test_a_zero_event_tree_has_one_certain_leaf(threebox):
     experiment = Experiment(threebox, out(threebox, "Face", "Q"))
     assert tree_leaves(experiment, lambda ordinal, outcome: (outcome,), ()) == [((), 1, 1)]
     assert [leaf.outcomes for leaf in enumerate_tree(experiment).leaves()] == [()]
-    assert tree_report(experiment)["leaves"] == [{"outcomes": [], "probability": "1/1"}]
 
 
 def test_every_tree_consumer_keeps_the_event_cap(threebox):
     experiment = Experiment(threebox, out(threebox, "Face", "Q"), (Manifestation("Suit"),) * 9)
     for consume in (
-        enumerate_tree,
-        tree_report,
         leaf_distribution,
         lambda e: tree_leaves(e, lambda ordinal, outcome: (outcome,), ()),
     ):
@@ -94,7 +88,7 @@ def test_tree_output_equals_the_report_dumped_whole(capsys, escaping_deck_file, 
     deck, path = escaping_deck_file
     postselect = [f"{len(events)}:Face=é"] if events and events[-1].startswith("Face") else []
     experiment = experiment_from_options(deck, 'Face="', events, *postselect)
-    report = tree_report(experiment)
+    report = tree_header(experiment)
     report["leaves"] = [  # from the oracle, so the walk is not compared with itself
         {"outcomes": [str(o) for o in leaf.outcomes], "probability": format_fraction(leaf.probability)}
         for leaf in enumerate_tree(experiment).leaves()

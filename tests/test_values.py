@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import Branch
 from test_deck import balanced_decks
 from threebox import exact
 from threebox.deck import Card, CardValue, Deck, Manifestation, Outcome, SystemState, Variable, observe, prepare
@@ -19,7 +20,7 @@ from threebox.errors import (
     UnknownLabelError,
     WeightsNotNormalizedError,
 )
-from threebox.exact import AllOf, AnyOf, Branch, Experiment, MixtureState, Negation, OutcomeAt
+from threebox.exact import AllOf, AnyOf, Experiment, MixtureState, Negation, OutcomeAt
 from threebox.formulas import RetrodictionInputs
 from threebox.quantum import SlitGeometry, three_slit_design
 
