@@ -22,7 +22,6 @@ __version__ = "0.1.0"
 # Every exported name, by the module that defines it.
 _EXPORTS = {
     "deck": (
-        "Card",
         "CardValue",
         "Deck",
         "Manifestation",

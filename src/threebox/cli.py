@@ -185,7 +185,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         "cards": deck.size,
         "values_per_variable": deck.values_per_variable,
         "copies_per_value": deck.copies_per_value,
-        "deck": format_cards(deck.cards),
+        "deck": format_cards(deck.cells, deck.counts),
     }
     text = (
         f"valid deck: {{{report['deck']}}} "
@@ -467,10 +467,13 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
     argparse reads a token that starts with ``-`` and is not a plain number
     as an option, so it would refuse ``--state -1,1`` or ``--beta -0.8i``.
+    As argparse allows, the option may be abbreviated to a prefix of just
+    one of their names, such as ``--stat``.
     """
     joined: list[str] = []
     for token in argv:
-        if joined and joined[-1] in _AMPLITUDE_OPTIONS and token[:2] in _NEGATIVE_STARTS:
+        option = joined[-1] if joined and joined[-1].startswith("--") else ""
+        if token[:2] in _NEGATIVE_STARTS and sum(name.startswith(option) for name in _AMPLITUDE_OPTIONS) == 1:
             joined[-1] += "=" + token
         else:
             joined.append(token)

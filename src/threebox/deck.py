@@ -24,12 +24,13 @@ single transition rule can serve both the exact enumerator and the Monte
 Carlo sampler.  Randomness is injected as a draw source: a callable mapping a
 pool size ``n`` to an index in ``[0, n)`` into the pool's canonical card
 sequence (cards sorted by face label, then suit label).
+A deck and its piles are stored as counts, one per distinct (face, suit)
+pair, so no operation here costs time in the number of cards.
 """
 
 from __future__ import annotations
 
-import functools
-from collections import Counter
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -43,9 +44,13 @@ from .errors import (
 
 DrawSource = Callable[[int], int]
 
-# The most cards a deck may hold.  The card list is built in full, so larger
-# totals are refused before any of it is allocated.
+# The most cards a deck may hold.  A deck is stored as counts, but the Monte
+# Carlo sampler gathers each draw from dense tables holding one entry per card
+# of every pool, so a larger deck would need larger tables.
 MAX_CARDS = 1_000_000
+
+# The characters the deck file and the command-line syntax give a meaning to.
+_RESERVED = "~=?:,;#"
 
 
 _set = object.__setattr__
@@ -62,8 +67,8 @@ class Value:
     its key.
 
     The hash is the key's, computed on first use and kept: hashing a state
-    hashes every card of its piles, and a state is looked up by value each
-    time the kernel compiler meets it again.  These are plain
+    hashes its deck and its pile counts, and a state is looked up by value
+    each time the kernel compiler meets it again.  These are plain
     classes, not dataclasses, because creating a dataclass compiles
     generated source and needs ``dataclasses`` and ``inspect``, a cost that
     every fresh command-line call would pay at import.
@@ -96,28 +101,6 @@ class Value:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
-
-
-@functools.total_ordering
-class Card(Value):
-    """One card: a face label paired with a suit label, ordered by (face, suit)."""
-
-    __slots__ = ("face", "suit")
-
-    def __init__(self, face: str, suit: str) -> None:
-        _set(self, "face", face)
-        _set(self, "suit", suit)
-        _set(self, "_key", (face, suit))
-        _set(self, "_hash", None)
-
-    def __lt__(self, other: Card) -> bool:
-        if other.__class__ is self.__class__:
-            return self._key < other._key
-        return NotImplemented
-
-    def __str__(self) -> str:
-        sep = "" if len(self.face) == 1 and len(self.suit) == 1 else "·"
-        return f"{self.face}{sep}{self.suit}"
 
 
 class Variable(Value):
@@ -218,30 +201,39 @@ class Manifestation(Value):
 
 
 class Deck(Value):
-    """A validated deck: two variables and a canonical card multiset.
+    """A validated deck: two variables and how many cards of each kind it holds.
 
-    ``cards`` lists every card with repetition, sorted by (face, suit); a
-    uniform draw is an index into such a sequence.  Every value of every
-    variable appears exactly ``copies_per_value`` times, both variables have
-    ``values_per_variable`` values, so the deck holds their product.
+    ``cells`` lists the distinct (face label, suit label) pairs, sorted by
+    face label, then suit label, and ``counts`` how many cards of each the
+    deck holds; a uniform draw is an index into the card sequence that lists
+    each cell's cards in that order.  Every value of every variable appears
+    ``copies_per_value`` times, so the deck holds that times
+    ``values_per_variable`` cards.
     """
 
-    __slots__ = ("face", "suit", "cards", "values_per_variable", "copies_per_value")
+    __slots__ = ("face", "suit", "cells", "counts")
 
     def __init__(
-        self, face: Variable, suit: Variable, cards: tuple[Card, ...], values_per_variable: int, copies_per_value: int
+        self, face: Variable, suit: Variable, cells: tuple[tuple[str, str], ...], counts: tuple[int, ...]
     ) -> None:
         _set(self, "face", face)
         _set(self, "suit", suit)
-        _set(self, "cards", cards)
-        _set(self, "values_per_variable", values_per_variable)
-        _set(self, "copies_per_value", copies_per_value)
-        _set(self, "_key", (face, suit, cards, values_per_variable, copies_per_value))
+        _set(self, "cells", cells)
+        _set(self, "counts", counts)
+        _set(self, "_key", (face, suit, cells, counts))
         _set(self, "_hash", None)
 
     @property
     def size(self) -> int:
-        return len(self.cards)
+        return sum(self.counts)
+
+    @property
+    def values_per_variable(self) -> int:
+        return len(self.face.labels)
+
+    @property
+    def copies_per_value(self) -> int:
+        return self.size // self.values_per_variable
 
     def variable(self, name: str) -> Variable:
         if name == self.face.name:
@@ -250,19 +242,26 @@ class Deck(Value):
             return self.suit
         raise UnknownLabelError(f"unknown variable {name!r}; deck has {self.face.name!r} and {self.suit.name!r}")
 
-    def value(self, variable: str, label: str) -> CardValue:
+    def check_label(self, variable: str, label: str) -> None:
+        """Raise UnknownLabelError unless ``label`` is a value of ``variable``."""
         var = self.variable(variable)
         if label not in var.labels:
             raise UnknownLabelError(f"variable {var.name!r} has no value {label!r} (values: {', '.join(var.labels)})")
-        return CardValue(var.name, label)
 
-    def label_of(self, card: Card, variable: str) -> str:
-        return card.face if self.variable(variable) is self.face else card.suit
+    def value(self, variable: str, label: str) -> CardValue:
+        self.check_label(variable, label)
+        return CardValue(variable, label)
+
+    def column(self, variable: str) -> tuple[str, ...]:
+        """Each cell's label for ``variable``, in canonical order."""
+        k = 0 if self.variable(variable) is self.face else 1
+        return tuple(cell[k] for cell in self.cells)
 
     def joint_count(self, face_label: str, suit_label: str) -> int:
-        self.value(self.face.name, face_label)
-        self.value(self.suit.name, suit_label)
-        return self.cards.count(Card(face_label, suit_label))
+        self.check_label(self.face.name, face_label)
+        self.check_label(self.suit.name, suit_label)
+        i = bisect_left(self.cells, (face_label, suit_label))
+        return self.counts[i] if self.cells[i : i + 1] == ((face_label, suit_label),) else 0
 
     def joint_count_for(self, a: CardValue, b: CardValue) -> int:
         """Joint count for one value of each variable, in either order."""
@@ -272,10 +271,10 @@ class Deck(Value):
         suit_label = b.label if self.variable(a.variable) is self.face else a.label
         return self.joint_count(face_label, suit_label)
 
-    def matching(self, target: Outcome) -> tuple[Card, ...]:
-        """Cards satisfying the assertion, in canonical order."""
-        self.value(target.variable, target.value.label)
-        return tuple(c for c in self.cards if target.matches(self.label_of(c, target.variable)))
+    def matching(self, target: Outcome) -> tuple[int, ...]:
+        """How many cards of each cell satisfy the assertion."""
+        self.check_label(target.variable, target.value.label)
+        return tuple(n if target.matches(label) else 0 for label, n in zip(self.column(target.variable), self.counts))
 
     def scaled(self, factor: int) -> Deck:
         """The same schema with every multiplicity multiplied by ``factor``."""
@@ -283,40 +282,50 @@ class Deck(Value):
             raise InvalidArgumentsError("scale factor must be a positive integer")
         if factor == 1:
             return self
-        return Deck(
-            face=self.face,
-            suit=self.suit,
-            cards=tuple(sorted(self.cards * factor)),
-            values_per_variable=self.values_per_variable,
-            copies_per_value=self.copies_per_value * factor,
-        )
+        return Deck(self.face, self.suit, self.cells, tuple(n * factor for n in self.counts))
 
     def __str__(self) -> str:
-        return "{" + format_cards(self.cards) + "}"
+        return "{" + format_cards(self.cells, self.counts) + "}"
 
 
 class SystemState(Value):
     """Complete internal state: the [These | Others] partition plus memory.
 
-    ``these`` and ``others`` are canonical card sequences whose multiset
-    union is the whole deck; ``memory`` names the last-observed (or
-    last-prepared) variable and selects the draw pool for the next event.
+    ``these`` counts the cards of each of the deck's cells that lie in
+    ``These``; the rest of the deck is ``Others`` (see :attr:`others`).
+    ``memory`` names the last-observed (or last-prepared) variable and
+    selects the draw pool for the next event.
     """
 
-    __slots__ = ("deck", "these", "others", "memory")
+    __slots__ = ("deck", "these", "memory")
 
-    def __init__(self, deck: Deck, these: tuple[Card, ...], others: tuple[Card, ...], memory: str) -> None:
+    def __init__(self, deck: Deck, these: tuple[int, ...], memory: str) -> None:
         deck.variable(memory)
         _set(self, "deck", deck)
         _set(self, "these", these)
-        _set(self, "others", others)
         _set(self, "memory", memory)
-        _set(self, "_key", (deck, these, others, memory))
+        _set(self, "_key", (deck, these, memory))
         _set(self, "_hash", None)
 
-    def pool_for(self, variable: str) -> tuple[Card, ...]:
-        """The pool the next observation of ``variable`` would draw from."""
+    @property
+    def others(self) -> tuple[int, ...]:
+        """How many cards of each cell lie in ``Others``: the deck's counts less ``these``."""
+        return tuple(n - t for n, t in zip(self.deck.counts, self.these))
+
+    def pool_for(self, variable: str) -> tuple[int, ...]:
+        """The counts of the pool the next observation of ``variable`` would draw from."""
         return self.these if self.memory == self.deck.variable(variable).name else self.others
+
+    def draw_pool(self, manifestation: Manifestation) -> tuple[tuple[str, ...], tuple[int, ...], int]:
+        """Each cell's label for the observed variable, the pool's counts, and the pool size, never zero."""
+        deck, variable = self.deck, manifestation.variable
+        if manifestation.partial_on is not None:
+            deck.check_label(variable, manifestation.partial_on)
+        pool = self.pool_for(variable)
+        size = sum(pool)
+        if not size:
+            raise DrawOutOfRangeError(f"draw pool for {manifestation} is empty")
+        return deck.column(variable), pool, size
 
     def after_report(self, outcome: Outcome) -> SystemState:
         """The state once an observation has reported ``outcome``.
@@ -344,16 +353,17 @@ class SystemState(Value):
         return None
 
     def __str__(self) -> str:
-        return f"[{format_cards(self.these)} | {format_cards(self.others)}]"
+        cells = self.deck.cells
+        return f"[{format_cards(cells, self.these)} | {format_cards(cells, self.others)}]"
 
 
-def format_cards(cards: Sequence[Card]) -> str:
-    """Render a card multiset in the compact ``(2)KH, QS, ...`` notation."""
-    counts = Counter(cards)
+def format_cards(cells: Sequence[tuple[str, str]], counts: Sequence[int]) -> str:
+    """Render ``counts[i]`` cards of each ``cells[i]``, in order, as ``(2)KH, QS, ...``; empty cells are left out."""
     parts = []
-    for card in sorted(counts):
-        n = counts[card]
-        parts.append(str(card) if n == 1 else f"({n}){card}")
+    for (face, suit), n in zip(cells, counts):
+        if n:
+            card = f"{face}{suit}" if len(face) == 1 and len(suit) == 1 else f"{face}·{suit}"
+            parts.append(card if n == 1 else f"({n}){card}")
     return ", ".join(parts)
 
 
@@ -370,14 +380,18 @@ def validate_deck(
     Enforces the deck discipline: at least one card, positive multiplicities,
     and every value of every variable appearing equally often (so all values
     are a priori equally likely).  Value label order may be declared
-    explicitly; otherwise it is the order of first appearance.
+    explicitly; otherwise it is the order of first appearance.  Entries for
+    the same card add up.  Every variable name and value label must be
+    non-empty and hold no whitespace and none of ``~ = ? : , ; #``, so that
+    the deck file and the command-line syntax can spell it back.
 
     Raises:
         EmptyDeckError: no cards at all.
         UnequalValueCountsError: some value appears more often than another.
         UnknownLabelError: a card uses a label outside the declared schema.
-        InvalidArgumentsError: nonpositive multiplicity, clashing names, or
-            more than ``MAX_CARDS`` cards in total.
+        InvalidArgumentsError: nonpositive multiplicity, clashing names, a
+            name or label that breaks the rule above, or more than
+            ``MAX_CARDS`` cards in total.
     """
     if face_name == suit_name:
         raise InvalidArgumentsError("the two variables must have distinct names")
@@ -388,9 +402,9 @@ def validate_deck(
     if total > MAX_CARDS:
         raise InvalidArgumentsError(f"the deck lists {total} cards; at most {MAX_CARDS} are allowed")
 
-    cards: list[Card] = []
     face_seen: list[str] = list(face_labels) if face_labels is not None else []
     suit_seen: list[str] = list(suit_labels) if suit_labels is not None else []
+    counts: dict[tuple[str, str], int] = {}
     for face_label, suit_label, multiplicity in entries:
         if multiplicity <= 0:
             raise InvalidArgumentsError(
@@ -404,25 +418,24 @@ def validate_deck(
             face_seen.append(face_label)
         if suit_label not in suit_seen:
             suit_seen.append(suit_label)
-        cards.extend([Card(face_label, suit_label)] * multiplicity)
+        counts[(face_label, suit_label)] = counts.get((face_label, suit_label), 0) + multiplicity
+    for text in (face_name, suit_name, *face_seen, *suit_seen):
+        if not text or any(c.isspace() or c in _RESERVED for c in text):
+            raise InvalidArgumentsError(f"name or label {text!r} must be non-empty, with no whitespace or {_RESERVED}")
 
-    counts: list[tuple[str, int]] = []
-    for label in face_seen:
-        counts.append((label, sum(1 for c in cards if c.face == label)))
-    for label in suit_seen:
-        counts.append((label, sum(1 for c in cards if c.suit == label)))
-    reference_label, reference_count = counts[0]
-    for label, count in counts[1:]:
+    face_totals, suit_totals = dict.fromkeys(face_seen, 0), dict.fromkeys(suit_seen, 0)
+    for (face_label, suit_label), n in counts.items():
+        face_totals[face_label] += n
+        suit_totals[suit_label] += n
+    totals = [*face_totals.items(), *suit_totals.items()]
+    reference_label, reference_count = totals[0]
+    for label, count in totals[1:]:
         if count != reference_count:
             raise UnequalValueCountsError(label, count, reference_label, reference_count)
 
-    return Deck(
-        face=Variable(face_name, tuple(face_seen)),
-        suit=Variable(suit_name, tuple(suit_seen)),
-        cards=tuple(sorted(cards)),
-        values_per_variable=len(face_seen),
-        copies_per_value=reference_count,
-    )
+    cells = tuple(sorted(counts))
+    face, suit = Variable(face_name, tuple(face_seen)), Variable(suit_name, tuple(suit_seen))
+    return Deck(face, suit, cells, tuple(counts[cell] for cell in cells))
 
 
 def prepare(deck: Deck, target: Outcome) -> SystemState:
@@ -431,16 +444,10 @@ def prepare(deck: Deck, target: Outcome) -> SystemState:
     Every card satisfying the target goes to ``These``, the remainder to
     ``Others``, and the memory records the target's variable.
     """
-    variable = deck.variable(target.variable)
-    deck.value(variable.name, target.value.label)
-    by_face = variable is deck.face
-    these: list[Card] = []
-    others: list[Card] = []
-    for card in deck.cards:
-        (these if target.matches(card.face if by_face else card.suit) else others).append(card)
-    if not these:
+    these = deck.matching(target)
+    if not any(these):
         raise InvalidArgumentsError(f"preparation {target} matches no card in the deck")
-    return SystemState(deck=deck, these=tuple(these), others=tuple(others), memory=variable.name)
+    return SystemState(deck=deck, these=these, memory=target.variable)
 
 
 def observe(
@@ -456,19 +463,18 @@ def observe(
     re-prepared for whatever outcome was reported, negations included.
 
     ``draw`` is called once with the pool size and must return an index into
-    the pool's canonical card sequence.
+    the pool's canonical card sequence: index ``i`` names the first cell
+    whose running count in the pool exceeds ``i``.
     """
-    deck = state.deck
-    variable = deck.variable(manifestation.variable).name
-    if manifestation.partial_on is not None:
-        deck.value(variable, manifestation.partial_on)
-    pool = state.pool_for(variable)
-    if not pool:
-        raise DrawOutOfRangeError(f"draw pool for {manifestation} is empty")
-    index = draw(len(pool))
-    if not 0 <= index < len(pool):
-        raise DrawOutOfRangeError(f"draw index {index} outside pool of size {len(pool)}")
-    outcome = manifestation.outcome_for(deck.label_of(pool[index], variable))
+    column, pool, size = state.draw_pool(manifestation)
+    index = draw(size)
+    if not 0 <= index < size:
+        raise DrawOutOfRangeError(f"draw index {index} outside pool of size {size}")
+    for label, n in zip(column, pool):
+        index -= n
+        if index < 0:
+            break
+    outcome = manifestation.outcome_for(label)
     return outcome, state.after_report(outcome)
 
 
@@ -479,16 +485,8 @@ def step_distribution(state: SystemState, manifestation: Manifestation) -> dict[
     probability (matching cards in the selected pool) / (pool size); the
     values always sum to exactly one.
     """
-    deck = state.deck
-    variable = deck.variable(manifestation.variable).name
-    if manifestation.partial_on is not None:
-        deck.value(variable, manifestation.partial_on)
-    pool = state.pool_for(variable)
-    if not pool:
-        raise DrawOutOfRangeError(f"draw pool for {manifestation} is empty")
-    labels = [deck.label_of(card, variable) for card in pool]
-    distribution: dict[Outcome, Fraction] = {}
-    for outcome in manifestation.outcomes(deck):
-        matching = sum(1 for label in labels if outcome.matches(label))
-        distribution[outcome] = Fraction(matching, len(pool))
-    return distribution
+    column, pool, size = state.draw_pool(manifestation)
+    return {
+        outcome: Fraction(sum(n for label, n in zip(column, pool) if outcome.matches(label)), size)
+        for outcome in manifestation.outcomes(state.deck)
+    }

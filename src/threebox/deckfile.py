@@ -29,7 +29,7 @@ def parse_deck(text: str) -> Deck:
             continue
         keyword, _, rest = line.partition(" ")
         if keyword == "variable":
-            name, sep, labels = rest.partition(":")
+            name, sep, labels = rest.rpartition(":")
             if not sep or not name.strip() or not labels.split():
                 raise DeckFileError(f"line {lineno}: expected 'variable <name>: <label> ...'")
             if len(variables) == 2:

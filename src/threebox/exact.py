@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 from typing import Callable, ClassVar, Sequence, TypeVar
 
-from .deck import Card, Deck, Manifestation, Outcome, SystemState, Value
+from .deck import Deck, Manifestation, Outcome, SystemState, Value
 from .errors import (
     InvalidArgumentsError,
     SequenceTooLongError,
@@ -79,11 +79,11 @@ class Experiment(Value):
         manifestations: tuple[Manifestation, ...] = (),
         postselection: tuple[int, Outcome] | None = None,
     ) -> None:
-        deck.value(preparation.variable, preparation.value.label)
+        deck.check_label(preparation.variable, preparation.value.label)
         for m in manifestations:
             deck.variable(m.variable)
             if m.partial_on is not None:
-                deck.value(m.variable, m.partial_on)
+                deck.check_label(m.variable, m.partial_on)
         _set(self, "deck", deck)
         _set(self, "preparation", preparation)
         _set(self, "manifestations", manifestations)
@@ -109,7 +109,7 @@ class Experiment(Value):
         if m.partial_on is None:
             if outcome.negated:
                 raise InvalidArgumentsError(f"complete observation at ordinal {ordinal} never reports {outcome}")
-            self.deck.value(outcome.variable, outcome.value.label)
+            self.deck.check_label(outcome.variable, outcome.value.label)
         elif outcome.value.label != m.partial_on:
             raise InvalidArgumentsError(
                 f"partial observation {m} at ordinal {ordinal} reports only {m.partial_on} or ~{m.partial_on}"
@@ -434,8 +434,8 @@ def single_step_probability(deck: Deck, preparation: Outcome, outcome: Outcome) 
     A negated outcome ~v has the complementary chance 1 - Pr[v].  Raises
     UnknownLabelError when either label is not on the deck.
     """
-    deck.value(preparation.variable, preparation.value.label)
-    deck.value(outcome.variable, outcome.value.label)
+    deck.check_label(preparation.variable, preparation.value.label)
+    deck.check_label(outcome.variable, outcome.value.label)
     n = deck.copies_per_value
     v = deck.values_per_variable
     same_variable = preparation.variable == outcome.variable
@@ -478,8 +478,8 @@ def mixture_combine(mixture: MixtureState) -> SystemState:
     """Merge a mixture into one enlarged [These | Others] partition.
 
     Components are scaled by weight times the least common multiple of the
-    weight denominators (keeping multiplicities integral) and their piles
-    merged; the result lives on the correspondingly scaled deck.  For
+    weight denominators (keeping multiplicities integral) and their pile
+    counts added; the result lives on the correspondingly scaled deck.  For
     components with equal-size These piles (e.g. value preparations of one
     variable) the merged state's step distributions equal the weighted
     average of the component step distributions.
@@ -494,18 +494,11 @@ def mixture_combine(mixture: MixtureState) -> SystemState:
     scale = math.lcm(*(weight.denominator for _, weight in mixture.components))
     if scale == 1 and len(states) == 1:
         return states[0]
-    these: list[Card] = []
-    others: list[Card] = []
+    these = [0] * len(deck.cells)
     for state, weight in mixture.components:
         factor = int(weight * scale)
-        these.extend(state.these * factor)
-        others.extend(state.others * factor)
-    return SystemState(
-        deck=deck.scaled(scale),
-        these=tuple(sorted(these)),
-        others=tuple(sorted(others)),
-        memory=states[0].memory,
-    )
+        these = [t + factor * n for t, n in zip(these, state.these)]
+    return SystemState(deck=deck.scaled(scale), these=tuple(these), memory=states[0].memory)
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +529,9 @@ def parse_manifestation(deck: Deck, text: str) -> Manifestation:
     deck.variable(variable)
     if not sep:
         return Manifestation(variable)
-    value = deck.value(variable, label.strip())
-    return Manifestation(variable, partial_on=value.label)
+    label = label.strip()
+    deck.check_label(variable, label)
+    return Manifestation(variable, partial_on=label)
 
 
 def parse_outcome_reference(

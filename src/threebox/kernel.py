@@ -7,23 +7,25 @@ its layer is its id.  Event ``e + 1`` gives every state of layer ``e``
 * one row per outcome the manifestation can report, in schema order,
   zero-probability outcomes included: ``(outcome, probability, next state
   id)``, the probability an exact ``Fraction``; the exact engine reads these;
-* one cell per draw index into the state's pool: the id of the reported
-  outcome and the next state id; the Monte Carlo walker reads these.
+* its pool as runs of draw indices, in canonical order, one run per cell of
+  the deck the pool holds cards of: ``(count, reported outcome's position)``;
+  the Monte Carlo walker reads these.
 
-Rows and cells are plain tuples, the cells of ints, so compiling loads no
+Rows and runs are plain tuples, the runs of ints, so compiling loads no
 numpy: the exact engine never needs it, and the walker turns an event's
-cells into arrays once per run (see :func:`threebox.montecarlo.simulate`).
+runs into arrays once per run (see :func:`threebox.montecarlo.simulate`).
 
-A cell is the outcome the state's pool card reports
-(:meth:`~threebox.deck.Manifestation.outcome_for` of its label), a row
-counts the cells that report its outcome, and every outcome's next state is
+A run reports :meth:`~threebox.deck.Manifestation.outcome_for` of its
+cell's label, a row's probability is the share of the pool in the runs that
+report its outcome, and every outcome's next state is
 :meth:`~threebox.deck.SystemState.after_report` of it, so the draw pools and
 the re-preparation rule are stated by the deck module alone.  Deriving a
-state's transitions costs time linear in its pool size, with one
-re-preparation per outcome.  A state met again at a later event reuses the
-transitions already derived for it, so a compile costs time linear in the
-event count once every reachable (state, manifestation) pair has been seen;
-the card machine has few reachable states.
+state's transitions costs time linear in the number of cells of the deck,
+never in its card count, with one re-preparation per outcome.  A state met
+again at a later event reuses the transitions already derived for it, so a
+compile costs time linear in the event count once every reachable (state,
+manifestation) pair has been seen; the card machine has few reachable
+states.
 """
 
 from __future__ import annotations
@@ -32,30 +34,29 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .deck import Deck, Manifestation, Outcome, SystemState, prepare
-from .errors import DrawOutOfRangeError
 
 # One row: the reported outcome, its exact probability, the next state's id.
 Row = tuple[Outcome, Fraction, int]
-# What one state does at one manifestation: the reported outcome's position
-# per draw index, and the rows, their next states as compile-wide ids.
-Transition = tuple[tuple[int, ...], tuple[Row, ...]]
+# A pool's cards in canonical order: runs of (count, reported outcome's position).
+Runs = tuple[tuple[int, int], ...]
+# What one state does at one manifestation: its pool's runs, and the rows,
+# their next states as compile-wide ids.
+Transition = tuple[Runs, tuple[Row, ...]]
 
 
 class Event(NamedTuple):
     """The compiled transitions of one event, from every state of the layer before it.
 
-    ``rows[s]`` are the rows of state ``s``.  For draw index ``i`` into that
-    state's pool, cell ``s * width + i`` of ``outcome_ids`` holds the
-    position of the reported outcome in ``outcomes`` and the same cell of
-    ``successor_ids`` the next state's id; ``pool_sizes[s]`` is the pool size.
+    ``rows[s]`` are the rows of state ``s`` and ``runs[s]`` its pool: draw
+    indices ``0 .. n0 - 1`` report ``outcomes[k0]`` when the first run is
+    ``(n0, k0)``, the next ``n1`` indices ``outcomes[k1]``, and so on.
+    ``pool_sizes[s]`` is the pool size, the sum of the run counts.
     """
 
     outcomes: tuple[Outcome, ...]
     rows: tuple[tuple[Row, ...], ...]
     pool_sizes: tuple[int, ...]
-    width: int
-    outcome_ids: tuple[int, ...]
-    successor_ids: tuple[int, ...]
+    runs: tuple[Runs, ...]
 
 
 class Kernel:
@@ -81,16 +82,13 @@ class Kernel:
                 tuple((outcome, p, local.setdefault(g, len(local))) for outcome, p, g in t_rows)
                 for _, t_rows in transitions
             )
-            width = max(len(cells) for cells, _ in transitions)
-            padded = [[*cells, *[0] * (width - len(cells))] for cells, _ in transitions]
+            runs = tuple(t_runs for t_runs, _ in transitions)
             events.append(
                 Event(
                     outcomes=outcomes,
                     rows=rows,
-                    pool_sizes=tuple(len(cells) for cells, _ in transitions),
-                    width=width,
-                    outcome_ids=tuple(k for cells in padded for k in cells),
-                    successor_ids=tuple(row[k][2] for cells, row in zip(padded, rows) for k in cells),
+                    pool_sizes=tuple(sum(n for n, _ in t_runs) for t_runs in runs),
+                    runs=runs,
                 )
             )
             layer = list(local)
@@ -106,25 +104,20 @@ def _derive(
     states: list[SystemState],
     ids: dict[SystemState, int],
 ) -> Transition:
-    """Count the reports of the cards in ``state``'s pool per outcome.
+    """Count the cards in ``state``'s pool that report each outcome.
 
     An outcome no card reports keeps its row, with probability zero and the
     state :meth:`SystemState.after_report` gives, so that enumeration can
     still list its branch.  New states are appended to ``states``.
     """
-    pool = state.pool_for(manifestation.variable)
-    if not pool:
-        raise DrawOutOfRangeError(f"draw pool for {manifestation} is empty")
-    deck, variable = state.deck, manifestation.variable
+    column, pool, size = state.draw_pool(manifestation)
     position = {outcome: k for k, outcome in enumerate(outcomes)}
-    # Each label's report, worked out once rather than once per card.
-    reported = {label: position[manifestation.outcome_for(label)] for label in deck.variable(variable).labels}
-    cells = tuple(reported[deck.label_of(card, variable)] for card in pool)
+    runs = tuple((n, position[manifestation.outcome_for(label)]) for label, n in zip(column, pool) if n)
     rows = []
     for k, outcome in enumerate(outcomes):
         after = state.after_report(outcome)
         g = ids.setdefault(after, len(states))
         if g == len(states):
             states.append(after)
-        rows.append((outcome, Fraction(cells.count(k), len(pool)), g))
-    return cells, tuple(rows)
+        rows.append((outcome, Fraction(sum(n for n, j in runs if j == k), size), g))
+    return runs, tuple(rows)

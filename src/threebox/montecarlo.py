@@ -6,16 +6,17 @@ stream (see :mod:`threebox.rng`), so a run is a deterministic function of
 come back as frequency tables with binomial standard errors.
 
 :func:`run_trial` is the scalar definition of a trial.  :func:`simulate`
-gives the same counts faster: it turns the cells of the experiment's
-compiled kernel (see :mod:`threebox.kernel`) into numpy arrays once, and
-walks them over fixed chunks of trials, each event drawing from its table
-of pool sizes (see :meth:`threebox.rng.CounterStreams.uniform_index`).  The
-first event starts every trial from the prepared state, and the last one's
-successors are never gathered.  A chunk's outcome sequences come
-out as integer codes, which are counted in one array over the whole code
-space when that space is small, and otherwise merged as sorted distinct
-codes with their counts.  Memory follows the code space or the number of
-distinct sequences, never the trial count.
+gives the same counts faster: it spreads the pool runs of the experiment's
+compiled kernel (see :mod:`threebox.kernel`) into dense numpy arrays, one
+cell per draw index, once per run, and walks them over fixed chunks of
+trials, each event drawing from its table of pool sizes (see
+:meth:`threebox.rng.CounterStreams.uniform_index`).  The first event starts
+every trial from the prepared state, and the last one's successors are never
+gathered.  A chunk's outcome sequences come out as integer codes, which are
+counted in one array over the whole code space when that space is small,
+and otherwise merged as sorted distinct codes with their counts.  Memory
+follows the code space or the number of distinct sequences, never the trial
+count.
 """
 
 from __future__ import annotations
@@ -175,18 +176,9 @@ def simulate(config: RunConfig) -> FrequencyTable:
     if space > np.iinfo(np.int64).max:
         raise InvalidArgumentsError("too many possible outcome sequences to tally in 64 bits")
     events = experiment.kernel.events
-    # Each event's cells as arrays, its outcome positions scaled by the
-    # event's place in the mixed-radix code (the first event most significant).
     cells, place = [], 1
     for event in reversed(events):
-        cells.append(
-            (
-                event.width,
-                event.pool_sizes,
-                np.array(event.outcome_ids, dtype=np.int64) * place,
-                np.array(event.successor_ids, dtype=np.int64),
-            )
-        )
+        cells.append(_cells(event, place))
         place *= len(event.outcomes)
     cells.reverse()
     chunks = (
@@ -220,6 +212,27 @@ def simulate(config: RunConfig) -> FrequencyTable:
 def _sig12(x: float) -> float:
     """Round to 12 significant digits for stable, readable reports."""
     return float(format_float(x))
+
+
+def _cells(event: Event, place: int) -> tuple:
+    """An event's ``(width, pool sizes, code digits, successor ids)``, the last two dense arrays.
+
+    Cell ``s * width + i`` stands for draw index ``i`` into state ``s``'s
+    pool: its code digit is the reported outcome's position times ``place``,
+    the event's place value in the mixed-radix code (the first event most
+    significant), and its successor id the next state's.  Cells past a pool's
+    end are never drawn.
+    """
+    width = max(event.pool_sizes)
+    digits = np.zeros((len(event.runs), width), dtype=np.int64)
+    successor_ids = np.zeros_like(digits)
+    for s, (runs, rows) in enumerate(zip(event.runs, event.rows)):
+        start = 0
+        for n, k in runs:
+            digits[s, start : start + n] = k * place
+            successor_ids[s, start : start + n] = rows[k][2]
+            start += n
+    return width, event.pool_sizes, digits.ravel(), successor_ids.ravel()
 
 
 def _walk(cells: list[tuple], seed: int, trials: range) -> np.ndarray:

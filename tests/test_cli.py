@@ -57,6 +57,13 @@ class TestValidate:
         assert code == 2
         assert "appears" in err
 
+    def test_a_label_the_syntax_would_misread_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "negated.deck"
+        path.write_text("variable Face: ~Q K\nvariable Suit: S H\ncard ~Q S 1\ncard K H 1\n", encoding="utf-8")
+        code, out, err = run(capsys, "validate", "--deck", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: name or label '~Q'") and err.count("\n") == 1
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "validate", "--deck", "/no/such/file.deck")
         assert code == 2
@@ -386,6 +393,7 @@ class TestQuantum:
             ("condition --state 1,1,1 --post -1,-1,1", "condition --state 1,1,1 --post=-1,-1,1"),
             ("aad --alpha 0.6 --beta -0.8i", "aad --alpha 0.6 --beta=-0.8i"),
             ("aad --alpha -0.6 --beta 0.8 --json", "aad --alpha=-0.6 --beta 0.8 --json"),
+            ("born --stat -1,1 --po -1,0", "born --state=-1,1 --post=-1,0"),
         ],
     )
     def test_a_negative_amplitude_may_be_a_separate_argument(self, capsys, apart, joined):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from threebox.deck import (
     MAX_CARDS,
-    Card,
     CardValue,
     Manifestation,
     Outcome,
@@ -33,17 +32,18 @@ def outcome(deck, variable, label, negated=False):
     return Outcome(deck.value(variable, label), negated=negated)
 
 
-def cards(*specs):
-    """Build a sorted card tuple from 'KH' style strings with '(n)' prefixes."""
-    result = []
-    for spec in specs:
-        count = 1
-        if spec.startswith("("):
-            close = spec.index(")")
-            count = int(spec[1:close])
-            spec = spec[close + 1 :]
-        result.extend([Card(spec[0], spec[1])] * count)
-    return tuple(sorted(result))
+def first_index(state, variable, cell):
+    """The first draw index into the pool for ``variable`` that names a card of ``cell``."""
+    pool = state.pool_for(variable)
+    return sum(pool[: state.deck.cells.index(cell)])
+
+
+def assert_conserved(state):
+    """The two piles split the deck: no cell holds more cards in ``These`` than in the deck."""
+    counts = state.deck.counts
+    assert len(state.these) == len(counts)
+    assert all(0 <= t <= n for t, n in zip(state.these, counts))
+    assert tuple(t + o for t, o in zip(state.these, state.others)) == counts
 
 
 class TestValidateDeck:
@@ -51,7 +51,9 @@ class TestValidateDeck:
         assert threebox.values_per_variable == 3
         assert threebox.copies_per_value == 2
         assert threebox.size == 6
-        assert threebox.cards == cards("(2)KH", "QS", "QD", "JS", "JD")
+        assert threebox.cells == (("J", "D"), ("J", "S"), ("K", "H"), ("Q", "D"), ("Q", "S"))
+        assert threebox.counts == (1, 1, 2, 1, 1)
+        assert str(threebox) == "{JD, JS, (2)KH, QD, QS}"
         assert threebox.joint_count("K", "H") == 2
         assert threebox.joint_count("K", "S") == 0
 
@@ -108,20 +110,19 @@ class TestValidateDeck:
 class TestPrepare:
     def test_value_preparation(self, threebox):
         state = prepare(threebox, outcome(threebox, "Face", "Q"))
-        assert state.these == cards("QS", "QD")
-        assert state.others == cards("(2)KH", "JS", "JD")
+        assert str(state) == "[QD, QS | JD, JS, (2)KH]"
         assert state.memory == "Face"
 
     def test_negated_preparation(self, threebox):
         state = prepare(threebox, outcome(threebox, "Suit", "S", negated=True))
-        assert state.these == cards("(2)KH", "QD", "JD")
-        assert state.others == cards("QS", "JS")
+        assert str(state) == "[JD, (2)KH, QD | JS, QS]"
         assert state.memory == "Suit"
 
     def test_face_k_preparation(self, threebox):
         state = prepare(threebox, outcome(threebox, "Face", "K"))
-        assert state.these == cards("(2)KH")
-        assert state.others == cards("QS", "QD", "JS", "JD")
+        assert str(state) == "[(2)KH | JD, JS, QD, QS]"
+        assert state.these == (0, 0, 2, 0, 0)
+        assert state.others == (1, 1, 0, 1, 1)
 
     def test_unknown_value_rejected(self, threebox):
         with pytest.raises(UnknownLabelError):
@@ -139,19 +140,16 @@ class TestPrepare:
 class TestObserve:
     def test_cross_variable_draw_reprepares(self, threebox):
         state = prepare(threebox, outcome(threebox, "Face", "Q"))
-        pool = state.pool_for("Suit")
-        assert pool == state.others
-        result, after = observe(
-            state, Manifestation("Suit", "S"), lambda n: pool.index(Card("J", "S"))
-        )
+        assert state.pool_for("Suit") == state.others
+        index = first_index(state, "Suit", ("J", "S"))
+        result, after = observe(state, Manifestation("Suit", "S"), lambda n: index)
         assert result == outcome(threebox, "Suit", "S")
-        assert after.these == cards("QS", "JS")
-        assert after.others == cards("(2)KH", "QD", "JD")
+        assert str(after) == "[JS, QS | JD, (2)KH, QD]"
         assert after.memory == "Suit"
 
     def test_repeated_observation_leaves_state_untouched(self, threebox):
         state = prepare(threebox, outcome(threebox, "Face", "Q"))
-        for index in range(len(state.these)):
+        for index in range(sum(state.these)):
             result, after = observe(state, Manifestation("Face"), lambda n, i=index: i)
             assert result == outcome(threebox, "Face", "Q")
             assert after is state
@@ -159,17 +157,14 @@ class TestObserve:
     def test_negated_report_reprepares_negated_state(self, threebox):
         # Drawing a KH under the diamond check reports ~D and rebuilds the ~D split.
         state = prepare(threebox, outcome(threebox, "Face", "Q"))
-        pool = state.pool_for("Suit")
-        result, after = observe(
-            state, Manifestation("Suit", "D"), lambda n: pool.index(Card("K", "H"))
-        )
+        index = first_index(state, "Suit", ("K", "H"))
+        result, after = observe(state, Manifestation("Suit", "D"), lambda n: index)
         assert result == outcome(threebox, "Suit", "D", negated=True)
-        assert after.these == cards("(2)KH", "QS", "JS")
-        assert after.others == cards("QD", "JD")
+        assert str(after) == "[JS, (2)KH, QS | JD, QD]"
 
     def test_repreparation_matches_prepare_exactly(self, threebox):
         state = prepare(threebox, outcome(threebox, "Face", "Q"))
-        for index in range(len(state.others)):
+        for index in range(sum(state.others)):
             result, after = observe(state, Manifestation("Suit"), lambda n, i=index: i)
             assert after == prepare(threebox, result)
 
@@ -183,7 +178,7 @@ class TestObserve:
     def test_conservation(self, threebox):
         state = prepare(threebox, outcome(threebox, "Face", "Q"))
         _, after = observe(state, Manifestation("Suit", "S"), lambda n: 0)
-        assert tuple(sorted(after.these + after.others)) == threebox.cards
+        assert_conserved(after)
 
 
 class TestStepDistribution:
@@ -235,7 +230,7 @@ class TestStability:
                 state = prepare(threebox, outcome(threebox, variable, prepared))
                 dist = step_distribution(state, Manifestation(variable, checked))
                 assert dist[outcome(threebox, variable, checked, negated=True)] == 1
-                for index in range(len(state.these)):
+                for index in range(sum(state.these)):
                     result, after = observe(
                         state, Manifestation(variable, checked), lambda n, i=index: i
                     )
@@ -249,8 +244,9 @@ class TestStability:
 
 
 @st.composite
-def balanced_decks(draw):
-    """Random decks built from permutation overlays, so every count is equal."""
+def balanced_decks(draw, max_scale=1):
+    """Random decks built from permutation overlays, so every count is equal,
+    then scaled by a factor of up to ``max_scale``."""
     size = draw(st.integers(2, 3))
     copies = draw(st.integers(1, 3))
     faces = "KQJ"[:size]
@@ -260,7 +256,7 @@ def balanced_decks(draw):
         permutation = draw(st.permutations(range(size)))
         for j, k in enumerate(permutation):
             counts[(faces[j], suits[k])] += 1
-    return validate_deck([(f, s, n) for (f, s), n in counts.items()])
+    return validate_deck([(f, s, n) for (f, s), n in counts.items()]).scaled(draw(st.integers(1, max_scale)))
 
 
 @st.composite
@@ -283,17 +279,19 @@ def walks(draw, deck):
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_random_walks_conserve_the_deck(data):
-    deck = data.draw(balanced_decks())
+    deck = data.draw(balanced_decks(max_scale=10**5))
     target, steps = data.draw(walks(deck))
     state = prepare(deck, target)
+    assert_conserved(state)
     for manifestation, raw_index in steps:
         dist = step_distribution(state, manifestation)
         assert sum(dist.values()) == 1
         _, state = observe(state, manifestation, lambda n, r=raw_index: r % n)
-        assert tuple(sorted(state.these + state.others)) == deck.cards
+        assert_conserved(state)
         assert state.memory == manifestation.variable
 
 
 def test_format_cards():
-    assert format_cards(cards("(2)KH", "QS")) == "(2)KH, QS"
-    assert format_cards(()) == ""
+    assert format_cards((("K", "H"), ("Q", "D"), ("Q", "S")), (2, 0, 1)) == "(2)KH, QS"
+    assert format_cards((("10", "H"), ("K", "H")), (1, 3)) == "10·H, (3)KH"
+    assert format_cards((), ()) == ""

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import enumerate_tree
-from threebox.deck import Card, CardValue, Manifestation, Outcome, prepare, step_distribution
+from threebox.deck import CardValue, Manifestation, Outcome, prepare, step_distribution
 from threebox.errors import (
     InvalidArgumentsError,
     SequenceTooLongError,
@@ -342,18 +342,6 @@ def test_partial_retrodiction_formula_agrees_with_enumeration(threebox):
     assert checked >= 40
 
 
-def multiset(*specs):
-    """Sorted card tuple from 'KH' strings with optional '(n)' multiplicities."""
-    result = []
-    for spec in specs:
-        count = 1
-        if spec.startswith("("):
-            count = int(spec[1 : spec.index(")")])
-            spec = spec[spec.index(")") + 1 :]
-        result.extend([Card(spec[0], spec[1])] * count)
-    return tuple(sorted(result))
-
-
 class TestMixture:
     def test_two_thirds_hearts_one_third_diamonds(self, threebox):
         mixture = MixtureState(
@@ -363,8 +351,7 @@ class TestMixture:
             )
         )
         combined = mixture_combine(mixture)
-        assert combined.these == multiset("(4)KH", "QD", "JD")
-        assert combined.others == multiset("(2)KH", "(3)QS", "(2)QD", "(3)JS", "(2)JD")
+        assert str(combined) == "[JD, (4)KH, QD | (2)JD, (3)JS, (2)KH, (2)QD, (3)QS]"
         assert combined.memory == "Suit"
         assert combined.deck == threebox.scaled(3)
 
@@ -376,7 +363,8 @@ class TestMixture:
             )
         )
         combined = mixture_combine(mixture)
-        assert tuple(sorted(combined.these + combined.others)) == threebox.scaled(3).cards
+        assert combined.these == (1, 0, 4, 1, 0)
+        assert tuple(t + o for t, o in zip(combined.these, combined.others)) == threebox.scaled(3).counts
 
     def test_king_chance_from_mixture(self, threebox):
         mixture = MixtureState(

@@ -33,9 +33,10 @@ def out(deck, variable, label, negated=False):
 
 
 @st.composite
-def experiments(draw, max_events=6):
-    """A random balanced deck, preparation, up to ``max_events`` events and maybe a postselection."""
-    deck = draw(balanced_decks())
+def experiments(draw, max_events=6, max_scale=1):
+    """A random balanced deck scaled by up to ``max_scale``, a preparation, up to
+    ``max_events`` events and maybe a postselection."""
+    deck = draw(balanced_decks(max_scale))
     variables = (deck.face, deck.suit)
     variable = draw(st.sampled_from(variables))
     preparation = Outcome(
@@ -76,7 +77,7 @@ def patterns(experiment):
 
 
 @settings(max_examples=80, deadline=None)
-@given(experiments())
+@given(experiments(max_scale=10**5))
 def test_kernel_rows_equal_the_step_distribution_of_every_reachable_state(experiment):
     kernel = experiment.kernel
     assert len(kernel.layers) == len(kernel.events) + 1
@@ -91,13 +92,17 @@ def test_kernel_rows_equal_the_step_distribution_of_every_reachable_state(experi
             for outcome, _, t in rows:
                 assert kernel.layers[depth + 1][t] == state.after_report(outcome)
                 reached.add(t)
-            pool_size = int(event.pool_sizes[s])
-            assert pool_size == len(state.pool_for(manifestation.variable))
-            for i in range(pool_size):
-                outcome, after = observe(state, manifestation, lambda n, i=i: i)
-                cell = s * event.width + i
-                assert event.outcomes[event.outcome_ids[cell]] == outcome
-                assert kernel.layers[depth + 1][event.successor_ids[cell]] == after
+            pool_size = event.pool_sizes[s]
+            assert pool_size == sum(state.pool_for(manifestation.variable))
+            assert sum(n for n, _ in event.runs[s]) == pool_size
+            start = 0
+            for n, k in event.runs[s]:
+                # Every index of a small pool; the first and last of each run of a large one.
+                for i in range(start, start + n) if pool_size <= 64 else {start, start + n - 1}:
+                    outcome, after = observe(state, manifestation, lambda _, i=i: i)
+                    assert event.outcomes[k] == outcome
+                    assert kernel.layers[depth + 1][rows[k][2]] == after
+                start += n
         assert reached == set(range(len(kernel.layers[depth + 1])))
 
 
@@ -156,6 +161,21 @@ def test_compile_cost_does_not_grow_with_the_deck_size(monkeypatch):
         events = (Manifestation("Suit"), Manifestation("Face"), Manifestation("Suit", "S"))
         calls.clear()
         Experiment(deck, out(deck, "Face", "Q"), events).kernel
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_compiling_the_readme_experiment_tests_cells_not_cards(monkeypatch):
+    """Preparing and re-preparing test each cell of the deck against the target, not each card."""
+    calls = []
+    original = Outcome.matches
+    monkeypatch.setattr(Outcome, "matches", lambda *args: calls.append(args) or original(*args))
+    counts = []
+    for copies in (1, 1000):
+        deck = validate_deck([(face, suit, copies) for face in "KQ" for suit in "SH"])
+        experiment = exact.experiment_from_options(deck, "Face=Q", ["Suit?S", "Face"], "Face=K")
+        calls.clear()
+        experiment.kernel
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
 

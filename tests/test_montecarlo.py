@@ -269,7 +269,7 @@ class TestSimulate:
 
 
 @settings(max_examples=60, deadline=None)
-@given(experiments(max_events=4), st.integers(0, 2**64 - 1), st.integers(1, 300))
+@given(experiments(max_events=4, max_scale=10**5), st.integers(0, 2**64 - 1), st.integers(1, 300))
 def test_vector_engine_matches_the_observe_loop_on_random_decks(experiment, seed, trials):
     reference = Counter(run_trial(experiment, seed, t) for t in range(trials))
     table = simulate(RunConfig(experiment, trials, seed))

@@ -65,10 +65,11 @@ def test_every_tree_consumer_keeps_the_event_cap(threebox):
     assert probability(experiment, AnyOf((OutcomeAt(1, out(threebox, "Suit", "S")),))) == Fraction(1, 4)
 
 
-# Labels that JSON must escape (a quote, a backslash, a non-ASCII letter) and
-# one that CSV must quote (a comma), on the three-box card layout.
+# Labels that JSON must escape (a quote, a backslash, a non-ASCII letter), the
+# quote one that CSV must quote too, on the three-box card layout.  A comma,
+# which CSV also quotes, is a character no label may hold.
 FACES = ("é", '"', "\\")
-SUITS = ("S", "a,b", "H")
+SUITS = ("S", "D", "H")
 
 
 @pytest.fixture
@@ -83,7 +84,7 @@ def escaping_deck_file(tmp_path):
     return deck, str(path)
 
 
-@pytest.mark.parametrize("events", [(), ("Suit",), ("Suit", "Face"), ("Suit?a,b", "Face", "Suit", "Face?é")])
+@pytest.mark.parametrize("events", [(), ("Suit",), ("Suit", "Face"), ("Suit?D", "Face", "Suit", "Face?é")])
 def test_tree_output_equals_the_report_dumped_whole(capsys, escaping_deck_file, events):
     deck, path = escaping_deck_file
     postselect = [f"{len(events)}:Face=é"] if events and events[-1].startswith("Face") else []

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from oracles import Branch
 from test_deck import balanced_decks
 from threebox import exact
-from threebox.deck import Card, CardValue, Deck, Manifestation, Outcome, SystemState, Variable, observe, prepare
+from threebox.deck import CardValue, Deck, Manifestation, Outcome, SystemState, Variable, observe, prepare, validate_deck
 from threebox.decks import three_box_deck, two_value_deck
 from threebox.errors import (
     GeometryInfeasibleError,
@@ -33,7 +33,6 @@ def samples():
     events = (Manifestation("Face"), Manifestation("Suit", "H"))
     at_1, at_2 = OutcomeAt(1, king), OutcomeAt(2, heart)
     return {
-        Card: (lambda: Card("K", "H"), Card("K", "S")),
         Variable: (lambda: Variable("Face", ("K", "Q")), Variable("Face", ("Q", "K"))),
         CardValue: (lambda: CardValue("Face", "K"), CardValue("Face", "Q")),
         Outcome: (lambda: Outcome(CardValue("Suit", "H"), negated=True), Outcome(CardValue("Suit", "H"))),
@@ -95,9 +94,8 @@ def test_equality_is_type_strict(cls):
 
 
 def test_values_of_different_classes_with_equal_fields_differ():
-    assert CardValue("Face", "K") != Card("Face", "K")
-    assert Card("Face", "K") != CardValue("Face", "K")
-    assert len({CardValue("Face", "K"), Card("Face", "K")}) == 2
+    assert CardValue("Face", "K") != Manifestation("Face", "K")
+    assert len({CardValue("Face", "K"), Manifestation("Face", "K")}) == 2
     patterns = (OutcomeAt(1, Outcome(CardValue("Face", "K"))),)
     assert AllOf(patterns) != AnyOf(patterns) and len({AllOf(patterns), AnyOf(patterns)}) == 2
     assert Manifestation("Face", "K") != CardValue("Face", "K")
@@ -126,22 +124,15 @@ def test_copies_are_equal_values(cls, duplicate):
     assert repr(twin) == repr(value)
 
 
-# The reprs that the same values had as frozen dataclasses.
+# The reprs that frozen dataclasses with the same fields would have.
 TWO_VALUE_DECK = (
     "Deck(face=Variable(name='Face', labels=('K', 'Q')), suit=Variable(name='Suit', labels=('S', 'H')), "
-    "cards=(Card(face='K', suit='H'), Card(face='K', suit='S'), Card(face='K', suit='S'), "
-    "Card(face='Q', suit='H'), Card(face='Q', suit='H'), Card(face='Q', suit='S')), "
-    "values_per_variable=2, copies_per_value=3)"
+    "cells=(('K', 'H'), ('K', 'S'), ('Q', 'H'), ('Q', 'S')), counts=(1, 2, 2, 1))"
 )
 KING = "Outcome(value=CardValue(variable='Face', label='K'), negated=False)"
 NOT_HEART = "Outcome(value=CardValue(variable='Suit', label='H'), negated=True)"
-KING_STATE = (
-    f"SystemState(deck={TWO_VALUE_DECK}, "
-    "these=(Card(face='K', suit='H'), Card(face='K', suit='S'), Card(face='K', suit='S')), "
-    "others=(Card(face='Q', suit='H'), Card(face='Q', suit='H'), Card(face='Q', suit='S')), memory='Face')"
-)
+KING_STATE = f"SystemState(deck={TWO_VALUE_DECK}, these=(1, 2, 0, 0), memory='Face')"
 REPRS = {
-    Card: "Card(face='K', suit='H')",
     Variable: "Variable(name='Face', labels=('K', 'Q'))",
     CardValue: "CardValue(variable='Face', label='K')",
     Outcome: NOT_HEART,
@@ -171,17 +162,15 @@ def test_repr_is_the_keyword_form(cls):
     assert repr(SAMPLES[cls][0]()) == REPRS[cls]
 
 
-def test_cards_sort_by_face_then_suit():
-    hand = [Card("Q", "S"), Card("K", "S"), Card("J", "D"), Card("K", "H"), Card("Q", "D")]
-    assert sorted(hand) == sorted(hand, key=lambda card: (card.face, card.suit))
-    assert [str(card) for card in sorted(hand)] == ["JD", "KH", "KS", "QD", "QS"]
-    low, high = Card("K", "H"), Card("K", "S")
-    assert low < high and low <= high and high > low and high >= low and low <= Card("K", "H")
-    assert not (high < low or high <= low or low > high or low >= high)
-    with pytest.raises(TypeError):
-        low < ("K", "S")  # noqa: B015 -- the comparison itself is under test
-    with pytest.raises(TypeError):
-        low < CardValue("K", "S")  # noqa: B015
+def test_cells_sort_by_face_then_suit():
+    """The cells, and so the draw order, follow the labels' string order, not their declared order."""
+    hand = [("Q", "S"), ("K", "S"), ("J", "D"), ("K", "H"), ("Q", "D"), ("J", "H")]
+    deck = validate_deck([(face, suit, 1) for face, suit in hand], face_labels="QKJ", suit_labels="SDH")
+    assert deck.cells == (("J", "D"), ("J", "H"), ("K", "H"), ("K", "S"), ("Q", "D"), ("Q", "S"))
+    assert str(deck) == "{JD, JH, KH, KS, QD, QS}"
+    state = prepare(deck, Outcome(CardValue("Face", "Q")))
+    drawn = [str(observe(state, Manifestation("Suit"), lambda n, i=i: i)[0]) for i in range(4)]
+    assert drawn == ["D", "H", "H", "S"]
 
 
 def test_construction_keeps_its_checks():
@@ -190,7 +179,7 @@ def test_construction_keeps_its_checks():
     with pytest.raises(InvalidArgumentsError, match="duplicate value labels for variable 'Face'"):
         Variable("Face", ("K", "K"))
     with pytest.raises(UnknownLabelError, match="unknown variable 'Colour'"):
-        SystemState(deck, deck.cards, (), "Colour")
+        SystemState(deck, deck.counts, "Colour")
     with pytest.raises(UnknownLabelError, match="has no value 'A'"):
         Experiment(deck, Outcome(CardValue("Face", "A")))
     with pytest.raises(UnknownLabelError, match="unknown variable 'Colour'"):
@@ -255,8 +244,10 @@ def test_a_state_reached_by_two_routes_is_one_value(data):
     reached = []
     for suit in deck.suit.labels:
         state = prepare(deck, Outcome(CardValue("Suit", suit)))
-        for index, card in enumerate(state.others):
-            if card.face == label:
+        others = state.others
+        for i, ((face, _), n) in enumerate(zip(deck.cells, others)):
+            if face == label and n:
+                index = sum(others[:i])
                 outcome, after = observe(state, Manifestation("Face"), lambda n, index=index: index)
                 assert outcome == target
                 reached.append(after)
