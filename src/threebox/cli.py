@@ -22,6 +22,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from .deck import format_cards
@@ -119,8 +120,8 @@ _JSON_LEAF = '{\n      "outcomes": [%s],\n      "probability": "%d/%d"\n    }'
 def _print_tree_json(report: dict, experiment) -> None:
     """Print ``json.dumps(report, indent=2)`` of a tree report whose ``leaves`` are still empty, leaves filled in.
 
-    The leaves are written from the walk's string keys and ``_JSON_LEAF``,
-    with each label encoded once; the rest of the report goes through
+    Each leaf is written from its string key and ``_JSON_LEAF`` as the walk
+    makes it, each label encoded once; the rest of the report goes through
     ``json.dumps``.  The leaves are printed as one piece between the two
     halves of the rest, so the largest string is never copied again.
     """
@@ -226,7 +227,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
         return 0
     leaves = tree_leaves(experiment, _text_unit, "")
     if args.csv:
-        print(_csv([("outcomes", "probability"), *((key, f"{n}/{d}") for key, n, d in leaves)]), end="")
+        print(_csv(chain([("outcomes", "probability")], ((key, f"{n}/{d}") for key, n, d in leaves))), end="")
         return 0
     lines = [f"{key or _NO_EVENTS}: {n}/{d}" for key, n, d in leaves]
     if "acceptance_probability" in report:

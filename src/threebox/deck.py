@@ -211,7 +211,7 @@ class Deck(Value):
     ``values_per_variable`` cards.
     """
 
-    __slots__ = ("face", "suit", "cells", "counts")
+    __slots__ = ("face", "suit", "cells", "counts", "_columns")
 
     def __init__(
         self, face: Variable, suit: Variable, cells: tuple[tuple[str, str], ...], counts: tuple[int, ...]
@@ -222,6 +222,7 @@ class Deck(Value):
         _set(self, "counts", counts)
         _set(self, "_key", (face, suit, cells, counts))
         _set(self, "_hash", None)
+        _set(self, "_columns", tuple(tuple(cell[k] for cell in cells) for k in (0, 1)))
 
     @property
     def size(self) -> int:
@@ -254,8 +255,7 @@ class Deck(Value):
 
     def column(self, variable: str) -> tuple[str, ...]:
         """Each cell's label for ``variable``, in canonical order."""
-        k = 0 if self.variable(variable) is self.face else 1
-        return tuple(cell[k] for cell in self.cells)
+        return self._columns[0 if self.variable(variable) is self.face else 1]
 
     def joint_count(self, face_label: str, suit_label: str) -> int:
         self.check_label(self.face.name, face_label)

@@ -7,10 +7,11 @@ compiled once into a :class:`~threebox.kernel.Kernel`, the transition table
 every engine reads, and every probabilistic claim is an exact `Fraction`.
 
 Every query is a :class:`Pattern` of outcomes at given ordinals, and
-``probability`` answers it by propagating state weights forward through the
-kernel, each carrying the part of the pattern still open, in time linear in
-the event count for a given pattern.  ``tree_leaves`` lists every outcome
-sequence with its probability, walking the kernel rows and sharing the
+``probability`` answers it by propagating integer state weights over one
+common denominator forward through the kernel, each carrying the part of
+the pattern still open, in time linear in the event count for a given
+pattern.  ``tree_leaves`` produces every outcome sequence with its
+probability lazily, one at a time, walking the kernel rows and sharing the
 leaves below a state among every path that reaches it; only tree listings
 read it, so only they are capped at ``MAX_EVENTS``.
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, ClassVar, Sequence, TypeVar
+from typing import Callable, ClassVar, Iterator, Sequence, TypeVar
 
 from .deck import Deck, Manifestation, Outcome, SystemState, Value
 from .errors import (
@@ -32,7 +33,7 @@ from .errors import (
     UndefinedConditionalError,
     WeightsNotNormalizedError,
 )
-from .kernel import Kernel, Row
+from .kernel import Kernel
 
 _set = object.__setattr__
 
@@ -158,7 +159,7 @@ Key = TypeVar("Key", str, tuple)
 
 def tree_leaves(
     experiment: Experiment, unit: Callable[[int, Outcome], Key], empty: Key
-) -> list[tuple[Key, int, int]]:
+) -> Iterator[tuple[Key, int, int]]:
     """Every leaf of the tree as ``(key, numerator, denominator)``, depth first in row order.
 
     A leaf's key is ``empty`` followed by ``unit(ordinal, outcome)`` for each
@@ -173,7 +174,9 @@ def tree_leaves(
     as integer products of the row numerators and denominators, and reduced
     by one gcd per leaf.
 
-    Raises SequenceTooLongError beyond ``MAX_EVENTS`` events.
+    The call builds the tables and the shared lower halves, and raises
+    SequenceTooLongError beyond ``MAX_EVENTS`` events; the iterator it
+    returns makes one leaf at a time, so no leaf outlives its consumer's use.
     """
     _check_tree_depth(experiment)
     kernel = experiment.kernel
@@ -191,13 +194,13 @@ def tree_leaves(
     for table in reversed(tables[middle:]):
         below = [[(u + key, un * n, ud * d) for u, un, ud, t in rows for key, n, d in below[t]] for rows in table]
     gcd = math.gcd
-    return [
+    return (
         (head + tail, n // g, d // g)
         for s, head, hn, hd in prefixes
         for tail, tn, td in below[s]
         for n, d in ((hn * tn, hd * td),)
         for g in (gcd(n, d),)
-    ]
+    )
 
 
 def leaf_distribution(experiment: Experiment) -> dict[tuple[Outcome, ...], Fraction]:
@@ -346,6 +349,9 @@ def probability(experiment: Experiment, pattern: Pattern) -> Fraction:
     row passes its weight on with :meth:`Pattern.given` of its outcome:
     weight settled ``True`` is banked, since a state's rows sum to one;
     weight settled ``False`` is dropped; equal open patterns share weights.
+    Weights are integers over one common denominator, which each event
+    multiplies, with every weight and the banked total, by the lcm of its
+    pool sizes; the one ``Fraction`` is built at the end.
     """
     ordinals, depth = pattern.ordinals(), len(experiment.manifestations)
     for ordinal in ordinals:
@@ -353,35 +359,43 @@ def probability(experiment: Experiment, pattern: Pattern) -> Fraction:
             raise InvalidArgumentsError(f"pattern refers to ordinal {ordinal}, but the experiment has {depth} event(s)")
     if not ordinals:  # a pattern that reads no outcome holds for every run or for none
         return Fraction(pattern.matches(()))
-    banked = Fraction(0)
-    weights: list[tuple[Pattern, dict[int, Fraction]]] = [(pattern, {0: Fraction(1)})]
+    scale, banked = 1, 0
+    weights: list[tuple[Pattern, dict[int, int]]] = [(pattern, {0: 1})]
+    integer_rows: dict[int, tuple[int, list]] = {}  # by id of an event, which repeated layers share
     for ordinal, event in enumerate(experiment.kernel.events[: max(ordinals)], start=1):
+        if id(event) not in integer_rows:
+            factor = math.lcm(*event.pool_sizes)
+            integer_rows[id(event)] = factor, [
+                [(p.numerator * (factor // p.denominator), t) for _, p, t in rows] for rows in event.rows
+            ]
+        factor, rows = integer_rows[id(event)]
+        scale, banked = scale * factor, banked * factor
         if ordinal not in ordinals:
-            weights = [(open_pattern, _step(vector, event.rows)) for open_pattern, vector in weights]
+            weights = [(open_pattern, _step(vector, rows)) for open_pattern, vector in weights]
             continue
-        merged: dict[Pattern, dict[int, Fraction]] = {}
+        merged: dict[Pattern, dict[int, int]] = {}
         for open_pattern, vector in weights:
             # A state's rows list the event's outcomes in order.
             settled = [open_pattern.given(ordinal, outcome) for outcome in event.outcomes]
             targets = [rest if isinstance(rest, bool) else merged.setdefault(rest, {}) for rest in settled]
             for s, weight in vector.items():
-                for target, (_, p, t) in zip(targets, event.rows[s]):
-                    if target is not False and p:
+                for target, (w, t) in zip(targets, rows[s]):
+                    if target is not False and w:
                         if target is True:
-                            banked += weight * p
+                            banked += weight * w
                         else:
-                            target[t] = target.get(t, 0) + weight * p
+                            target[t] = target.get(t, 0) + weight * w
         weights = list(merged.items())
-    return banked
+    return Fraction(banked, scale)
 
 
-def _step(vector: dict[int, Fraction], rows: Sequence[Sequence[Row]]) -> dict[int, Fraction]:
+def _step(vector: dict[int, int], rows: Sequence[Sequence[tuple[int, int]]]) -> dict[int, int]:
     """The state weights after an event, whatever it reports."""
-    moved: dict[int, Fraction] = {}
+    moved: dict[int, int] = {}
     for s, weight in vector.items():
-        for _, p, t in rows[s]:
-            if p:
-                moved[t] = moved.get(t, 0) + weight * p
+        for w, t in rows[s]:
+            if w:
+                moved[t] = moved.get(t, 0) + weight * w
     return moved
 
 

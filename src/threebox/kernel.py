@@ -22,10 +22,11 @@ report its outcome, and every outcome's next state is
 the re-preparation rule are stated by the deck module alone.  Deriving a
 state's transitions costs time linear in the number of cells of the deck,
 never in its card count, with one re-preparation per outcome.  A state met
-again at a later event reuses the transitions already derived for it, so a
-compile costs time linear in the event count once every reachable (state,
-manifestation) pair has been seen; the card machine has few reachable
-states.
+again at a later event reuses the transitions already derived for it, and
+a layer met again at the same manifestation reuses the whole event: both
+events hold one :class:`Event` object and lead to one next layer, so an
+alternating experiment of any length holds a few distinct events, and an
+engine can do an event's own work once per distinct event.
 """
 
 from __future__ import annotations
@@ -66,33 +67,34 @@ class Kernel:
         states = [prepare(deck, preparation)]  # every state met, by compile-wide id
         ids = {states[0]: 0}
         derived: dict[tuple[int, Manifestation], Transition] = {}  # by compile-wide state id
-        layer = [0]
+        # By (compile-wide ids of a layer's states, manifestation): the event and the next layer.
+        compiled: dict[tuple[tuple[int, ...], Manifestation], tuple[Event, tuple[int, ...], tuple]] = {}
+        layer: tuple[int, ...] = (0,)
         layers = [(states[0],)]
         events = []
         for manifestation in manifestations:
-            outcomes = manifestation.outcomes(deck)
-            transitions = []
-            for g in layer:
-                key = (g, manifestation)
-                if key not in derived:
-                    derived[key] = _derive(states[g], manifestation, outcomes, states, ids)
-                transitions.append(derived[key])
-            local: dict[int, int] = {}  # compile-wide id -> id in the next layer
-            rows = tuple(
-                tuple((outcome, p, local.setdefault(g, len(local))) for outcome, p, g in t_rows)
-                for _, t_rows in transitions
-            )
-            runs = tuple(t_runs for t_runs, _ in transitions)
-            events.append(
-                Event(
-                    outcomes=outcomes,
-                    rows=rows,
-                    pool_sizes=tuple(sum(n for n, _ in t_runs) for t_runs in runs),
-                    runs=runs,
+            if (layer, manifestation) not in compiled:
+                outcomes = manifestation.outcomes(deck)
+                transitions = []
+                for g in layer:
+                    key = (g, manifestation)
+                    if key not in derived:
+                        derived[key] = _derive(states[g], manifestation, outcomes, states, ids)
+                    transitions.append(derived[key])
+                local: dict[int, int] = {}  # compile-wide id -> id in the next layer
+                rows = tuple(
+                    tuple((outcome, p, local.setdefault(g, len(local))) for outcome, p, g in t_rows)
+                    for _, t_rows in transitions
                 )
-            )
-            layer = list(local)
-            layers.append(tuple(states[g] for g in layer))
+                runs = tuple(t_runs for t_runs, _ in transitions)
+                compiled[layer, manifestation] = (
+                    Event(outcomes, rows, tuple(sum(n for n, _ in t_runs) for t_runs in runs), runs),
+                    tuple(local),
+                    tuple(states[g] for g in local),
+                )
+            event, layer, reached = compiled[layer, manifestation]
+            events.append(event)
+            layers.append(reached)
         self.layers = tuple(layers)
         self.events = tuple(events)
 

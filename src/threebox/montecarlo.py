@@ -12,11 +12,11 @@ cell per draw index, once per run, and walks them over fixed chunks of
 trials, each event drawing from its table of pool sizes (see
 :meth:`threebox.rng.CounterStreams.uniform_index`).  The first event starts
 every trial from the prepared state, and the last one's successors are never
-gathered.  A chunk's outcome sequences come out as integer codes, which are
-counted in one array over the whole code space when that space is small,
-and otherwise merged as sorted distinct codes with their counts.  Memory
-follows the code space or the number of distinct sequences, never the trial
-count.
+built or gathered.  A chunk's outcome sequences come out as integer codes,
+which are counted in one array over the whole code space when that space is
+small, and otherwise merged as sorted distinct codes with their counts.
+Memory follows the code space or the number of distinct sequences, never
+the trial count.
 """
 
 from __future__ import annotations
@@ -178,7 +178,7 @@ def simulate(config: RunConfig) -> FrequencyTable:
     events = experiment.kernel.events
     cells, place = [], 1
     for event in reversed(events):
-        cells.append(_cells(event, place))
+        cells.append(_cells(event, place, successors=bool(cells)))  # the last event's are never read
         place *= len(event.outcomes)
     cells.reverse()
     chunks = (
@@ -214,34 +214,36 @@ def _sig12(x: float) -> float:
     return float(format_float(x))
 
 
-def _cells(event: Event, place: int) -> tuple:
+def _cells(event: Event, place: int, successors: bool) -> tuple:
     """An event's ``(width, pool sizes, code digits, successor ids)``, the last two dense arrays.
 
     Cell ``s * width + i`` stands for draw index ``i`` into state ``s``'s
     pool: its code digit is the reported outcome's position times ``place``,
     the event's place value in the mixed-radix code (the first event most
     significant), and its successor id the next state's.  Cells past a pool's
-    end are never drawn.
+    end are never drawn.  Without ``successors`` the successor ids are ``None``.
     """
     width = max(event.pool_sizes)
     digits = np.zeros((len(event.runs), width), dtype=np.int64)
-    successor_ids = np.zeros_like(digits)
+    successor_ids = np.zeros_like(digits) if successors else None
     for s, (runs, rows) in enumerate(zip(event.runs, event.rows)):
         start = 0
         for n, k in runs:
             digits[s, start : start + n] = k * place
-            successor_ids[s, start : start + n] = rows[k][2]
+            if successors:
+                successor_ids[s, start : start + n] = rows[k][2]
             start += n
-    return width, event.pool_sizes, digits.ravel(), successor_ids.ravel()
+    return width, event.pool_sizes, digits.ravel(), successor_ids.ravel() if successors else None
 
 
 def _walk(cells: list[tuple], seed: int, trials: range) -> np.ndarray:
     """The outcome-sequence code of each of the given trials.
 
     ``cells`` holds one ``(width, pool sizes, code digits, successor ids)``
-    per event, the pool sizes as a tuple and the last two as arrays; a cell's
-    code digit is its outcome position times the event's place value, so a
-    code is the sum of the digits of the cells a trial passes through.
+    per event, the pool sizes as a tuple and the last two as arrays (the last
+    event's successor ids ``None``); a cell's code digit is its outcome
+    position times the event's place value, so a code is the sum of the
+    digits of the cells a trial passes through.
     """
     if not cells:
         return np.zeros(len(trials), dtype=np.int64)

@@ -190,7 +190,7 @@ def test_the_three_box_deck_has_few_reachable_states(threebox):
 def test_depth_64_retrodiction_matches_the_closed_form(threebox):
     """Alternating complete Suit/Face checks from Q, keeping a final K, retrodict S to
     (2·4^(k-1)+1)/(2·(4^k-1)) at depth 2k."""
-    for depth in (2, 4, 6, 8, 64):
+    for depth in (2, 4, 6, 8, 64, 512, 2048):
         k = depth // 2
         events = tuple(Manifestation(("Suit", "Face")[i % 2]) for i in range(depth))
         experiment = Experiment(
@@ -198,6 +198,18 @@ def test_depth_64_retrodiction_matches_the_closed_form(threebox):
         )
         expected = Fraction(2 * 4 ** (k - 1) + 1, 2 * (4**k - 1))
         assert retrodict_exact(experiment, 1, out(threebox, "Suit", "S")) == expected
+
+
+@pytest.mark.parametrize("alternation", [("Suit", "Face"), ("Suit?S", "Face")])
+def test_repeated_layers_share_one_compiled_event(threebox, alternation):
+    def kernel(depth):
+        events = tuple(parse_manifestation(threebox, alternation[k % 2]) for k in range(depth))
+        return Experiment(threebox, out(threebox, "Face", "Q"), events).kernel
+
+    deep, shallow = kernel(2048), kernel(64)
+    assert len({id(event) for event in deep.events}) <= 3
+    assert deep.events[:64] == shallow.events
+    assert deep.layers[:65] == shallow.layers
 
 
 def test_depth_64_patterns_with_disjunction_and_negation_are_exact(threebox):

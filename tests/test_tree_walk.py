@@ -36,20 +36,20 @@ def out(deck, variable, label, negated=False):
 @given(experiments())
 def test_walk_leaves_equal_the_enumerated_leaves_in_order(experiment):
     oracle = [(leaf.outcomes, leaf.probability) for leaf in enumerate_tree(experiment).leaves()]
-    walked = tree_leaves(experiment, lambda ordinal, outcome: (outcome,), ())
+    walked = list(tree_leaves(experiment, lambda ordinal, outcome: (outcome,), ()))
     assert [key for key, _, _ in walked] == [outcomes for outcomes, _ in oracle]
     assert [(n, d) for _, n, d in walked] == [(p.numerator, p.denominator) for _, p in oracle]
     # The unit sees each outcome with its own ordinal; string keys concatenate the same way.
-    numbered = tree_leaves(experiment, lambda ordinal, outcome: ((ordinal, outcome),), ())
+    numbered = list(tree_leaves(experiment, lambda ordinal, outcome: ((ordinal, outcome),), ()))
     assert [key for key, _, _ in numbered] == [tuple(enumerate(outcomes, start=1)) for outcomes, _ in oracle]
-    spelled = tree_leaves(experiment, lambda ordinal, outcome: f"{outcome};", "")
+    spelled = list(tree_leaves(experiment, lambda ordinal, outcome: f"{outcome};", ""))
     assert [key for key, _, _ in spelled] == ["".join(f"{o};" for o in outcomes) for outcomes, _ in oracle]
     assert leaf_distribution(experiment) == dict(oracle)
 
 
 def test_a_zero_event_tree_has_one_certain_leaf(threebox):
     experiment = Experiment(threebox, out(threebox, "Face", "Q"))
-    assert tree_leaves(experiment, lambda ordinal, outcome: (outcome,), ()) == [((), 1, 1)]
+    assert list(tree_leaves(experiment, lambda ordinal, outcome: (outcome,), ())) == [((), 1, 1)]
     assert [leaf.outcomes for leaf in enumerate_tree(experiment).leaves()] == [()]
 
 
