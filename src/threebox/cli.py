@@ -23,7 +23,7 @@ import json
 import sys
 from fractions import Fraction
 from itertools import chain
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .deck import format_cards
 from .deckfile import load_deck
@@ -39,6 +39,7 @@ from .exact import (
     parse_outcome_reference,
     probability,
     retrodict_exact,
+    tree_blocks,
     tree_header,
     tree_leaves,
 )
@@ -112,18 +113,33 @@ def _flatten(report: dict | list, prefix: str = "") -> list[tuple[str, object]]:
     return pairs
 
 
-# One leaf of a tree report as json.dumps(report, indent=2) writes it, filled
-# with a walk leaf: the outcome list's inside, then the numerator and denominator.
-_JSON_LEAF = '{\n      "outcomes": [%s],\n      "probability": "%d/%d"\n    }'
+def _write_blocks(blocks, opening: str, leaf: Callable[[str, int, int], str], separator: str) -> None:
+    """Write every leaf of :func:`~threebox.exact.tree_blocks` to stdout, ``separator`` between leaves.
+
+    A leaf is ``opening + head + leaf(tail, n, d)``.  Each distinct block's
+    ``leaf`` suffixes are formatted once, and each prefix's leaves are joined
+    in one call and written as one piece, so no string of the whole listing
+    is built.
+    """
+    write = sys.stdout.write
+    formatted: dict[int, tuple[tuple, list[str]]] = {}  # by block identity; the block is kept alive with it
+    between = ""
+    for head, block in blocks:
+        if id(block) not in formatted:
+            formatted[id(block)] = block, list(map(leaf, *block))
+        start = opening + head
+        write(between + start + (separator + start).join(formatted[id(block)][1]))
+        between = separator
 
 
 def _print_tree_json(report: dict, experiment) -> None:
     """Print ``json.dumps(report, indent=2)`` of a tree report whose ``leaves`` are still empty, leaves filled in.
 
-    Each leaf is written from its string key and ``_JSON_LEAF`` as the walk
-    makes it, each label encoded once; the rest of the report goes through
-    ``json.dumps``.  The leaves are printed as one piece between the two
-    halves of the rest, so the largest string is never copied again.
+    The leaves are written from the walk's blocks, each label encoded once
+    and each distinct block's leaf endings formatted once; the rest of the
+    report goes through ``json.dumps`` and is written around them.  The
+    blocks are requested before anything is written, so a tree beyond the
+    event cap prints nothing.
     """
     encoded = functools.cache(json.dumps)
     last = len(experiment.manifestations)
@@ -132,9 +148,16 @@ def _print_tree_json(report: dict, experiment) -> None:
         before = "\n        " if ordinal == 1 else ",\n        "
         return before + encoded(str(outcome)) + ("\n      " if ordinal == last else "")
 
-    leaves = ",\n    ".join([_JSON_LEAF % leaf for leaf in tree_leaves(experiment, unit, "")])
+    blocks = tree_blocks(experiment, unit, "")
     head, _, tail = json.dumps(report, indent=2).partition('"leaves": []')
-    print(head, '"leaves": [\n    ', leaves, "\n  ]", tail, sep="")
+    sys.stdout.write(head + '"leaves": [\n    ')
+    _write_blocks(
+        blocks,
+        '{\n      "outcomes": [',
+        lambda tail, n, d: f'{tail}],\n      "probability": "{n}/{d}"\n    }}',
+        ",\n    ",
+    )
+    sys.stdout.write("\n  ]" + tail + "\n")
 
 
 def _text_unit(ordinal: int, outcome) -> str:
@@ -225,14 +248,16 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     if args.json:
         _print_tree_json(report, experiment)
         return 0
-    leaves = tree_leaves(experiment, _text_unit, "")
     if args.csv:
+        leaves = tree_leaves(experiment, _text_unit, "")
         print(_csv(chain([("outcomes", "probability")], ((key, f"{n}/{d}") for key, n, d in leaves))), end="")
         return 0
-    lines = [f"{key or _NO_EVENTS}: {n}/{d}" for key, n, d in leaves]
+    # Only the tree of no events has an empty tail, and its head is empty too.
+    blocks = tree_blocks(experiment, _text_unit, "")
+    _write_blocks(blocks, "", lambda tail, n, d: f"{tail or _NO_EVENTS}: {n}/{d}", "\n")
     if "acceptance_probability" in report:
-        lines.append(f"acceptance: {report['acceptance_probability']}")
-    print("\n".join(lines))
+        sys.stdout.write(f"\nacceptance: {report['acceptance_probability']}")
+    sys.stdout.write("\n")
     return 0
 
 

@@ -10,10 +10,12 @@ Every query is a :class:`Pattern` of outcomes at given ordinals, and
 ``probability`` answers it by propagating integer state weights over one
 common denominator forward through the kernel, each carrying the part of
 the pattern still open, in time linear in the event count for a given
-pattern.  ``tree_leaves`` produces every outcome sequence with its
-probability lazily, one at a time, walking the kernel rows and sharing the
-leaves below a state among every path that reaches it; only tree listings
-read it, so only they are capped at ``MAX_EVENTS``.
+pattern.  ``tree_blocks`` produces every outcome sequence with its
+probability lazily, a block of leaves per path to the middle layer, walking
+the kernel rows: the leaves below a middle state are reduced once per prefix
+probability, and every path that reaches the state with that probability
+shares the block; ``tree_leaves`` flattens the blocks one leaf at a time.
+Only tree listings read them, so only they are capped at ``MAX_EVENTS``.
 
 The module also carries the deck's closed-form single-step probability
 (checkable against enumeration), and mixture states: weighted combinations
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import floordiv
 from typing import Callable, ClassVar, Iterator, Sequence, TypeVar
 
 from .deck import Deck, Manifestation, Outcome, SystemState, Value
@@ -37,8 +40,10 @@ from .kernel import Kernel
 
 _set = object.__setattr__
 
-# Leaf counts grow as (values per variable + 1)^depth; decks are tiny but
-# every leaf is listed, so cap the event count of a tree.
+# A tree has as many leaves as the product of its events' outcome counts: V
+# (values per variable) for a complete event and 2 for a partial one, so 3^8 =
+# 6,561 leaves for 8 complete events on the three-box deck.  Every leaf is
+# listed, so cap the event count of a tree.
 MAX_EVENTS = 8
 
 
@@ -157,26 +162,32 @@ def _check_tree_depth(experiment: Experiment) -> None:
 Key = TypeVar("Key", str, tuple)
 
 
-def tree_leaves(
+def tree_blocks(
     experiment: Experiment, unit: Callable[[int, Outcome], Key], empty: Key
-) -> Iterator[tuple[Key, int, int]]:
-    """Every leaf of the tree as ``(key, numerator, denominator)``, depth first in row order.
+) -> Iterator[tuple[Key, tuple[tuple[Key, ...], tuple[int, ...], tuple[int, ...]]]]:
+    """Every leaf of the tree, a block per middle prefix: ``(head, (tails, numerators, denominators))``.
 
-    A leaf's key is ``empty`` followed by ``unit(ordinal, outcome)`` for each
-    outcome on its path, joined with ``+``; ``unit`` is called once per
-    outcome of each event.  ``numerator/denominator`` is the leaf's exact
-    probability in lowest terms.
+    Leaf ``i`` of a block has the key ``head + tails[i]``: ``empty`` followed
+    by ``unit(ordinal, outcome)`` for each outcome on its path, joined with
+    ``+``; ``unit`` is called once per outcome of each event.
+    ``numerators[i]/denominators[i]`` is the leaf's exact probability in
+    lowest terms.  Prefixes come depth first in row order, and so do the
+    leaves of a block.
 
     The walk reads the kernel rows and meets in the middle.  Prefixes run
     forward to the middle layer, one per path.  Below that layer, the leaves
-    under each state are built once, backward from the last layer, and are
-    shared by every prefix that reaches the state.  A probability is carried
-    as integer products of the row numerators and denominators, and reduced
-    by one gcd per leaf.
+    under each state are built once, backward from the last layer.  Both
+    carry a probability as integer products of the row numerators and
+    denominators.  A block is the leaves below a prefix's state times the
+    prefix's probability, reduced by one gcd per leaf; it is built once per
+    middle state and reduced prefix probability, and the same tuple is
+    handed to every prefix that shares both.  Blocks live until the listing
+    ends, so each holds three columns rather than a tuple per leaf: thousands
+    of live tuples would set off garbage collections inside the listing.
 
     The call builds the tables and the shared lower halves, and raises
     SequenceTooLongError beyond ``MAX_EVENTS`` events; the iterator it
-    returns makes one leaf at a time, so no leaf outlives its consumer's use.
+    returns builds each distinct block when a prefix first needs it.
     """
     _check_tree_depth(experiment)
     kernel = experiment.kernel
@@ -193,13 +204,38 @@ def tree_leaves(
     below = [[(empty, 1, 1)]] * len(kernel.layers[-1])
     for table in reversed(tables[middle:]):
         below = [[(u + key, un * n, ud * d) for u, un, ud, t in rows for key, n, d in below[t]] for rows in table]
+    columns = [tuple(map(tuple, zip(*leaves))) for leaves in below]
     gcd = math.gcd
+    blocks: dict[tuple[int, int, int], tuple] = {}
+
+    def block(s: int, hn: int, hd: int) -> tuple:
+        common = gcd(hn, hd)
+        group = (s, hn // common, hd // common)
+        if group not in blocks:
+            _, hn, hd = group
+            tails, tns, tds = columns[s]
+            ns = [hn * tn for tn in tns]
+            ds = [hd * td for td in tds]
+            gs = list(map(gcd, ns, ds))
+            blocks[group] = tails, tuple(map(floordiv, ns, gs)), tuple(map(floordiv, ds, gs))
+        return blocks[group]
+
+    return ((head, block(s, hn, hd)) for s, head, hn, hd in prefixes)
+
+
+def tree_leaves(
+    experiment: Experiment, unit: Callable[[int, Outcome], Key], empty: Key
+) -> Iterator[tuple[Key, int, int]]:
+    """Every leaf of the tree as ``(key, numerator, denominator)``, depth first in row order.
+
+    The leaves of :func:`tree_blocks`, each prefix's block flattened with
+    the prefix's head put before every tail; keys, ``unit`` and ``empty``
+    are as there.  Like it, the call raises SequenceTooLongError beyond
+    ``MAX_EVENTS`` events, and the iterator it returns makes one leaf at a
+    time, so no leaf outlives its consumer's use.
+    """
     return (
-        (head + tail, n // g, d // g)
-        for s, head, hn, hd in prefixes
-        for tail, tn, td in below[s]
-        for n, d in ((hn * tn, hd * td),)
-        for g in (gcd(n, d),)
+        (head + tail, n, d) for head, block in tree_blocks(experiment, unit, empty) for tail, n, d in zip(*block)
     )
 
 

@@ -164,9 +164,10 @@ class TestExact:
         expected = Fraction(2 * 4 ** (k - 1) + 1, 2 * (4**k - 1))
         assert out == f"{expected.numerator}/{expected.denominator}\n"
 
-    def test_tree_beyond_the_cap_exits_2(self, capsys, deck_file):
+    @pytest.mark.parametrize("form", [[], ["--csv"], ["--json"]], ids=["text", "csv", "json"])
+    def test_tree_beyond_the_cap_exits_2(self, capsys, deck_file, form):
         observe = [arg for k in range(9) for arg in ("--observe", ("Suit", "Face")[k % 2])]
-        code, out, err = run(capsys, "exact", "--deck", deck_file, "--prepare", "Face=Q", *observe, "--json")
+        code, out, err = run(capsys, "exact", "--deck", deck_file, "--prepare", "Face=Q", *observe, *form)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 

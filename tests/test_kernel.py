@@ -33,9 +33,9 @@ def out(deck, variable, label, negated=False):
 
 
 @st.composite
-def experiments(draw, max_events=6, max_scale=1):
-    """A random balanced deck scaled by up to ``max_scale``, a preparation, up to
-    ``max_events`` events and maybe a postselection."""
+def experiments(draw, max_events=6, max_scale=1, min_events=0):
+    """A random balanced deck scaled by up to ``max_scale``, a preparation,
+    ``min_events`` to ``max_events`` events and maybe a postselection."""
     deck = draw(balanced_decks(max_scale))
     variables = (deck.face, deck.suit)
     variable = draw(st.sampled_from(variables))
@@ -43,7 +43,7 @@ def experiments(draw, max_events=6, max_scale=1):
         CardValue(variable.name, draw(st.sampled_from(variable.labels))), negated=draw(st.booleans())
     )
     events = []
-    for _ in range(draw(st.integers(0, max_events))):
+    for _ in range(draw(st.integers(min_events, max_events))):
         observed = draw(st.sampled_from(variables))
         events.append(Manifestation(observed.name, draw(st.sampled_from((None,) + observed.labels))))
     postselection = None

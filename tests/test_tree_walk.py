@@ -3,10 +3,11 @@
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 
 from oracles import enumerate_tree
 from test_kernel import experiments
@@ -23,6 +24,7 @@ from threebox.exact import (
     format_fraction,
     leaf_distribution,
     probability,
+    tree_blocks,
     tree_header,
     tree_leaves,
 )
@@ -30,6 +32,26 @@ from threebox.exact import (
 
 def out(deck, variable, label, negated=False):
     return Outcome(deck.value(variable, label), negated=negated)
+
+
+def oracle_report(experiment):
+    """The experiment's tree report, leaves from the branch-tree oracle so the walk is not compared with itself."""
+    report = tree_header(experiment)
+    report["leaves"] = [
+        {"outcomes": [str(o) for o in leaf.outcomes], "probability": format_fraction(leaf.probability)}
+        for leaf in enumerate_tree(experiment).leaves()
+    ]
+    if experiment.postselection is not None:
+        report["acceptance_probability"] = format_fraction(acceptance_probability(experiment))
+    return report
+
+
+def text_lines(report):
+    """The lines of the text tree report ``threebox exact`` prints for the report."""
+    lines = [f"{' '.join(leaf['outcomes']) or '(no events)'}: {leaf['probability']}" for leaf in report["leaves"]]
+    if "acceptance_probability" in report:
+        lines.append(f"acceptance: {report['acceptance_probability']}")
+    return lines
 
 
 @settings(max_examples=120, deadline=None)
@@ -53,11 +75,24 @@ def test_a_zero_event_tree_has_one_certain_leaf(threebox):
     assert [leaf.outcomes for leaf in enumerate_tree(experiment).leaves()] == [()]
 
 
+def test_prefixes_of_equal_probability_share_one_reduced_block(threebox):
+    events = tuple(Manifestation(("Suit", "Face")[k % 2]) for k in range(8))
+    experiment = Experiment(threebox, out(threebox, "Face", "Q"), events, (8, out(threebox, "Face", "K")))
+    blocks = list(tree_blocks(experiment, lambda ordinal, outcome: (outcome,), ()))
+    assert len(blocks) == 81
+    assert len({id(block) for _, block in blocks}) <= 15
+    flattened = [(head + tail, n, d) for head, block in blocks for tail, n, d in zip(*block)]
+    assert len(flattened) == 3**8
+    assert flattened == list(tree_leaves(experiment, lambda ordinal, outcome: (outcome,), ()))
+    assert all(math.gcd(n, d) == 1 for _, n, d in flattened)
+
+
 def test_every_tree_consumer_keeps_the_event_cap(threebox):
     experiment = Experiment(threebox, out(threebox, "Face", "Q"), (Manifestation("Suit"),) * 9)
     for consume in (
         leaf_distribution,
         lambda e: tree_leaves(e, lambda ordinal, outcome: (outcome,), ()),
+        lambda e: tree_blocks(e, lambda ordinal, outcome: (outcome,), ()),
     ):
         with pytest.raises(SequenceTooLongError):
             consume(experiment)
@@ -89,13 +124,7 @@ def test_tree_output_equals_the_report_dumped_whole(capsys, escaping_deck_file, 
     deck, path = escaping_deck_file
     postselect = [f"{len(events)}:Face=é"] if events and events[-1].startswith("Face") else []
     experiment = experiment_from_options(deck, 'Face="', events, *postselect)
-    report = tree_header(experiment)
-    report["leaves"] = [  # from the oracle, so the walk is not compared with itself
-        {"outcomes": [str(o) for o in leaf.outcomes], "probability": format_fraction(leaf.probability)}
-        for leaf in enumerate_tree(experiment).leaves()
-    ]
-    if postselect:
-        report["acceptance_probability"] = format_fraction(acceptance_probability(experiment))
+    report = oracle_report(experiment)
     argv = ["exact", "--deck", path, "--prepare", 'Face="', *(a for e in events for a in ("--observe", e))]
     argv += [a for p in postselect for a in ("--postselect", p)]
 
@@ -113,8 +142,26 @@ def test_tree_output_equals_the_report_dumped_whole(capsys, escaping_deck_file, 
     ]
 
     assert cli.main(argv) == 0
-    lines = [f"{' '.join(leaf['outcomes']) or '(no events)'}: {leaf['probability']}" for leaf in report["leaves"]]
-    if postselect:
-        lines.append(f"acceptance: {report['acceptance_probability']}")
-    assert capsys.readouterr().out == "\n".join(lines) + "\n"
+    assert capsys.readouterr().out == "\n".join(text_lines(report)) + "\n"
+
+
+# At 4 events or more the walk has several prefixes, and prefixes of equal
+# probability at one middle state share a block of leaves.
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(experiments(min_events=4))
+def test_tree_output_on_random_decks_equals_the_oracle_report(capsys, tmp_path_factory, experiment):
+    path = tmp_path_factory.mktemp("deck") / "random.deck"
+    save_deck(experiment.deck, path)
+    preparation = experiment.preparation
+    argv = ["exact", "--deck", str(path), "--prepare", f"{preparation.variable}={preparation}"]
+    argv += [a for m in experiment.manifestations for a in ("--observe", str(m))]
+    if experiment.postselection is not None:
+        ordinal, outcome = experiment.postselection
+        argv += ["--postselect", f"{ordinal}:{outcome.variable}={outcome}"]
+    report = oracle_report(experiment)
+
+    assert cli.main([*argv, "--json"]) == 0
+    assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == "\n".join(text_lines(report)) + "\n"
 
