@@ -11,7 +11,8 @@ and seed; rationals print as ``num/den``, floats with 12 significant digits.
 
 A handler imports the modules its subcommand needs beyond the exact engine,
 so ``validate``, ``exact``, ``formula`` and ``quantum`` run without loading
-numpy; only ``simulate`` and ``scenario`` load it.
+numpy; only ``simulate``, and a ``scenario`` that answers a Monte Carlo
+claim, load it.  Exact values print in full, however many digits they have.
 """
 
 from __future__ import annotations
@@ -507,16 +508,20 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+    # Exact values are printed in full, however many digits they have: lift the
+    # interpreter's int-to-str digit limit, where it has one, while the call runs.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
         return args.handler(args)
-    except ThreeBoxError as error:
+    except (ThreeBoxError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    except OSError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -77,7 +77,11 @@ def serialize_deck(deck: Deck) -> str:
 
 def load_deck(path: str | Path) -> Deck:
     """Read and validate a deck schema file."""
-    return parse_deck(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as error:
+        raise DeckFileError(f"{path}: not UTF-8 text (byte {error.start})") from None
+    return parse_deck(text)
 
 
 def save_deck(deck: Deck, path: str | Path) -> None:

@@ -63,6 +63,12 @@ DEFAULT_TRIALS = 100_000
 DEFAULT_SEED = 42
 
 
+def check_seed(seed: int) -> None:
+    """Reject a seed outside the stream's 64-bit key range."""
+    if not 0 <= seed < 1 << 64:
+        raise InvalidArgumentsError(f"seed must be in [0, 2**64), got {seed}")
+
+
 # ---------------------------------------------------------------------------
 # Experiments
 # ---------------------------------------------------------------------------

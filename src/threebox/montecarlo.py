@@ -30,7 +30,7 @@ import numpy as np
 
 from .deck import Outcome, observe, prepare
 from .errors import InvalidArgumentsError, NoAcceptedTrialsError
-from .exact import Experiment, OutcomeAt, Pattern, format_float
+from .exact import Experiment, OutcomeAt, Pattern, check_seed, format_float
 from .kernel import Event
 from .rng import CounterStream, CounterStreams
 
@@ -57,12 +57,6 @@ class RunConfig:
             # Trial indices key the stream modulo 2**64, so more would replay trial 0.
             raise InvalidArgumentsError(f"a run takes at most 2**64 trials, got {self.trials}")
         check_seed(self.seed)
-
-
-def check_seed(seed: int) -> None:
-    """Reject a seed outside the stream's 64-bit key range."""
-    if not 0 <= seed < 1 << 64:
-        raise InvalidArgumentsError(f"seed must be in [0, 2**64), got {seed}")
 
 
 def run_trial(experiment: Experiment, seed: int, trial: int) -> tuple[Outcome, ...]:

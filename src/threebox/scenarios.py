@@ -6,18 +6,20 @@ mode (exact rational, absolute 1e-9, or five standard errors for Monte
 Carlo frequencies), and the value computed by each independent route.  A
 scenario passes only if every route of every claim agrees.
 
-The card scenarios are data: lists of :class:`Exact` and :class:`Sampled`
-claim specs that one evaluator answers.  Each route of a claim is a question
-whose type names its engine: :class:`Ask` the forward pass (or, in a
+Every scenario is data: a list of :class:`Exact` and :class:`Sampled` claim
+specs that one evaluator answers.  Each route of a claim is a question whose
+type names its engine: :class:`Ask` the forward pass (or, in a
 :class:`Sampled` claim, a count in the Monte Carlo table), :class:`Step` the
 closed form, :class:`RetrodictionInputs` and :class:`Complete` the
-retrodiction formulas; any other value was computed by a procedure.
+retrodiction formulas; any other value, such as a float from the quantum
+module, was computed by a procedure and answers itself.  The Monte Carlo
+module, and with it numpy, is loaded only when a :class:`Sampled` claim is
+answered.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -33,6 +35,7 @@ from .exact import (
     MixtureState,
     OutcomeAt,
     Pattern,
+    check_seed,
     conditional_probability,
     format_float,
     format_fraction,
@@ -41,15 +44,13 @@ from .exact import (
     single_step_probability,
 )
 from .formulas import RetrodictionInputs, retrodict_complete, retrodict_partial
-from .montecarlo import FrequencyTable, RunConfig, check_seed, simulate
 
 MODE_EXACT = "exact"
 MODE_ABS = "abs 1e-9"
 MODE_FIVE_SE = "5 standard errors"
 
 
-@dataclass
-class Claim:
+class Claim(NamedTuple):
     """One checked statement: expected value, provenance, computed routes."""
 
     description: str
@@ -60,12 +61,11 @@ class Claim:
     passed: bool
 
 
-@dataclass
-class ScenarioReport:
+class ScenarioReport(NamedTuple):
     """All claims of one scenario, plus an optional event trace."""
 
     name: str
-    claims: list[Claim] = field(default_factory=list)
+    claims: list[Claim]
     trace: list[dict] | None = None
 
     @property
@@ -76,17 +76,7 @@ class ScenarioReport:
         report = {
             "scenario": self.name,
             "passed": self.passed,
-            "claims": [
-                {
-                    "description": claim.description,
-                    "expected": claim.expected,
-                    "source": claim.source,
-                    "mode": claim.mode,
-                    "computed": dict(claim.computed),
-                    "passed": claim.passed,
-                }
-                for claim in self.claims
-            ],
+            "claims": [{**claim._asdict(), "computed": dict(claim.computed)} for claim in self.claims],
         }
         if self.trace is not None:
             report["trace"] = self.trace
@@ -217,7 +207,7 @@ def _evaluate(specs: list, trials: int, seed: int, answers: dict | None = None) 
     ``answers`` maps the questions the caller has already answered to their answers.
     """
     answers = {} if answers is None else answers
-    tables: dict[Experiment, FrequencyTable] = {}
+    tables = {}
 
     def answer(question):
         value = answers.get(question)
@@ -236,6 +226,8 @@ def _evaluate(specs: list, trials: int, seed: int, answers: dict | None = None) 
             experiment, target, given = spec.ask
             table = tables.get(experiment)
             if table is None:
+                from .montecarlo import RunConfig, simulate
+
                 table = tables[experiment] = simulate(RunConfig(experiment, trials, seed))
             if given is None:
                 hits, samples = table.count(target), table.trials
@@ -461,58 +453,50 @@ def interference_demo(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) ->
 
 def three_box_quantum() -> ScenarioReport:
     """The quantum pair behind the story, checked through the ABL rules."""
-    report = ScenarioReport("three-box-quantum")
     pre, post, basis = quantum.three_box_pair()
-
-    for box in (1, 2):
-        report.claims.append(
-            _claim(
-                f"opening box {box} alone finds the particle with certainty",
-                "the untested amplitude products cancel coherently",
-                1.0,
-                {"partial retrodiction": quantum.abl_partial(pre, basis, box - 1, post)},
-            )
+    specs = [
+        Exact(
+            f"opening box {box} alone finds the particle with certainty",
+            "the untested amplitude products cancel coherently",
+            1.0,
+            {"partial retrodiction": quantum.abl_partial(pre, basis, box - 1, post)},
         )
-    report.claims.append(
-        _claim(
+        for box in (1, 2)
+    ]
+    specs.append(
+        Exact(
             "opening box 3 alone scores 1/5",
             "product 1/9 against a coherent remainder of 4/9",
             0.2,
             {"partial retrodiction": quantum.abl_partial(pre, basis, 2, post)},
         )
     )
-    for box in (1, 2, 3):
-        report.claims.append(
-            _claim(
-                f"a complete observation retrodicts box {box} to 1/3",
-                "all three amplitude products weigh 1/9",
-                1 / 3,
-                {"complete retrodiction": quantum.abl_complete(pre, basis, box - 1, post)},
-            )
+    specs += [
+        Exact(
+            f"a complete observation retrodicts box {box} to 1/3",
+            "all three amplitude products weigh 1/9",
+            1 / 3,
+            {"complete retrodiction": quantum.abl_complete(pre, basis, box - 1, post)},
         )
+        for box in (1, 2, 3)
+    ]
     holds = quantum.threebox_condition_check(pre, post, basis)
-    report.claims.append(
+    geometry = quantum.three_slit_design(separation=10.0, wavelength=1.0)
+    amplitudes = geometry.detector_amplitudes()
+    specs += [
         _bool_claim(
             "the pre/post pair satisfies the two-boxes-certain condition",
             "products are (1/3, 1/3, -1/3)",
             {"condition check": str(holds).lower()},
             holds,
-        )
-    )
-
-    geometry = quantum.three_slit_design(separation=10.0, wavelength=1.0)
-    excess = math.hypot(geometry.distance, geometry.separation) - geometry.distance
-    report.claims.append(
-        _claim(
+        ),
+        Exact(
             "slit geometry: the outer path exceeds the middle path by half a wavelength",
             "detector distance a²/λ − λ/4 = 99.75 wavelengths at a = 10λ",
             0.5,
-            {"path excess": excess},
-        )
-    )
-    amplitudes = geometry.detector_amplitudes()
-    report.claims.append(
-        _claim(
+            {"path excess": math.hypot(geometry.distance, geometry.separation) - geometry.distance},
+        ),
+        Exact(
             "either outer path alone cancels the middle path at the detector",
             "half a wavelength of extra phase flips the sign",
             0.0,
@@ -520,17 +504,15 @@ def three_box_quantum() -> ScenarioReport:
                 "slit 1 + slit 3": abs(amplitudes[0] + amplitudes[2]),
                 "slit 2 + slit 3": abs(amplitudes[1] + amplitudes[2]),
             },
-        )
-    )
-    report.claims.append(
-        _claim(
+        ),
+        Exact(
             "the detector sees the (1, 1, −1)/√3 amplitude pattern of the post state",
             "overlap magnitude with the post state, phase quotiented",
             1.0,
             {"overlap": abs(geometry.detector_state().inner(post))},
-        )
-    )
-    return report
+        ),
+    ]
+    return ScenarioReport("three-box-quantum", _evaluate(specs, 0, DEFAULT_SEED))
 
 
 def aad_curious(alpha: complex = 1 / math.sqrt(2), beta: complex = 1 / math.sqrt(2)) -> ScenarioReport:
@@ -541,46 +523,37 @@ def aad_curious(alpha: complex = 1 / math.sqrt(2), beta: complex = 1 / math.sqrt
     rotated basis.  Complete observations split: X still gives 1, the
     rotated basis gives 1/(1+2|αβ|²) < 1 whenever both α and β are nonzero.
     """
-    report = ScenarioReport("aad")
     pre, post, x_basis = quantum.shared_eigenstate_pair()
     analysis = quantum.aad_analysis(alpha, beta)
     product = abs(alpha * beta) ** 2
-    expected_complete = 1 / (1 + 2 * product)
-
-    report.claims.append(
-        _claim(
+    specs = [
+        Exact(
             "partial check of the middle X value is certain",
             "only the shared eigenstate connects pre to post",
             1.0,
             {"partial retrodiction (X basis)": quantum.abl_partial(pre, x_basis, 1, post)},
-        )
-    )
-    report.claims.append(
-        _claim(
+        ),
+        Exact(
             "partial check of the shared value in the rotated basis is equally certain",
             "the two rotated partners cancel coherently for every admissible (α, β)",
             1.0,
             {"partial retrodiction (rotated basis)": analysis.partial_result},
-        )
-    )
-    report.claims.append(
-        _claim(
+        ),
+        Exact(
             "complete observation in the X basis still gives certainty",
             "the outer products vanish separately",
             1.0,
             {"complete retrodiction (X basis)": quantum.abl_complete(pre, x_basis, 1, post)},
-        )
-    )
-    report.claims.append(
-        _claim(
+        ),
+        Exact(
             "complete observation in the rotated basis gives 1/(1+2|αβ|²)",
             "direct evaluation of the complete retrodiction over the rotated basis",
-            expected_complete,
+            1 / (1 + 2 * product),
             {"complete retrodiction (rotated basis)": analysis.complete_result},
-        )
-    )
+        ),
+    ]
     if product > 0:
-        report.claims.append(
+        specs.append(
             _bool_claim(
                 "the complete rotated-basis result falls strictly below 1",
                 "resolving the rotated partners adds their weight incoherently",
@@ -588,7 +561,7 @@ def aad_curious(alpha: complex = 1 / math.sqrt(2), beta: complex = 1 / math.sqrt
                 analysis.complete_result < 1,
             )
         )
-    return report
+    return ScenarioReport("aad", _evaluate(specs, 0, DEFAULT_SEED))
 
 
 def counterfactual_trace(
@@ -703,20 +676,18 @@ def _describe(snapshot: dict) -> str:
     return f"memory={snapshot['memory']}; {values}; {snapshot['partition']}"
 
 
+# Every scenario called as ``(trials, seed)``; the quantum ones sample nothing and ignore both.
 SCENARIOS = {
     "three-box-card": three_box_card,
     "interference": interference_demo,
-    "three-box-quantum": three_box_quantum,
-    "aad": aad_curious,
-    "counterfactual": counterfactual_trace,
+    "three-box-quantum": lambda trials, seed: three_box_quantum(),
+    "aad": lambda trials, seed: aad_curious(),
+    "counterfactual": lambda trials, seed: counterfactual_trace(trials=trials, seed=seed),
 }
-
-# The scenarios that take ``trials`` and ``seed``: the ones with Monte Carlo routes.
-SAMPLED_SCENARIOS = frozenset({"three-box-card", "interference", "counterfactual"})
 
 
 def run_scenario(name: str, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) -> ScenarioReport:
-    """Run a scenario by CLI name, forwarding Monte Carlo options where used.
+    """Run a scenario by CLI name with the Monte Carlo options its sampled claims use.
 
     ``trials=0`` skips the Monte Carlo routes; a negative count or a seed
     outside [0, 2**64) is rejected whether or not the scenario samples.
@@ -726,7 +697,4 @@ def run_scenario(name: str, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SE
     if trials < 0:
         raise InvalidArgumentsError(f"trials must be 0 (to skip Monte Carlo) or positive, got {trials}")
     check_seed(seed)
-    scenario = SCENARIOS[name]
-    if name in SAMPLED_SCENARIOS:
-        return scenario(trials=trials, seed=seed)
-    return scenario()
+    return SCENARIOS[name](trials, seed)

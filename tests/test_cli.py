@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import sys
 import warnings
 from fractions import Fraction
 
@@ -289,6 +290,25 @@ class TestFormula:
         )
         assert code == 2
         assert "probability zero" in err
+
+    def test_a_value_past_the_int_digit_limit_prints_in_full(self, capsys):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, _ = run(
+            capsys, "formula", "complete", "--likelihoods", "1e5000,1", "--priors", "1/2,1/2", "--index", "1"
+        )
+        assert code == 0
+        assert out == "1/1" + "0" * 4999 + "1\n"
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    def test_a_refusal_quoting_a_long_value_exits_2(self, capsys):
+        code, out, err = run(
+            capsys,
+            "formula", "partial",
+            "--likelihood", "1e5000", "--prior", "1/2",
+            "--likelihood-negation", "0", "--prior-negation", "1/2",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: likelihood = 1" + "0" * 5000) and err.count("\n") == 1
 
 
 class TestQuantum:

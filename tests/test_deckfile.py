@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from threebox import cli
 from threebox.deck import CardValue, Deck, Manifestation, Outcome, Variable, validate_deck
 from threebox.deckfile import load_deck, parse_deck, save_deck, serialize_deck
 from threebox.errors import (
@@ -41,6 +42,16 @@ def test_save_and_load(tmp_path, twovalue):
     path = tmp_path / "deck.deck"
     save_deck(twovalue, path)
     assert load_deck(path) == twovalue
+
+
+def test_a_file_that_is_not_utf8_is_refused(tmp_path, capsys):
+    path = tmp_path / "bad.deck"
+    path.write_bytes(b"variable Face: K Q\nvariable Suit: S \xff\n")
+    with pytest.raises(DeckFileError, match="not UTF-8"):
+        load_deck(path)
+    assert cli.main(["validate", "--deck", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_duplicate_card_lines_accumulate():

@@ -1,4 +1,4 @@
-"""What a call loads: the exact and quantum paths run without numpy or dataclasses, and the package exports its names lazily."""
+"""What a call loads: the exact, quantum and unsampled scenario paths run without numpy or dataclasses, and the package exports its names lazily."""
 
 import argparse
 import importlib
@@ -49,6 +49,13 @@ SLITS = ["quantum", "slits", "--separation", "10", "--wavelength", "1", "--json"
 ABL_PARTIAL = ["quantum", "abl-partial", "--state", "1,1,1", "--post", "1,1,-1", "--index", "0"]
 # The quantum subcommand loads its own module, and nothing else of the heavy ones.
 QUANTUM = ["threebox.quantum"]
+# A scenario that samples nothing loads its own module and the quantum one, not the Monte Carlo.
+SCENARIO = ["threebox.quantum", "threebox.scenarios"]
+UNSAMPLED = {
+    "scenario aad": ["scenario", "aad"],
+    "scenario three-box-quantum": ["scenario", "three-box-quantum"],
+    "scenario three-box-card --trials 0": ["scenario", "three-box-card", "--trials", "0"],
+}
 
 # Every name the package exported when it imported all of its modules eagerly, by module,
 # less the projector algebra and the branch-tree oracle that only tests used, and the card
@@ -82,8 +89,9 @@ def loaded_after(*argv: str) -> list[str]:
 
 @pytest.mark.parametrize(
     "argv, expected",
-    [([], []), (EXACT, []), (["validate", "--deck", DECK], []), (FORMULA, []), (SLITS, QUANTUM), (ABL_PARTIAL, QUANTUM)],
-    ids=["import threebox", "exact", "validate", "formula", "quantum slits", "quantum abl-partial"],
+    [([], []), (EXACT, []), (["validate", "--deck", DECK], []), (FORMULA, []), (SLITS, QUANTUM), (ABL_PARTIAL, QUANTUM),
+     *[(argv, SCENARIO) for argv in UNSAMPLED.values()]],
+    ids=["import threebox", "exact", "validate", "formula", "quantum slits", "quantum abl-partial", *UNSAMPLED],
 )
 def test_the_exact_path_loads_no_numpy(argv, expected):
     assert [m for m in loaded_after(*argv) if m in HEAVY] == expected
@@ -92,8 +100,8 @@ def test_the_exact_path_loads_no_numpy(argv, expected):
 @pytest.mark.parametrize(
     "argv, expected",
     [(["setup"], []), (EXACT, []), (["validate", "--deck", DECK], []), (FORMULA, []), (SLITS, QUANTUM),
-     (ABL_PARTIAL, QUANTUM)],
-    ids=["cli setup", "exact", "validate", "formula", "quantum slits", "quantum abl-partial"],
+     (ABL_PARTIAL, QUANTUM), *[(argv, SCENARIO) for argv in UNSAMPLED.values()]],
+    ids=["cli setup", "exact", "validate", "formula", "quantum slits", "quantum abl-partial", *UNSAMPLED],
 )
 def test_the_exact_path_creates_no_dataclass(argv, expected):
     assert loaded_after(*argv) == expected
@@ -102,6 +110,10 @@ def test_the_exact_path_creates_no_dataclass(argv, expected):
 def test_simulate_loads_numpy():
     argv = ["simulate", *EXACT[1:], "--trials", "1000", "--seed", "7"]
     assert "numpy" in loaded_after(*argv)
+
+
+def test_a_sampling_scenario_loads_numpy():
+    assert "numpy" in loaded_after("scenario", "three-box-card")
 
 
 def test_every_export_is_the_defining_modules_object():

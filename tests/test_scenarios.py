@@ -1,12 +1,10 @@
 """Scenario reports: every claim checked, traces populated, diagnoses raised."""
 
-import dataclasses
-import inspect
 import math
 
 import pytest
 
-from threebox import exact, quantum, scenarios
+from threebox import exact, montecarlo, quantum, scenarios
 from threebox.decks import three_box_deck
 from threebox.errors import ZeroAcceptanceError
 from threebox.scenarios import (
@@ -141,7 +139,7 @@ def test_report_serialization_shape():
     assert payload["passed"] is True
     for claim, row in zip(report.claims, payload["claims"], strict=True):
         assert list(row) == ["description", "expected", "source", "mode", "computed", "passed"]
-        assert row == dataclasses.asdict(claim)
+        assert row == claim._asdict()
         assert row["computed"] is not claim.computed
     assert isinstance(payload["trace"], list)
 
@@ -181,8 +179,8 @@ def test_no_claim_has_two_routes_from_one_engine(monkeypatch, name):
 @pytest.mark.parametrize("name", sorted(MC_RUNS))
 def test_each_experiment_is_simulated_once(monkeypatch, name, trials):
     configs = []
-    simulate = scenarios.simulate
-    monkeypatch.setattr(scenarios, "simulate", lambda config: configs.append(config) or simulate(config))
+    simulate = montecarlo.simulate
+    monkeypatch.setattr(montecarlo, "simulate", lambda config: configs.append(config) or simulate(config))
     run_scenario(name, trials=trials, seed=3)
     assert len(configs) == (MC_RUNS[name] if trials else 0)
     assert len({config.experiment for config in configs}) == len(configs)
@@ -223,13 +221,6 @@ def test_the_quantum_condition_is_checked_once(monkeypatch):
     monkeypatch.setattr(quantum, "threebox_condition_check", lambda *args: calls.append(args) or check(*args))
     assert three_box_quantum().passed
     assert len(calls) == 1
-
-
-def test_sampled_scenarios_are_those_taking_trials():
-    """``run_scenario`` forwards ``trials`` and ``seed`` to exactly the scenarios whose signature takes them."""
-    taking = {name for name, scenario in SCENARIOS.items() if "trials" in inspect.signature(scenario).parameters}
-    assert scenarios.SAMPLED_SCENARIOS == taking
-    assert all("seed" in inspect.signature(SCENARIOS[name]).parameters for name in taking)
 
 
 def test_equal_formula_inputs_are_answered_once(monkeypatch):
