@@ -9,14 +9,19 @@ come back as frequency tables with binomial standard errors.
 gives the same counts faster: it spreads the pool runs of the experiment's
 compiled kernel (see :mod:`threebox.kernel`) into dense numpy arrays, one
 cell per draw index, once per run, and walks them over fixed chunks of
-trials, each event drawing from its table of pool sizes (see
-:meth:`threebox.rng.CounterStreams.uniform_index`).  The first event starts
-every trial from the prepared state, and the last one's successors are never
-built or gathered.  A chunk's outcome sequences come out as integer codes,
-which are counted in one array over the whole code space when that space is
-small, and otherwise merged as sorted distinct codes with their counts.
-Memory follows the code space or the number of distinct sequences, never
-the trial count.
+:data:`CHUNK_TRIALS` trials, each event drawing from its table of pool
+sizes by the :class:`threebox.rng.DrawRule` worked out for it once per run
+(see :meth:`threebox.rng.CounterStreams.uniform_index`).  Below 8,192
+trials the fixed cost of each chunk, some 55 numpy calls for the README
+request, dominates.  8,192 is the largest power of two whose ``uint64``
+arrays (64 KiB) stay below glibc's default mmap threshold of 128 KiB; at
+16,384 the timing follows the allocator's history and peak memory grows.
+The first event starts every trial from the prepared state, and the last
+one's successors are never built or gathered.  A chunk's outcome sequences
+come out as integer codes, which are counted in one array over the whole
+code space when that space is small, and otherwise merged as sorted
+distinct codes with their counts.  Memory follows the code space or the
+number of distinct sequences, never the trial count.
 """
 
 from __future__ import annotations
@@ -32,10 +37,12 @@ from .deck import Outcome, observe, prepare
 from .errors import InvalidArgumentsError, NoAcceptedTrialsError
 from .exact import Experiment, OutcomeAt, Pattern, check_seed, format_float
 from .kernel import Event
-from .rng import CounterStream, CounterStreams
+from .rng import CounterStream, CounterStreams, DrawRule, seed_key
 
-# Trials walked together as one set of arrays.
-CHUNK_TRIALS = 4096
+# Trials walked together as one set of arrays.  Fewer pay each chunk's fixed
+# numpy dispatch cost too often; at 16,384 each uint64 array is 128 KiB,
+# glibc's default mmap threshold, and the timing follows the allocator.
+CHUNK_TRIALS = 8192
 # The largest code space tallied in one int64 array of counts (0.5 MiB).  A
 # chunk's bincount touches every code, so a much larger space would cost
 # more per chunk than the walk itself.
@@ -175,8 +182,9 @@ def simulate(config: RunConfig) -> FrequencyTable:
         cells.append(_cells(event, place, successors=bool(cells)))  # the last event's are never read
         place *= len(event.outcomes)
     cells.reverse()
+    key = seed_key(config.seed)
     chunks = (
-        _walk(cells, config.seed, range(start, min(start + CHUNK_TRIALS, config.trials)))
+        _walk(cells, key, range(start, min(start + CHUNK_TRIALS, config.trials)))
         for start in range(0, config.trials, CHUNK_TRIALS)
     )
     if space <= TALLY_CODES:
@@ -209,13 +217,14 @@ def _sig12(x: float) -> float:
 
 
 def _cells(event: Event, place: int, successors: bool) -> tuple:
-    """An event's ``(width, pool sizes, code digits, successor ids)``, the last two dense arrays.
+    """An event's ``(width, draw rule, code digits, successor ids)``, the last two dense arrays.
 
     Cell ``s * width + i`` stands for draw index ``i`` into state ``s``'s
     pool: its code digit is the reported outcome's position times ``place``,
     the event's place value in the mixed-radix code (the first event most
     significant), and its successor id the next state's.  Cells past a pool's
     end are never drawn.  Without ``successors`` the successor ids are ``None``.
+    The draw rule is the :class:`DrawRule` of the event's pool sizes.
     """
     width = max(event.pool_sizes)
     digits = np.zeros((len(event.runs), width), dtype=np.int64)
@@ -227,26 +236,26 @@ def _cells(event: Event, place: int, successors: bool) -> tuple:
             if successors:
                 successor_ids[s, start : start + n] = rows[k][2]
             start += n
-    return width, event.pool_sizes, digits.ravel(), successor_ids.ravel() if successors else None
+    return width, DrawRule(event.pool_sizes), digits.ravel(), successor_ids.ravel() if successors else None
 
 
-def _walk(cells: list[tuple], seed: int, trials: range) -> np.ndarray:
-    """The outcome-sequence code of each of the given trials.
+def _walk(cells: list[tuple], key: np.uint64, trials: range) -> np.ndarray:
+    """The outcome-sequence code of each of the given trials, drawn with the run's seed key.
 
-    ``cells`` holds one ``(width, pool sizes, code digits, successor ids)``
-    per event, the pool sizes as a tuple and the last two as arrays (the last
-    event's successor ids ``None``); a cell's code digit is its outcome
+    ``cells`` holds one ``(width, draw rule, code digits, successor ids)``
+    per event, the last two as arrays (the last event's successor ids
+    ``None``); a cell's code digit is its outcome
     position times the event's place value, so a code is the sum of the
     digits of the cells a trial passes through.
     """
     if not cells:
         return np.zeros(len(trials), dtype=np.int64)
-    streams = CounterStreams(seed, trials)
+    streams = CounterStreams(key, trials)
     # Every trial starts in the prepared state, id 0, so the first event's cell is the draw itself.
     state = code = None
-    for k, (width, pool_sizes, digits, successor_ids) in enumerate(cells, 1):
+    for k, (width, rule, digits, successor_ids) in enumerate(cells, 1):
         # An index is below its pool size, so its uint64 bits read as the same int64.
-        cell = streams.uniform_index(pool_sizes, state).view(np.int64)
+        cell = streams.uniform_index(rule, state).view(np.int64)
         if state is None:
             code = digits[cell]
         else:

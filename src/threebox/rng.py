@@ -29,6 +29,12 @@ one size divides by a scalar.  Sizes are gathered per trial only when they
 differ.  Each trial's stream position advances by one addition per word, a
 word count is the draw count plus the trial's own redraws, and the words
 are mixed from the positions through one reused scratch array.
+
+What depends only on the run is worked out once per run, not once per
+chunk of trials or per draw: the seed's part of every stream key,
+``F(seed)`` (:func:`seed_key`), and, for each event's table of pool sizes,
+its :class:`DrawRule` (the smallest limit, whether every size is a power of
+two, and the ``uint64`` tables of sizes, masks and last accepted words).
 """
 
 from __future__ import annotations
@@ -107,21 +113,62 @@ def _last_accepted(n: int) -> int:
     return _MASK - (1 << 64) % n
 
 
+class DrawRule:
+    """How one event draws from its table of pool sizes, worked out once for the table.
+
+    ``sizes`` is the table, a positive int per state.  A word is redrawn when
+    it lies above ``2**64 - 1 - 2**64 % n``, so the words at or below the
+    smallest such limit of the table, ``bound``, are kept without a second
+    look.  When every size is a power of two, every limit is ``2**64 - 1``:
+    no word is rejected (``masked``) and ``w % n`` is ``w & (n - 1)``, so
+    ``mask`` holds ``n - 1``.  For a table of one size ``table`` is ``None``
+    and ``size`` and ``mask`` are ``uint64`` scalars; otherwise ``table``,
+    ``mask`` and ``last`` (each size's last accepted word) are ``uint64``
+    tables, one entry per state, to be gathered by each trial's state id.
+    """
+
+    __slots__ = ("bound", "masked", "size", "table", "mask", "last")
+
+    def __init__(self, sizes: tuple[int, ...]):
+        smallest = min(sizes, default=0)
+        if smallest <= 0:
+            raise ValueError(f"pool sizes must be positive, got {sizes}")
+        bound = min(map(_last_accepted, sizes))
+        self.bound = np.uint64(bound)
+        self.masked = bound == _MASK
+        largest = max(sizes)
+        if smallest == largest:
+            self.table = self.last = None
+            self.size = np.uint64(largest)
+            self.mask = np.uint64(largest - 1)
+        else:
+            self.size = None
+            self.table = np.array(sizes, dtype=np.uint64)
+            self.mask = self.table - np.uint64(1)
+            self.last = np.array([_last_accepted(n) for n in sizes], dtype=np.uint64)
+
+
+def seed_key(seed: int) -> np.uint64:
+    """``F(seed)``, the part of every stream key of a run that depends on its seed alone."""
+    return np.uint64(finalize(seed))
+
+
 class CounterStreams:
     """The word streams of a range of trials of one seed, one array element per trial.
 
-    Element ``j`` follows ``CounterStream(seed, trials[j])`` exactly.  Every
-    draw takes one word from each trial, and a rejected word costs only the
-    trial that drew it a redraw, so a trial's word count is the number of
-    draws plus its own redraws.  Each trial's position ``base + count *
-    golden`` is kept and advanced by one addition per word.
+    ``key`` is the seed's :func:`seed_key`, worked out once per run.  Element
+    ``j`` follows ``CounterStream(seed, trials[j])`` exactly.  Every draw
+    takes one word from each trial, and a rejected word costs only the trial
+    that drew it a redraw, so a trial's word count is the number of draws
+    plus its own redraws.  Each trial's position ``base + count * golden`` is
+    kept and advanced by one addition per word.
     """
 
-    def __init__(self, seed: int, trials: range):
+    def __init__(self, key: np.uint64, trials: range):
         self._scratch = np.empty(len(trials), dtype=np.uint64)
         # The trial indices are finalized in place: they become the stream keys.
         position = finalize_array(np.arange(trials.start, trials.stop, trials.step, dtype=np.uint64), self._scratch)
-        position ^= np.uint64(finalize(seed))
+        position ^= key
         self._position = finalize_array(position, self._scratch)
         self._draws = 0
         self._redraws = np.zeros(len(trials), dtype=np.uint64)
@@ -131,49 +178,37 @@ class CounterStreams:
         """Words consumed so far, per trial."""
         return self._redraws + np.uint64(self._draws)
 
-    def uniform_index(self, sizes: tuple[int, ...], state: np.ndarray | None = None) -> np.ndarray:
+    def uniform_index(self, sizes: DrawRule | tuple[int, ...], state: np.ndarray | None = None) -> np.ndarray:
         """One exactly uniform index per trial, into a pool of ``sizes[state[j]]`` cards for trial ``j``.
 
-        ``sizes`` is the table of pool sizes, a positive int per state, and
-        ``state`` an int64 array of each trial's state id.  ``state`` is read
-        only when the sizes differ; a table of one size needs none.
-
-        The rule is settled on the table, not per trial.  A word is redrawn
-        when it lies above ``2**64 - 1 - 2**64 % n``, so the words at or below
-        the smallest such limit of the table are kept without a second look.
-        When every size is a power of two, every limit is ``2**64 - 1``: no
-        word is rejected and ``w % n`` is ``w & (n - 1)``.  Otherwise one size
+        ``sizes`` is the table of pool sizes, a positive int per state, or
+        the :class:`DrawRule` worked out from it, and ``state`` an int64
+        array of each trial's state id.  ``state`` is read only when the
+        sizes differ; a table of one size needs none.  The rule is settled
+        on the table, not per trial (see :class:`DrawRule`): one size
         divides by a scalar, and differing sizes take the remainder by each
         trial's own size.
         """
-        smallest = min(sizes, default=0)
-        if smallest <= 0:
-            raise ValueError(f"pool sizes must be positive, got {sizes}")
+        rule = sizes if isinstance(sizes, DrawRule) else DrawRule(sizes)
         if state is not None and state.shape != self._position.shape:
             raise ValueError("state ids must be given one per trial")
-        largest = max(sizes)
-        table = None
-        if smallest != largest:
+        table = rule.table
+        if table is not None:
             if state is None:
                 raise ValueError("the pool sizes differ by state, so each trial's state id is needed")
             # A negative id reads as a huge one in uint64, so one scan finds both kinds outside the table.
-            if state.view(np.uint64).max(initial=0) >= len(sizes):
-                raise ValueError(f"state ids must index the {len(sizes)} pool sizes")
-            table = np.array(sizes, dtype=np.uint64)
+            if state.view(np.uint64).max(initial=0) >= len(table):
+                raise ValueError(f"state ids must index the {len(table)} pool sizes")
         self._draws += 1
         self._position += _STEP
         words = finalize_array(self._position, self._scratch, np.empty_like(self._position))
-        bound = min(map(_last_accepted, sizes))
-        if bound == _MASK:
+        if rule.masked:
             # Every size is a power of two, so it divides 2**64.
-            words &= np.uint64(largest - 1) if table is None else (table - np.uint64(1))[state]
+            words &= rule.mask if table is None else rule.mask[state]
             return words
-        if words.max(initial=0) > np.uint64(bound):
-            suspects = np.flatnonzero(words > np.uint64(bound))
-            if table is None:
-                last = np.uint64(bound)
-            else:
-                last = np.array([_last_accepted(n) for n in sizes], dtype=np.uint64)[state[suspects]]
+        if words.max(initial=0) > rule.bound:
+            suspects = np.flatnonzero(words > rule.bound)
+            last = rule.bound if table is None else rule.last[state[suspects]]
             rejected = words[suspects] > last
             while rejected.any():
                 suspects = suspects[rejected]
@@ -186,9 +221,8 @@ class CounterStreams:
                 rejected = words[suspects] > last
         if table is None:
             # One pool size for every trial: numpy divides by a scalar several times faster.
-            n = np.uint64(largest)
-            np.floor_divide(words, n, out=self._scratch)
-            self._scratch *= n
+            np.floor_divide(words, rule.size, out=self._scratch)
+            self._scratch *= rule.size
             words -= self._scratch
             return words
         return np.remainder(words, table[state], out=words)

@@ -15,9 +15,10 @@ from threebox.errors import DrawOutOfRangeError, InvalidArgumentsError, NoAccept
 from threebox.exact import AnyOf, Experiment, OutcomeAt, acceptance_probability, retrodict_exact
 from threebox import montecarlo
 from threebox.montecarlo import CHUNK_TRIALS, TALLY_CODES, RunConfig, run_trial, simulate
-from threebox.rng import CounterStream, CounterStreams, finalize
+from threebox.rng import CounterStream, CounterStreams, DrawRule, finalize, seed_key
 
 GOLDEN = 0x9E3779B97F4A7C15
+HALF_CHUNK = CHUNK_TRIALS // 2
 
 
 def out(deck, variable, label, negated=False):
@@ -30,6 +31,23 @@ def spade_check(deck):
         out(deck, "Face", "Q"),
         (Manifestation("Suit", "S"), Manifestation("Face")),
         postselection=(2, out(deck, "Face", "K")),
+    )
+
+
+def mixed_pool_check():
+    """A face check on a 4-face deck, then the suit, then the face.
+
+    The check leaves a suit pool of 2 cards after K and of 6 after not-K,
+    so the second event masks some trials' words and takes others modulo 6
+    in one draw.
+    """
+    deck = validate_deck([("K", "S", 1), ("K", "D", 1), ("Q", "D", 1), ("Q", "H", 1),
+                          ("J", "H", 1), ("J", "C", 1), ("A", "C", 1), ("A", "S", 1)])
+    return Experiment(
+        deck,
+        out(deck, "Suit", "S"),
+        (Manifestation("Face", "K"), Manifestation("Suit"), Manifestation("Face")),
+        postselection=(3, out(deck, "Face", "K")),
     )
 
 
@@ -67,7 +85,7 @@ class TestCounterStream:
 
 def assert_matches_the_scalar_streams(seed, trials, sizes, state=None, draws=3):
     """Every trial's draws and word count equal those of its scalar stream; returns the word counts."""
-    streams = CounterStreams(seed, trials)
+    streams = CounterStreams(seed_key(seed), trials)
     indices = [streams.uniform_index(sizes, state) for _ in range(draws)]
     words = streams.words
     for j, trial in enumerate(trials):
@@ -90,7 +108,7 @@ class TestCounterStreams:
                 assert words.max() > 6
 
     def test_invalid_draws_are_refused(self):
-        streams = CounterStreams(0, range(3))
+        streams = CounterStreams(seed_key(0), range(3))
         for sizes, state in [
             ((0,), None),  # a zero size
             ((2, 0), np.array([0, 1, 0])),
@@ -117,6 +135,32 @@ class TestCounterStreams:
         words = assert_matches_the_scalar_streams(99, trials, pool, state)
         assert (words[np.array(pool)[state] <= 4] == 3).all()
         assert (words.max() > 3) == any(n > 2**62 and n & (n - 1) for n in pool)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([1, 3, 4, 6, 2**63, 2**63 + 1, 3 * 2**61, 2**64 - 1]) | st.integers(1, 2**64 - 1),
+            min_size=1,
+            max_size=6,
+        ),
+        st.integers(0, 2**64 - 1),
+        st.integers(0, 2**64 - 60),
+        st.data(),
+    )
+    def test_a_rule_worked_out_once_draws_as_the_plain_table(self, sizes, seed, start, data):
+        # Consecutive draws, so a redraw in one shifts every later word of its trial.
+        sizes = tuple(sizes)
+        trials = range(start, start + data.draw(st.integers(1, 40)))
+        state = np.array(data.draw(st.lists(st.integers(0, len(sizes) - 1), min_size=len(trials), max_size=len(trials))))
+        rule = DrawRule(sizes)
+        once, per_call = CounterStreams(seed_key(seed), trials), CounterStreams(seed_key(seed), trials)
+        scalars = [CounterStream(seed, trial) for trial in trials]
+        for _ in range(4):
+            drawn = once.uniform_index(rule, state)
+            assert (drawn == per_call.uniform_index(sizes, state)).all()
+            assert drawn.tolist() == [scalar.uniform_index(sizes[s]) for scalar, s in zip(scalars, state)]
+            assert (once.words == per_call.words).all()
+            assert once.words.tolist() == [scalar.words for scalar in scalars]
 
     def test_each_trial_has_its_own_pool_size(self):
         state = np.random.default_rng(0).integers(0, 59, 500)
@@ -190,8 +234,11 @@ class TestSimulate:
             RunConfig(spade_check(threebox), trials=1, seed=seed)
         assert RunConfig(spade_check(threebox), trials=1, seed=2**64 - 1).seed == 2**64 - 1
 
+    # Runs of about half a chunk, one chunk, one and a half chunks and three chunks.
     @pytest.mark.parametrize(
-        "trials", [CHUNK_TRIALS - 1, CHUNK_TRIALS, CHUNK_TRIALS + 1, 3 * CHUNK_TRIALS + 5]
+        "trials",
+        [HALF_CHUNK - 1, HALF_CHUNK, HALF_CHUNK + 1, 3 * HALF_CHUNK + 5,
+         CHUNK_TRIALS - 1, CHUNK_TRIALS, CHUNK_TRIALS + 1, 3 * CHUNK_TRIALS + 5],
     )
     def test_chunk_edges(self, threebox, trials):
         experiment = spade_check(threebox)
@@ -199,21 +246,27 @@ class TestSimulate:
         assert simulate(RunConfig(experiment, trials, 13)).counts == dict(reference)
 
     def test_a_layer_mixing_a_power_of_two_pool_with_another_size(self):
-        # A face check on a 4-face deck leaves a suit pool of 2 cards after K
-        # and of 6 after not-K, so the second event masks some trials' words
-        # and takes others modulo 6 in one draw.
-        deck = validate_deck([("K", "S", 1), ("K", "D", 1), ("Q", "D", 1), ("Q", "H", 1),
-                              ("J", "H", 1), ("J", "C", 1), ("A", "C", 1), ("A", "S", 1)])
-        experiment = Experiment(
-            deck,
-            out(deck, "Suit", "S"),
-            (Manifestation("Face", "K"), Manifestation("Suit"), Manifestation("Face")),
-            postselection=(3, out(deck, "Face", "K")),
-        )
+        experiment = mixed_pool_check()
         assert [event.pool_sizes for event in experiment.kernel.events] == [(6,), (6, 2), (6, 6, 6, 6)]
         trials = CHUNK_TRIALS + 1
         reference = Counter(run_trial(experiment, 19, t) for t in range(trials))
         assert simulate(RunConfig(experiment, trials, 19)).counts == dict(reference)
+
+    @pytest.mark.parametrize("name", ["mixed pools", "merged tallies"])
+    def test_counts_do_not_depend_on_the_chunk_size(self, threebox, monkeypatch, name):
+        if name == "mixed pools":
+            # One draw masks, one divides by a scalar and one gathers each trial's size.
+            experiment = mixed_pool_check()
+            assert [event.pool_sizes for event in experiment.kernel.events] == [(6,), (6, 2), (6, 6, 6, 6)]
+        else:
+            events = tuple(Manifestation(("Suit", "Face")[k % 2]) for k in range(12))
+            experiment = Experiment(threebox, out(threebox, "Face", "Q"), events)
+            assert math.prod(len(m.outcomes(threebox)) for m in events) > TALLY_CODES
+        trials = 8192 + 7
+        reference = dict(Counter(run_trial(experiment, 23, t) for t in range(trials)))
+        for chunk in (1, 7, 4096, 8192):
+            monkeypatch.setattr(montecarlo, "CHUNK_TRIALS", chunk)
+            assert simulate(RunConfig(experiment, trials, 23)).counts == reference, chunk
 
     def test_experiments_longer_than_the_tree_cap(self, threebox):
         events = tuple(Manifestation(("Suit", "Face")[k % 2], ("S", None)[k % 2]) for k in range(12))
@@ -221,7 +274,7 @@ class TestSimulate:
         reference = Counter(run_trial(experiment, 8, t) for t in range(300))
         assert simulate(RunConfig(experiment, 300, 8)).counts == dict(reference)
 
-    @pytest.mark.parametrize("trials", [CHUNK_TRIALS - 1, CHUNK_TRIALS + 1])
+    @pytest.mark.parametrize("trials", [HALF_CHUNK - 1, HALF_CHUNK + 1, CHUNK_TRIALS - 1, CHUNK_TRIALS + 1])
     @pytest.mark.parametrize(
         "events, in_one_array",
         [
