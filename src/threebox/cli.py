@@ -24,6 +24,7 @@ import json
 import sys
 from fractions import Fraction
 from itertools import chain
+from json.encoder import encode_basestring_ascii as encode_string
 from typing import TYPE_CHECKING, Callable
 
 from .deck import format_cards
@@ -56,14 +57,30 @@ SCENARIO_NAMES = ("aad", "counterfactual", "interference", "three-box-card", "th
 _NO_EVENTS = "(no events)"
 
 
-def _emit(report: dict, args: argparse.Namespace, text: str | None = None) -> None:
-    """Print a report as JSON, CSV, or plain text."""
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` for string dict keys, each scalar formatted by the C encoder.
+
+    With an indent, ``json.dumps`` runs the pure-Python encoder, whose
+    closures form reference cycles: each call would leave cyclic garbage.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [encode_string(key) + ": " + _json(item, inner) for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    return encode_string(value) if isinstance(value, str) else json.dumps(value)
+
+
+def _emit(report: dict, args: argparse.Namespace, text: str) -> None:
+    """Print a report as JSON, CSV, or the plain ``text``."""
     if getattr(args, "json", False):
-        print(json.dumps(report, indent=2))
+        print(_json(report))
     elif getattr(args, "csv", False):
         print(_to_csv(report), end="")
     else:
-        print(text if text is not None else json.dumps(report, indent=2))
+        print(text)
 
 
 def _csv(rows) -> str:
@@ -138,11 +155,11 @@ def _print_tree_json(report: dict, experiment) -> None:
 
     The leaves are written from the walk's blocks, each label encoded once
     and each distinct block's leaf endings formatted once; the rest of the
-    report goes through ``json.dumps`` and is written around them.  The
+    report goes through :func:`_json` and is written around them.  The
     blocks are requested before anything is written, so a tree beyond the
     event cap prints nothing.
     """
-    encoded = functools.cache(json.dumps)
+    encoded = functools.cache(encode_string)
     last = len(experiment.manifestations)
 
     def unit(ordinal: int, outcome) -> str:
@@ -150,7 +167,7 @@ def _print_tree_json(report: dict, experiment) -> None:
         return before + encoded(str(outcome)) + ("\n      " if ordinal == last else "")
 
     blocks = tree_blocks(experiment, unit, "")
-    head, _, tail = json.dumps(report, indent=2).partition('"leaves": []')
+    head, _, tail = _json(report).partition('"leaves": []')
     sys.stdout.write(head + '"leaves": [\n    ')
     _write_blocks(
         blocks,

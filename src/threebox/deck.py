@@ -66,9 +66,7 @@ class Value:
     be assigned or deleted, and copying or pickling rebuilds a value from
     its key.
 
-    The hash is the key's, computed on first use and kept: hashing a state
-    hashes its deck and its pile counts, and a state is looked up by value
-    each time the kernel compiler meets it again.  These are plain
+    The hash is the key's, computed on first use and kept.  These are plain
     classes, not dataclasses, because creating a dataclass compiles
     generated source and needs ``dataclasses`` and ``inspect``, a cost that
     every fresh command-line call would pay at import.
@@ -312,9 +310,13 @@ class SystemState(Value):
         """How many cards of each cell lie in ``Others``: the deck's counts less ``these``."""
         return tuple(n - t for n, t in zip(self.deck.counts, self.these))
 
+    def repeats(self, variable: str) -> bool:
+        """Whether observing ``variable`` now is a repeated observation: the memory names it."""
+        return self.memory == self.deck.variable(variable).name
+
     def pool_for(self, variable: str) -> tuple[int, ...]:
         """The counts of the pool the next observation of ``variable`` would draw from."""
-        return self.these if self.memory == self.deck.variable(variable).name else self.others
+        return self.these if self.repeats(variable) else self.others
 
     def draw_pool(self, manifestation: Manifestation) -> tuple[tuple[str, ...], tuple[int, ...], int]:
         """Each cell's label for the observed variable, the pool's counts, and the pool size, never zero."""
@@ -333,7 +335,7 @@ class SystemState(Value):
         A repeated observation (the memory names the outcome's variable)
         leaves the state untouched; any other re-prepares it for the outcome.
         """
-        return self if self.memory == self.deck.variable(outcome.variable).name else prepare(self.deck, outcome)
+        return self if self.repeats(outcome.variable) else prepare(self.deck, outcome)
 
     def sharp_value(self, variable: str) -> Outcome | None:
         """The assertion this state is prepared for, if the variable has one.

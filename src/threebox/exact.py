@@ -36,7 +36,7 @@ from .errors import (
     UndefinedConditionalError,
     WeightsNotNormalizedError,
 )
-from .kernel import Kernel
+from .kernel import Event, Kernel
 
 _set = object.__setattr__
 
@@ -158,13 +158,6 @@ class Experiment(Value):
 # ---------------------------------------------------------------------------
 
 
-def _check_tree_depth(experiment: Experiment) -> None:
-    if len(experiment.manifestations) > MAX_EVENTS:
-        raise SequenceTooLongError(
-            f"{len(experiment.manifestations)} events requested; the enumerator expands at most {MAX_EVENTS}"
-        )
-
-
 Key = TypeVar("Key", str, tuple)
 
 
@@ -183,8 +176,8 @@ def tree_blocks(
     The walk reads the kernel rows and meets in the middle.  Prefixes run
     forward to the middle layer, one per path.  Below that layer, the leaves
     under each state are built once, backward from the last layer.  Both
-    carry a probability as integer products of the row numerators and
-    denominators.  A block is the leaves below a prefix's state times the
+    carry a probability as integer products of the row counts and pool
+    sizes.  A block is the leaves below a prefix's state times the
     prefix's probability, reduced by one gcd per leaf; it is built once per
     middle state and reduced prefix probability, and the same tuple is
     handed to every prefix that shares both.  Blocks live until the listing
@@ -195,13 +188,16 @@ def tree_blocks(
     SequenceTooLongError beyond ``MAX_EVENTS`` events; the iterator it
     returns builds each distinct block when a prefix first needs it.
     """
-    _check_tree_depth(experiment)
+    if len(experiment.manifestations) > MAX_EVENTS:
+        raise SequenceTooLongError(
+            f"{len(experiment.manifestations)} events requested; the enumerator expands at most {MAX_EVENTS}"
+        )
     kernel = experiment.kernel
-    tables = []  # per event and state: (key unit, numerator, denominator, next state) per row
+    tables = []  # per event and state: (key unit, count, pool size, next state) per row
     for ordinal, event in enumerate(kernel.events, start=1):
-        units = {outcome: unit(ordinal, outcome) for outcome in event.outcomes}
+        units = [unit(ordinal, outcome) for outcome in event.outcomes]
         tables.append(
-            [[(units[outcome], p.numerator, p.denominator, t) for outcome, p, t in rows] for rows in event.rows]
+            [[(u, n, size, t) for u, (n, t) in zip(units, rows)] for rows, size in zip(event.rows, event.pool_sizes)]
         )
     middle = len(tables) // 2
     prefixes = [(0, empty, 1, 1)]
@@ -392,8 +388,9 @@ def probability(experiment: Experiment, pattern: Pattern) -> Fraction:
     weight settled ``True`` is banked, since a state's rows sum to one;
     weight settled ``False`` is dropped; equal open patterns share weights.
     Weights are integers over one common denominator, which each event
-    multiplies, with every weight and the banked total, by the lcm of its
-    pool sizes; the one ``Fraction`` is built at the end.
+    multiplies, with the banked total, by the lcm of its pool sizes: a row
+    passes on its state's weight times its cell count times the lcm over the
+    state's pool size.  The one ``Fraction`` is built at the end.
     """
     ordinals, depth = pattern.ordinals(), len(experiment.manifestations)
     for ordinal in ordinals:
@@ -403,17 +400,11 @@ def probability(experiment: Experiment, pattern: Pattern) -> Fraction:
         return Fraction(pattern.matches(()))
     scale, banked = 1, 0
     weights: list[tuple[Pattern, dict[int, int]]] = [(pattern, {0: 1})]
-    integer_rows: dict[int, tuple[int, list]] = {}  # by id of an event, which repeated layers share
     for ordinal, event in enumerate(experiment.kernel.events[: max(ordinals)], start=1):
-        if id(event) not in integer_rows:
-            factor = math.lcm(*event.pool_sizes)
-            integer_rows[id(event)] = factor, [
-                [(p.numerator * (factor // p.denominator), t) for _, p, t in rows] for rows in event.rows
-            ]
-        factor, rows = integer_rows[id(event)]
+        factor = math.lcm(*event.pool_sizes)
         scale, banked = scale * factor, banked * factor
         if ordinal not in ordinals:
-            weights = [(open_pattern, _step(vector, rows)) for open_pattern, vector in weights]
+            weights = [(open_pattern, _step(vector, event, factor)) for open_pattern, vector in weights]
             continue
         merged: dict[Pattern, dict[int, int]] = {}
         for open_pattern, vector in weights:
@@ -421,23 +412,26 @@ def probability(experiment: Experiment, pattern: Pattern) -> Fraction:
             settled = [open_pattern.given(ordinal, outcome) for outcome in event.outcomes]
             targets = [rest if isinstance(rest, bool) else merged.setdefault(rest, {}) for rest in settled]
             for s, weight in vector.items():
-                for target, (w, t) in zip(targets, rows[s]):
-                    if target is not False and w:
+                m = factor // event.pool_sizes[s]
+                for target, (n, t) in zip(targets, event.rows[s]):
+                    if target is not False and n:
                         if target is True:
-                            banked += weight * w
+                            banked += weight * (n * m)
                         else:
-                            target[t] = target.get(t, 0) + weight * w
+                            target[t] = target.get(t, 0) + weight * (n * m)
         weights = list(merged.items())
     return Fraction(banked, scale)
 
 
-def _step(vector: dict[int, int], rows: Sequence[Sequence[tuple[int, int]]]) -> dict[int, int]:
-    """The state weights after an event, whatever it reports."""
+def _step(vector: dict[int, int], event: Event, factor: int) -> dict[int, int]:
+    """The state weights after an event, whatever it reports, over a denominator ``factor`` times larger."""
     moved: dict[int, int] = {}
+    rows, sizes = event.rows, event.pool_sizes
     for s, weight in vector.items():
-        for w, t in rows[s]:
-            if w:
-                moved[t] = moved.get(t, 0) + weight * w
+        m = factor // sizes[s]
+        for n, t in rows[s]:
+            if n:
+                moved[t] = moved.get(t, 0) + weight * (n * m)
     return moved
 
 

@@ -2,54 +2,47 @@
 
 Layer ``e`` lists the machine states an experiment can be in after ``e``
 events: layer 0 holds the prepared state alone, and a state's position in
-its layer is its id.  Event ``e + 1`` gives every state of layer ``e``
+its layer is its id.  Event ``e + 1`` gives every state of layer ``e`` one
+row per outcome the manifestation can report, zero-probability outcomes
+included, which the exact engine reads, and its pool as runs of draw
+indices, which the Monte Carlo walker turns into arrays once per run (see
+:class:`Event`).  Rows and runs are tuples of ints: the kernel holds no
+``Fraction``, and compiling loads no numpy.
 
-* one row per outcome the manifestation can report, in schema order,
-  zero-probability outcomes included: ``(outcome, probability, next state
-  id)``, the probability an exact ``Fraction``; the exact engine reads these;
-* its pool as runs of draw indices, in canonical order, one run per cell of
-  the deck the pool holds cards of: ``(count, reported outcome's position)``;
-  the Monte Carlo walker reads these.
-
-Rows and runs are plain tuples, the runs of ints, so compiling loads no
-numpy: the exact engine never needs it, and the walker turns an event's
-runs into arrays once per run (see :func:`threebox.montecarlo.simulate`).
-
-A run reports :meth:`~threebox.deck.Manifestation.outcome_for` of its
-cell's label, a row's probability is the share of the pool in the runs that
-report its outcome, and every outcome's next state is
-:meth:`~threebox.deck.SystemState.after_report` of it, so the draw pools and
-the re-preparation rule are stated by the deck module alone.  Deriving a
-state's transitions costs time linear in the number of cells of the deck,
-never in its card count, with one re-preparation per outcome.  A state met
-again at a later event reuses the transitions already derived for it, and
-a layer met again at the same manifestation reuses the whole event: both
-events hold one :class:`Event` object and lead to one next layer, so an
-alternating experiment of any length holds a few distinct events, and an
-engine can do an event's own work once per distinct event.
+A cell reports :meth:`~threebox.deck.Manifestation.outcome_for` of its
+label, worked out once per distinct manifestation.  A state that
+:meth:`~threebox.deck.SystemState.repeats` the observed variable keeps its
+state; any other moves to the state the outcome re-prepares, and a compile
+re-prepares each distinct outcome once, through
+:meth:`~threebox.deck.SystemState.after_report`.  So the deck module alone
+states the pools and the rule, and a state's transitions cost time in the
+number of cells of the deck, never in its card count.  States are keyed by
+their memory and ``These`` counts.  A state met again reuses its
+transitions, and a layer met again at the same manifestation reuses the
+whole event, so an alternating experiment of any length holds a few
+distinct :class:`Event` objects, and an engine can do an event's own work
+once per distinct event.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .deck import Deck, Manifestation, Outcome, SystemState, prepare
 
-# One row: the reported outcome, its exact probability, the next state's id.
-Row = tuple[Outcome, Fraction, int]
+# One row: how many cards of the pool report the outcome, the next state's id.
+Row = tuple[int, int]
 # A pool's cards in canonical order: runs of (count, reported outcome's position).
 Runs = tuple[tuple[int, int], ...]
-# What one state does at one manifestation: its pool's runs, and the rows,
-# their next states as compile-wide ids.
-Transition = tuple[Runs, tuple[Row, ...]]
 
 
 class Event(NamedTuple):
     """The compiled transitions of one event, from every state of the layer before it.
 
-    ``rows[s]`` are the rows of state ``s`` and ``runs[s]`` its pool: draw
-    indices ``0 .. n0 - 1`` report ``outcomes[k0]`` when the first run is
+    ``rows[s][k]`` is ``(count, t)``: ``count`` of the ``pool_sizes[s]``
+    cards in state ``s``'s pool report ``outcomes[k]``, and then the state
+    is state ``t`` of the next layer.  ``runs[s]`` is the pool: draw indices
+    ``0 .. n0 - 1`` report ``outcomes[k0]`` when the first run is
     ``(n0, k0)``, the next ``n1`` indices ``outcomes[k1]``, and so on.
     ``pool_sizes[s]`` is the pool size, the sum of the run counts.
     """
@@ -65,61 +58,52 @@ class Kernel:
 
     def __init__(self, deck: Deck, preparation: Outcome, manifestations: Sequence[Manifestation]):
         states = [prepare(deck, preparation)]  # every state met, by compile-wide id
-        ids = {states[0]: 0}
-        derived: dict[tuple[int, Manifestation], Transition] = {}  # by compile-wide state id
-        # By (compile-wide ids of a layer's states, manifestation): the event and the next layer.
-        compiled: dict[tuple[tuple[int, ...], Manifestation], tuple[Event, tuple[int, ...], tuple]] = {}
+        ids = {(states[0].memory, states[0].these): 0}
+        reprepared: dict[Outcome, int] = {}  # the compile-wide id of the state each outcome re-prepares
+
+        def reprepare(state: SystemState, outcome: Outcome) -> int:
+            """The compile-wide id of the state ``outcome`` re-prepares, re-preparing on its first report only."""
+            if outcome not in reprepared:
+                after = state.after_report(outcome)
+                reprepared[outcome] = ids.setdefault((after.memory, after.these), len(states))
+                if reprepared[outcome] == len(states):
+                    states.append(after)
+            return reprepared[outcome]
+
+        kinds: dict[tuple[str, str | None], int] = {}  # each distinct manifestation's id, by its fields
+        # By manifestation id: its outcomes, each cell's outcome position, the states its outcomes
+        # re-prepare (filled on first need) and each state's pool runs, pool size and rows.
+        rules: list[tuple[tuple[Outcome, ...], list[int], list[int], dict[int, tuple]]] = []
+        # By (compile-wide ids of a layer's states, manifestation id): the event and the next layer.
+        compiled: dict[tuple[tuple[int, ...], int], tuple[Event, tuple[int, ...], tuple]] = {}
         layer: tuple[int, ...] = (0,)
         layers = [(states[0],)]
         events = []
         for manifestation in manifestations:
-            if (layer, manifestation) not in compiled:
+            m = kinds.setdefault((manifestation.variable, manifestation.partial_on), len(kinds))
+            if m == len(rules):
                 outcomes = manifestation.outcomes(deck)
-                transitions = []
-                for g in layer:
-                    key = (g, manifestation)
-                    if key not in derived:
-                        derived[key] = _derive(states[g], manifestation, outcomes, states, ids)
-                    transitions.append(derived[key])
+                cells = deck.column(manifestation.variable)
+                rules.append((outcomes, [outcomes.index(manifestation.outcome_for(label)) for label in cells], [], {}))
+            outcomes, positions, successors, derived = rules[m]
+            if (layer, m) not in compiled:
+                for g in set(layer) - derived.keys():
+                    state = states[g]
+                    _, pool, size = state.draw_pool(manifestation)
+                    counts = [0] * len(outcomes)
+                    for n, k in zip(pool, positions):
+                        counts[k] += n
+                    repeated = state.repeats(manifestation.variable)
+                    if not (repeated or successors):
+                        successors.extend([reprepare(state, outcome) for outcome in outcomes])
+                    pool_runs = tuple((n, k) for n, k in zip(pool, positions) if n)
+                    derived[g] = pool_runs, size, tuple(zip(counts, [g] * len(counts) if repeated else successors))
+                runs, sizes, rows = zip(*(derived[g] for g in layer))
                 local: dict[int, int] = {}  # compile-wide id -> id in the next layer
-                rows = tuple(
-                    tuple((outcome, p, local.setdefault(g, len(local))) for outcome, p, g in t_rows)
-                    for _, t_rows in transitions
-                )
-                runs = tuple(t_runs for t_runs, _ in transitions)
-                compiled[layer, manifestation] = (
-                    Event(outcomes, rows, tuple(sum(n for n, _ in t_runs) for t_runs in runs), runs),
-                    tuple(local),
-                    tuple(states[g] for g in local),
-                )
-            event, layer, reached = compiled[layer, manifestation]
+                rows = tuple(tuple((n, local.setdefault(t, len(local))) for n, t in r) for r in rows)
+                compiled[layer, m] = Event(outcomes, rows, sizes, runs), tuple(local), tuple(states[g] for g in local)
+            event, layer, reached = compiled[layer, m]
             events.append(event)
             layers.append(reached)
         self.layers = tuple(layers)
         self.events = tuple(events)
-
-
-def _derive(
-    state: SystemState,
-    manifestation: Manifestation,
-    outcomes: tuple[Outcome, ...],
-    states: list[SystemState],
-    ids: dict[SystemState, int],
-) -> Transition:
-    """Count the cards in ``state``'s pool that report each outcome.
-
-    An outcome no card reports keeps its row, with probability zero and the
-    state :meth:`SystemState.after_report` gives, so that enumeration can
-    still list its branch.  New states are appended to ``states``.
-    """
-    column, pool, size = state.draw_pool(manifestation)
-    position = {outcome: k for k, outcome in enumerate(outcomes)}
-    runs = tuple((n, position[manifestation.outcome_for(label)]) for label, n in zip(column, pool) if n)
-    rows = []
-    for k, outcome in enumerate(outcomes):
-        after = state.after_report(outcome)
-        g = ids.setdefault(after, len(states))
-        if g == len(states):
-            states.append(after)
-        rows.append((outcome, Fraction(sum(n for n, j in runs if j == k), size), g))
-    return runs, tuple(rows)

@@ -234,7 +234,7 @@ def _cells(event: Event, place: int, successors: bool) -> tuple:
         for n, k in runs:
             digits[s, start : start + n] = k * place
             if successors:
-                successor_ids[s, start : start + n] = rows[k][2]
+                successor_ids[s, start : start + n] = rows[k][1]
             start += n
     return width, DrawRule(event.pool_sizes), digits.ravel(), successor_ids.ravel() if successors else None
 

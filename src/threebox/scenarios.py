@@ -597,16 +597,18 @@ def counterfactual_trace(
             "after preparing Face=K, the unselected pile holds no hearts"
         )
 
-    # Walk the likeliest accepted branch through the kernel and snapshot the
+    # Walk the likeliest accepted branch through the kernel, weighing a branch by the
+    # product of its counts (the rows compared share a pool size), and snapshot the
     # machine after every event.
     kernel = experiment.kernel
-    s, weight = 0, Fraction(1)
+    s, weight = 0, 1
     snapshots = [_snapshot(deck, "preparation Face=K", None, kernel.layers[0][s])]
     ps_ordinal, ps_outcome = experiment.postselection
     for depth, (manifestation, event) in enumerate(zip(experiment.manifestations, kernel.events), start=1):
-        accepted = [row for row in event.rows[s] if depth != ps_ordinal or row[0] == ps_outcome]
-        outcome, p, s = max(accepted, key=lambda row: (weight * row[1], str(row[0])))
-        weight *= p
+        rows = zip(event.outcomes, event.rows[s])
+        accepted = [(o, n, t) for o, (n, t) in rows if depth != ps_ordinal or o == ps_outcome]
+        outcome, n, s = max(accepted, key=lambda row: (weight * row[1], str(row[0])))
+        weight *= n
         snapshots.append(
             _snapshot(deck, f"event {depth}: observe {manifestation}", outcome, kernel.layers[depth][s])
         )

@@ -60,9 +60,10 @@ def enumerate_tree(experiment: Experiment) -> Branch:
         state = kernel.layers[depth][s]
         if depth == len(kernel.events):
             return Branch(state, outcomes, probability)
+        event = kernel.events[depth]
         children = tuple(
-            expand(depth + 1, t, outcomes + (outcome,), probability * p)
-            for outcome, p, t in kernel.events[depth].rows[s]
+            expand(depth + 1, t, outcomes + (outcome,), probability * Fraction(n, event.pool_sizes[s]))
+            for outcome, (n, t) in zip(event.outcomes, event.rows[s])
         )
         return Branch(state, outcomes, probability, children)
 

@@ -1,6 +1,7 @@
 """The command-line surface: wiring, formats, exit codes, determinism."""
 
 import csv
+import gc
 import io
 import json
 import sys
@@ -8,6 +9,8 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threebox import cli, scenarios
 from threebox.deckfile import serialize_deck
@@ -506,3 +509,47 @@ def test_deterministic_scenario_json(capsys):
     out_b = capsys.readouterr().out
     assert code_a == code_b == 0
     assert out_a == out_b
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(st.text(), children, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_the_json_writer_matches_json_dumps_with_indent_2(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact", "--observe", "Suit?S", "--observe", "Face", "--postselect", "Face=K", "--query", "Suit=S"],
+        ["exact", "--observe", "Suit?S", "--observe", "Face", "--postselect", "Face=K"],
+        ["simulate", "--observe", "Suit?S", "--observe", "Face", "--postselect", "Face=K", "--trials", "1000"],
+        ["scenario", "three-box-card", "--trials", "1000"],
+    ],
+    ids=["exact query", "exact tree", "simulate", "scenario"],
+)
+def test_a_json_request_leaves_no_cyclic_garbage(capsys, deck_file, argv):
+    if argv[0] != "scenario":
+        argv = [argv[0], "--deck", deck_file, "--prepare", "Face=Q", *argv[1:]]
+    argv = [*argv, "--json"]
+    assert cli.main(argv) == 0  # a warm-up call loads every module and fills every cache
+    capsys.readouterr()
+    gc.collect()
+    gc.disable()  # so that no automatic collection frees garbage before it is counted
+    try:
+        assert cli.main(argv) == 0
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage == 0
+    json.loads(capsys.readouterr().out)

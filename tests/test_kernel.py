@@ -10,6 +10,7 @@ from oracles import enumerate_tree
 from test_deck import balanced_decks
 from threebox import deck as deck_module
 from threebox import exact
+from threebox import kernel as kernel_module
 from threebox.deck import CardValue, Manifestation, Outcome, observe, prepare, step_distribution, validate_deck
 from threebox.errors import UndefinedConditionalError
 from threebox.exact import (
@@ -76,6 +77,13 @@ def patterns(experiment):
     )
 
 
+def _ints_only(value):
+    """Whether ``value`` is built of tuples and ints alone, with no ``Fraction`` anywhere in it."""
+    if isinstance(value, tuple):
+        return all(map(_ints_only, value))
+    return type(value) is int
+
+
 @settings(max_examples=80, deadline=None)
 @given(experiments(max_scale=10**5))
 def test_kernel_rows_equal_the_step_distribution_of_every_reachable_state(experiment):
@@ -84,15 +92,19 @@ def test_kernel_rows_equal_the_step_distribution_of_every_reachable_state(experi
     assert kernel.layers[0] == (prepare(experiment.deck, experiment.preparation),)
     for depth, (manifestation, event) in enumerate(zip(experiment.manifestations, kernel.events)):
         assert event.outcomes == manifestation.outcomes(experiment.deck)
+        assert all(isinstance(outcome, Outcome) for outcome in event.outcomes)
+        assert _ints_only((event.rows, event.pool_sizes, event.runs))
         assert len(event.rows) == len(kernel.layers[depth])
         reached = set()
         for s, state in enumerate(kernel.layers[depth]):
-            rows = event.rows[s]
-            assert [(outcome, p) for outcome, p, _ in rows] == list(step_distribution(state, manifestation).items())
-            for outcome, _, t in rows:
+            rows, pool_size = event.rows[s], event.pool_sizes[s]
+            assert len(rows) == len(event.outcomes)
+            shares = [(outcome, Fraction(n, pool_size)) for outcome, (n, _) in zip(event.outcomes, rows)]
+            assert shares == list(step_distribution(state, manifestation).items())
+            assert sum(n for n, _ in rows) == pool_size
+            for outcome, (_, t) in zip(event.outcomes, rows):
                 assert kernel.layers[depth + 1][t] == state.after_report(outcome)
                 reached.add(t)
-            pool_size = event.pool_sizes[s]
             assert pool_size == sum(state.pool_for(manifestation.variable))
             assert sum(n for n, _ in event.runs[s]) == pool_size
             start = 0
@@ -101,7 +113,7 @@ def test_kernel_rows_equal_the_step_distribution_of_every_reachable_state(experi
                 for i in range(start, start + n) if pool_size <= 64 else {start, start + n - 1}:
                     outcome, after = observe(state, manifestation, lambda _, i=i: i)
                     assert event.outcomes[k] == outcome
-                    assert kernel.layers[depth + 1][rows[k][2]] == after
+                    assert kernel.layers[depth + 1][rows[k][1]] == after
                 start += n
         assert reached == set(range(len(kernel.layers[depth + 1])))
 
@@ -163,6 +175,20 @@ def test_compile_cost_does_not_grow_with_the_deck_size(monkeypatch):
         Experiment(deck, out(deck, "Face", "Q"), events).kernel
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def test_a_compile_re_prepares_each_reported_outcome_once(threebox, monkeypatch):
+    """512 alternating Suit/Face events report six distinct outcomes: six re-preparations and the preparation."""
+    calls = []
+    original = deck_module.prepare
+    monkeypatch.setattr(deck_module, "prepare", lambda *args: calls.append(args) or original(*args))
+    monkeypatch.setattr(kernel_module, "prepare", deck_module.prepare)
+    events = tuple(Manifestation(("Suit", "Face")[k % 2]) for k in range(512))
+    kernel = Experiment(threebox, out(threebox, "Face", "Q"), events).kernel
+    reported = {outcome for event in kernel.events for outcome in event.outcomes}
+    assert len(reported) == 6
+    assert len(calls) <= len(reported) + 1
+    assert {target for _, target in calls} <= reported | {out(threebox, "Face", "Q")}
 
 
 def test_compiling_the_readme_experiment_tests_cells_not_cards(monkeypatch):
