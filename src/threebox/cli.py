@@ -23,7 +23,6 @@ import io
 import json
 import sys
 from fractions import Fraction
-from itertools import chain
 from json.encoder import encode_basestring_ascii as encode_string
 from typing import TYPE_CHECKING, Callable
 
@@ -43,7 +42,6 @@ from .exact import (
     retrodict_exact,
     tree_blocks,
     tree_header,
-    tree_leaves,
 )
 
 if TYPE_CHECKING:
@@ -251,6 +249,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
             value = retrodict_exact(experiment, ordinal, outcome)
             kind = "retrodiction"
         else:
+            experiment.check_outcome_at(ordinal, outcome, "query")
             value = probability(experiment, OutcomeAt(ordinal, outcome))
             kind = "probability"
         report = {
@@ -266,12 +265,20 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     if args.json:
         _print_tree_json(report, experiment)
         return 0
+    blocks = tree_blocks(experiment, _text_unit, "")
     if args.csv:
-        leaves = tree_leaves(experiment, _text_unit, "")
-        print(_csv(chain([("outcomes", "probability")], ((key, f"{n}/{d}") for key, n, d in leaves))), end="")
+        if '"' in "".join(deck.face.labels + deck.suit.labels):
+            # csv.writer quotes a key holding a quote, whole, its quotes doubled (no label holds a comma
+            # or whitespace); that turns on head and tail both, so on such a deck each key is built whole.
+            blocks = (
+                ("", (tuple(_quoted(key) if '"' in key else key for key in map(head.__add__, tails)), ns, ds))
+                for head, (tails, ns, ds) in blocks
+            )
+        sys.stdout.write("outcomes,probability\n")
+        _write_blocks(blocks, "", lambda tail, n, d: f"{tail},{n}/{d}", "\n")
+        sys.stdout.write("\n")
         return 0
     # Only the tree of no events has an empty tail, and its head is empty too.
-    blocks = tree_blocks(experiment, _text_unit, "")
     _write_blocks(blocks, "", lambda tail, n, d: f"{tail or _NO_EVENTS}: {n}/{d}", "\n")
     if "acceptance_probability" in report:
         sys.stdout.write(f"\nacceptance: {report['acceptance_probability']}")

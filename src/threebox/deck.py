@@ -60,11 +60,12 @@ class Value:
     """Base of the immutable value types.
 
     A subclass lists its fields in ``__slots__``, before any private cache,
-    and its ``__init__`` sets each with ``_set``, then ``_key`` to the tuple
-    of the field values in that order and ``_hash`` to ``None``.  Two values
-    are equal when they have the same class and equal keys.  Fields cannot
-    be assigned or deleted, and copying or pickling rebuilds a value from
-    its key.
+    and its ``__init__`` ends by passing them to ``Value.__init__`` in that
+    order.  ``Value`` sets each field, keeps the tuple of them as the key,
+    and derives the rest from it: two values are equal when they have the
+    same class and equal keys, the repr names each field, and copying or
+    pickling rebuilds a value as ``cls(*key)``.  Fields cannot be assigned
+    or deleted.
 
     The hash is the key's, computed on first use and kept.  These are plain
     classes, not dataclasses, because creating a dataclass compiles
@@ -73,6 +74,17 @@ class Value:
     """
 
     __slots__ = ("_key", "_hash")
+
+    def __init_subclass__(cls) -> None:
+        names = next(c.__slots__ for c in cls.__mro__ if c.__slots__)
+        cls._fields = tuple(name for name in names if not name.startswith("_"))
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+
+    def __init__(self, *fields: object) -> None:
+        for setter, field in zip(self._setters, fields):
+            setter(self, field)
+        _set(self, "_key", fields)
+        _set(self, "_hash", None)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -87,8 +99,7 @@ class Value:
         return h
 
     def __repr__(self) -> str:
-        names = next(c.__slots__ for c in type(self).__mro__ if c.__slots__)
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(names, self._key))
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key))
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self) -> tuple:
@@ -109,10 +120,7 @@ class Variable(Value):
     def __init__(self, name: str, labels: tuple[str, ...]) -> None:
         if len(set(labels)) != len(labels):
             raise InvalidArgumentsError(f"duplicate value labels for variable {name!r}")
-        _set(self, "name", name)
-        _set(self, "labels", labels)
-        _set(self, "_key", (name, labels))
-        _set(self, "_hash", None)
+        Value.__init__(self, name, labels)
 
 
 class CardValue(Value):
@@ -121,10 +129,7 @@ class CardValue(Value):
     __slots__ = ("variable", "label")
 
     def __init__(self, variable: str, label: str) -> None:
-        _set(self, "variable", variable)
-        _set(self, "label", label)
-        _set(self, "_key", (variable, label))
-        _set(self, "_hash", None)
+        Value.__init__(self, variable, label)
 
     def __str__(self) -> str:
         return self.label
@@ -141,10 +146,7 @@ class Outcome(Value):
     __slots__ = ("value", "negated")
 
     def __init__(self, value: CardValue, negated: bool = False) -> None:
-        _set(self, "value", value)
-        _set(self, "negated", negated)
-        _set(self, "_key", (value, negated))
-        _set(self, "_hash", None)
+        Value.__init__(self, value, negated)
 
     @property
     def variable(self) -> str:
@@ -169,14 +171,7 @@ class Manifestation(Value):
     __slots__ = ("variable", "partial_on")
 
     def __init__(self, variable: str, partial_on: str | None = None) -> None:
-        _set(self, "variable", variable)
-        _set(self, "partial_on", partial_on)
-        _set(self, "_key", (variable, partial_on))
-        _set(self, "_hash", None)
-
-    @property
-    def complete(self) -> bool:
-        return self.partial_on is None
+        Value.__init__(self, variable, partial_on)
 
     def outcome_for(self, label: str) -> Outcome:
         """Map a drawn card's value label to the reported outcome."""
@@ -214,12 +209,7 @@ class Deck(Value):
     def __init__(
         self, face: Variable, suit: Variable, cells: tuple[tuple[str, str], ...], counts: tuple[int, ...]
     ) -> None:
-        _set(self, "face", face)
-        _set(self, "suit", suit)
-        _set(self, "cells", cells)
-        _set(self, "counts", counts)
-        _set(self, "_key", (face, suit, cells, counts))
-        _set(self, "_hash", None)
+        Value.__init__(self, face, suit, cells, counts)
         _set(self, "_columns", tuple(tuple(cell[k] for cell in cells) for k in (0, 1)))
 
     @property
@@ -299,11 +289,7 @@ class SystemState(Value):
 
     def __init__(self, deck: Deck, these: tuple[int, ...], memory: str) -> None:
         deck.variable(memory)
-        _set(self, "deck", deck)
-        _set(self, "these", these)
-        _set(self, "memory", memory)
-        _set(self, "_key", (deck, these, memory))
-        _set(self, "_hash", None)
+        Value.__init__(self, deck, these, memory)
 
     @property
     def others(self) -> tuple[int, ...]:

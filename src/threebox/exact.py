@@ -96,13 +96,8 @@ class Experiment(Value):
             deck.variable(m.variable)
             if m.partial_on is not None:
                 deck.check_label(m.variable, m.partial_on)
-        _set(self, "deck", deck)
-        _set(self, "preparation", preparation)
-        _set(self, "manifestations", manifestations)
-        _set(self, "postselection", postselection)
+        Value.__init__(self, deck, preparation, manifestations, postselection)
         _set(self, "_kernel", None)
-        _set(self, "_key", (deck, preparation, manifestations, postselection))
-        _set(self, "_hash", None)
         if postselection is not None:
             ordinal, outcome = postselection
             self.check_outcome_at(ordinal, outcome, "postselection")
@@ -295,10 +290,7 @@ class OutcomeAt(Pattern):
     __slots__ = ("ordinal", "outcome")
 
     def __init__(self, ordinal: int, outcome: Outcome) -> None:
-        _set(self, "ordinal", ordinal)
-        _set(self, "outcome", outcome)
-        _set(self, "_key", (ordinal, outcome))
-        _set(self, "_hash", None)
+        Value.__init__(self, ordinal, outcome)
 
     def matches(self, outcomes: Sequence[Outcome]) -> bool:
         return outcomes[self.ordinal - 1] == self.outcome
@@ -317,9 +309,7 @@ class _Junction(Pattern):
     decisive: ClassVar[bool]
 
     def __init__(self, patterns: tuple[Pattern, ...]) -> None:
-        _set(self, "patterns", patterns)
-        _set(self, "_key", (patterns,))
-        _set(self, "_hash", None)
+        Value.__init__(self, patterns)
 
     def given(self, ordinal: int, outcome: Outcome) -> "bool | Pattern":
         rest = []
@@ -363,9 +353,7 @@ class Negation(Pattern):
     __slots__ = ("pattern",)
 
     def __init__(self, pattern: Pattern) -> None:
-        _set(self, "pattern", pattern)
-        _set(self, "_key", (pattern,))
-        _set(self, "_hash", None)
+        Value.__init__(self, pattern)
 
     def matches(self, outcomes: Sequence[Outcome]) -> bool:
         return not self.pattern.matches(outcomes)
@@ -519,9 +507,7 @@ class MixtureState(Value):
         total = sum(weight for _, weight in components)
         if total != 1:
             raise WeightsNotNormalizedError(f"mixture weights sum to {total}, not 1")
-        _set(self, "components", components)
-        _set(self, "_key", (components,))
-        _set(self, "_hash", None)
+        Value.__init__(self, components)
 
 
 def mixture_combine(mixture: MixtureState) -> SystemState:

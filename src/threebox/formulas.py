@@ -15,8 +15,6 @@ from typing import Sequence
 from .deck import Value
 from .errors import InvalidArgumentsError, LengthMismatchError, ZeroDenominatorError
 
-_set = object.__setattr__
-
 
 class RetrodictionInputs(Value):
     """Inputs for a partial-observation retrodiction.
@@ -38,10 +36,7 @@ class RetrodictionInputs(Value):
                 raise InvalidArgumentsError(f"{name} = {p} is not a probability")
         if prior + prior_negation != 1:
             raise InvalidArgumentsError(f"priors must sum to 1, got {prior} + {prior_negation}")
-        for name, p in zip(self.__slots__, fields):
-            _set(self, name, p)
-        _set(self, "_key", fields)
-        _set(self, "_hash", None)
+        Value.__init__(self, *fields)
 
 
 def retrodict_partial(inputs: RetrodictionInputs) -> Fraction:

@@ -35,8 +35,6 @@ TOLERANCE = 1e-9
 # not roundoff of something meant to be finite.
 _ZERO_SUM = 1e-18
 
-_set = object.__setattr__
-
 
 class QState:
     """A normalized state vector over a labeled orthonormal basis."""
@@ -221,11 +219,7 @@ class SlitGeometry(Value):
         excess = math.hypot(distance, separation) - distance
         if abs(excess - wavelength / 2) > TOLERANCE * wavelength:
             raise GeometryInfeasibleError(f"path excess {excess!r} is not half the wavelength {wavelength!r}")
-        _set(self, "separation", separation)
-        _set(self, "wavelength", wavelength)
-        _set(self, "distance", distance)
-        _set(self, "_key", (separation, wavelength, distance))
-        _set(self, "_hash", None)
+        Value.__init__(self, separation, wavelength, distance)
 
     def path_length(self, slit: int) -> float:
         """Distance from slit 1, 2, or 3 to the detector."""

@@ -14,8 +14,6 @@ from typing import Iterator
 from threebox.deck import Outcome, SystemState, Value
 from threebox.exact import Experiment
 
-_set = object.__setattr__
-
 
 class Branch(Value):
     """One node of the enumeration tree.
@@ -34,12 +32,7 @@ class Branch(Value):
         probability: Fraction,
         children: tuple[Branch, ...] = (),
     ) -> None:
-        _set(self, "state", state)
-        _set(self, "outcomes", outcomes)
-        _set(self, "probability", probability)
-        _set(self, "children", children)
-        _set(self, "_key", (state, outcomes, probability, children))
-        _set(self, "_hash", None)
+        Value.__init__(self, state, outcomes, probability, children)
 
     def leaves(self) -> Iterator[Branch]:
         """The leaves under this node, depth first in child order."""

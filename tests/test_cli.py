@@ -200,6 +200,19 @@ def test_query_at_or_after_the_postselection_exits_2(capsys, deck_file, command,
     assert "must precede the postselection" in err
 
 
+@pytest.mark.parametrize("command", ["exact", "simulate"])
+@pytest.mark.parametrize(
+    "observe, query",
+    [("Face", "1:Face=~Q"), ("Suit?S", "1:Suit=H"), ("Suit?S", "1:Suit=~H"), ("Suit", "2:Suit=S")],
+)
+def test_query_the_event_cannot_report_exits_2(capsys, deck_file, command, observe, query):
+    code, out, err = run(
+        capsys, command, "--deck", deck_file, "--prepare", "Face=~Q", "--observe", observe, "--query", query
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestSimulate:
     def test_runs_are_byte_identical(self, capsys, deck_file):
         argv = (

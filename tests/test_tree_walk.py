@@ -46,6 +46,14 @@ def oracle_report(experiment):
     return report
 
 
+def csv_text(report):
+    """The ``--csv`` tree listing ``csv.writer`` makes of the report's leaves."""
+    out = io.StringIO()
+    rows = [(" ".join(leaf["outcomes"]), leaf["probability"]) for leaf in report["leaves"]]
+    csv.writer(out, lineterminator="\n").writerows([("outcomes", "probability"), *rows])
+    return out.getvalue()
+
+
 def text_lines(report):
     """The lines of the text tree report ``threebox exact`` prints for the report."""
     lines = [f"{' '.join(leaf['outcomes']) or '(no events)'}: {leaf['probability']}" for leaf in report["leaves"]]
@@ -136,10 +144,12 @@ def test_tree_output_equals_the_report_dumped_whole(capsys, escaping_deck_file, 
         assert all(escaped in printed for escaped in ('"\\u00e9"', '"\\""', '"\\\\"'))
 
     assert cli.main([*argv, "--csv"]) == 0
-    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
-    assert rows == [["outcomes", "probability"]] + [
-        [" ".join(leaf["outcomes"]), leaf["probability"]] for leaf in report["leaves"]
-    ]
+    printed = capsys.readouterr().out
+    assert printed == csv_text(report)
+    if not events:
+        assert printed == "outcomes,probability\n,1/1\n"
+    # A quote quotes its whole key: in a block tail with two events, in a prefix head with four.
+    assert {2: '\n"S """,1/16\n', 4: '\n"D "" S é",1/128\n'}.get(len(events), "") in printed
 
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == "\n".join(text_lines(report)) + "\n"
@@ -162,6 +172,8 @@ def test_tree_output_on_random_decks_equals_the_oracle_report(capsys, tmp_path_f
 
     assert cli.main([*argv, "--json"]) == 0
     assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
+    assert cli.main([*argv, "--csv"]) == 0
+    assert capsys.readouterr().out == csv_text(report)
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == "\n".join(text_lines(report)) + "\n"
 
