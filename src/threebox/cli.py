@@ -412,9 +412,14 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and reused by every call of :func:`main`."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each subcommand's parser by its name."""
     parser = argparse.ArgumentParser(
         prog="threebox",
         description="Card-deck and quantum retrodiction engines for pre/post-selected runs.",
@@ -435,9 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--prepare", required=True, metavar="VAR=VALUE", help="preparation, e.g. Face=Q or Suit=~S")
         p.add_argument(
             "--observe",
-            action="append",
+            action="extend",
+            nargs="+",
             metavar="VAR[?VALUE]",
-            help="observation event, in order; VAR alone is complete, VAR?VALUE partial (repeatable)",
+            help="observation events, in order; VAR alone is complete, VAR?VALUE partial (repeatable)",
         )
         p.add_argument("--postselect", metavar="[ORD:]VAR=VALUE", help="accept only runs with this outcome")
         p.add_argument("--query", metavar="[ORD:]VAR=VALUE", help="outcome to score (retrodiction if postselecting)")
@@ -448,6 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
 
     p = sub.add_parser("formula", help="retrodiction formulas on bare rationals")
+    p.set_defaults(handler=_cmd_formula)
     formula_sub = p.add_subparsers(dest="kind", required=True)
     fp = formula_sub.add_parser("partial", help="value-or-not retrodiction")
     fp.add_argument("--likelihood", required=True, help="Pr[final | value], e.g. 1/2")
@@ -455,15 +462,14 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument("--likelihood-negation", required=True, dest="likelihood_negation")
     fp.add_argument("--prior-negation", required=True, dest="prior_negation")
     _add_format_flags(fp)
-    fp.set_defaults(handler=_cmd_formula)
     fc = formula_sub.add_parser("complete", help="complete-observation retrodiction")
     fc.add_argument("--likelihoods", required=True, help="comma-separated rationals")
     fc.add_argument("--priors", required=True, help="comma-separated rationals summing to 1")
     fc.add_argument("--index", type=int, required=True, help="0-based value index")
     _add_format_flags(fc)
-    fc.set_defaults(handler=_cmd_formula)
 
     p = sub.add_parser("quantum", help="states, ABL retrodiction, slit geometry")
+    p.set_defaults(handler=_cmd_quantum)
     quantum_sub = p.add_subparsers(dest="operation", required=True)
     for op, help_text in (
         ("abl-complete", "complete-observation retrodiction"),
@@ -475,27 +481,22 @@ def build_parser() -> argparse.ArgumentParser:
         qp.add_argument("--index", type=int, required=True, help="0-based basis index to retrodict")
         qp.add_argument("--basis", help="semicolon-separated basis states (default: computational)")
         _add_format_flags(qp)
-        qp.set_defaults(handler=_cmd_quantum)
-    qp = quantum_sub.add_parser("born", help="|<post|state>|^2")
-    qp.add_argument("--state", required=True)
-    qp.add_argument("--post", required=True)
-    _add_format_flags(qp)
-    qp.set_defaults(handler=_cmd_quantum)
-    qp = quantum_sub.add_parser("condition", help="two-boxes-certain condition check (dimension 3)")
-    qp.add_argument("--state", required=True)
-    qp.add_argument("--post", required=True)
-    _add_format_flags(qp)
-    qp.set_defaults(handler=_cmd_quantum)
+    for op, help_text in (
+        ("born", "|<post|state>|^2"),
+        ("condition", "two-boxes-certain condition check (dimension 3)"),
+    ):
+        qp = quantum_sub.add_parser(op, help=help_text)
+        qp.add_argument("--state", required=True)
+        qp.add_argument("--post", required=True)
+        _add_format_flags(qp)
     qp = quantum_sub.add_parser("slits", help="three-slit geometry for the half-wavelength condition")
     qp.add_argument("--separation", type=float, required=True)
     qp.add_argument("--wavelength", type=float, required=True)
     _add_format_flags(qp)
-    qp.set_defaults(handler=_cmd_quantum)
     qp = quantum_sub.add_parser("aad", help="shared-eigenstate partial vs complete retrodiction")
     qp.add_argument("--alpha", default="0.7071067811865476")
     qp.add_argument("--beta", default="0.7071067811865476")
     _add_format_flags(qp)
-    qp.set_defaults(handler=_cmd_quantum)
 
     p = sub.add_parser("scenario", help="run a named worked example")
     p.add_argument("name", choices=SCENARIO_NAMES, help="scenario name")
@@ -504,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format_flags(p)
     p.set_defaults(handler=_cmd_scenario)
 
-    return parser
+    return parser, sub.choices
 
 
 # The options whose value is a list of amplitudes, which may start with a minus sign.
@@ -513,22 +514,47 @@ _AMPLITUDE_OPTIONS = ("--state", "--post", "--basis", "--alpha", "--beta")
 _NEGATIVE_STARTS = frozenset("-" + c for c in "0123456789.")
 
 
-def _attach_negative_values(argv: list[str]) -> list[str]:
-    """``argv`` with an amplitude option and a next token like ``-1,1`` joined as ``--state=-1,1``.
+def _joined(argv: list[str], fold: bool) -> list[str]:
+    """``argv`` with negative amplitudes attached, as ``--state=-1,1``, and with ``fold``, ``--observe`` runs folded.
 
-    argparse reads a token that starts with ``-`` and is not a plain number
-    as an option, so it would refuse ``--state -1,1`` or ``--beta -0.8i``.
-    As argparse allows, the option may be abbreviated to a prefix of just
-    one of their names, such as ``--stat``.
+    argparse reads ``--state -1,1`` or ``--beta -0.8i`` as two options; the
+    option may be abbreviated to a prefix of just one name, such as ``--stat``.
+    argparse parses ``n`` repeated options in time ``n**2``, so each run of
+    ``--observe X`` pairs before any ``--``, with no ``X`` starting with ``-``,
+    becomes one ``--observe`` followed by every ``X``.
     """
     joined: list[str] = []
-    for token in argv:
-        option = joined[-1] if joined and joined[-1].startswith("--") else ""
-        if token[:2] in _NEGATIVE_STARTS and sum(name.startswith(option) for name in _AMPLITUDE_OPTIONS) == 1:
+    run = False  # joined ends with an --observe and the values it reads
+    for i, token in enumerate(argv):
+        fold = fold and token != "--"
+        folds = fold and token == "--observe" and argv[i + 1 : i + 2] and not argv[i + 1].startswith("-")
+        if folds and run:
+            continue
+        run = folds or run and not token.startswith("-")
+        option = joined[-1] if token[:2] in _NEGATIVE_STARTS and joined and joined[-1].startswith("--") else ""
+        if option and sum(name.startswith(option) for name in _AMPLITUDE_OPTIONS) == 1:
             joined[-1] += "=" + token
         else:
             joined.append(token)
     return joined
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args`` of ``argv`` joined, parsed by the parser of the subcommand it names.
+
+    The top-level parser would classify every token before that parser reads
+    them again, so it parses only help and a missing or unknown subcommand.
+    """
+    parser, commands = _parsers()
+    name = argv[0] if argv else None
+    argv = _joined(argv, name in ("exact", "simulate"))  # the subcommands that take --observe
+    command = commands.get(name)
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=name))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -538,7 +564,7 @@ def main(argv: list[str] | None = None) -> int:
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+        args = _parse(sys.argv[1:] if argv is None else argv)
         return args.handler(args)
     except (ThreeBoxError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)

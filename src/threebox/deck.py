@@ -179,6 +179,13 @@ class Manifestation(Value):
             return Outcome(CardValue(self.variable, label))
         return Outcome(CardValue(self.variable, self.partial_on), negated=label != self.partial_on)
 
+    def positions(self, deck: Deck) -> tuple[int, ...]:
+        """Each cell's position in :meth:`outcomes` of the outcome :meth:`outcome_for` reports for its label."""
+        column = deck.column(self.variable, self.partial_on)
+        if self.partial_on is None:
+            return tuple(map(deck.variable(self.variable).labels.index, column))
+        return tuple(int(label != self.partial_on) for label in column)
+
     def outcomes(self, deck: Deck) -> tuple[Outcome, ...]:
         """All outcomes this manifestation can report, in schema order."""
         if self.partial_on is None:
@@ -233,17 +240,19 @@ class Deck(Value):
 
     def check_label(self, variable: str, label: str) -> None:
         """Raise UnknownLabelError unless ``label`` is a value of ``variable``."""
-        var = self.variable(variable)
-        if label not in var.labels:
-            raise UnknownLabelError(f"variable {var.name!r} has no value {label!r} (values: {', '.join(var.labels)})")
+        self.column(variable, label)
 
     def value(self, variable: str, label: str) -> CardValue:
         self.check_label(variable, label)
         return CardValue(variable, label)
 
-    def column(self, variable: str) -> tuple[str, ...]:
-        """Each cell's label for ``variable``, in canonical order."""
-        return self._columns[0 if self.variable(variable) is self.face else 1]
+    def column(self, variable: str, label: str | None = None) -> tuple[str, ...]:
+        """Each cell's label for ``variable``, in canonical order; UnknownLabelError unless ``label`` is None or
+        one of its values."""
+        var = self.variable(variable)
+        if label is not None and label not in var.labels:
+            raise UnknownLabelError(f"variable {var.name!r} has no value {label!r} (values: {', '.join(var.labels)})")
+        return self._columns[var is self.suit]
 
     def joint_count(self, face_label: str, suit_label: str) -> int:
         self.check_label(self.face.name, face_label)
@@ -261,8 +270,8 @@ class Deck(Value):
 
     def matching(self, target: Outcome) -> tuple[int, ...]:
         """How many cards of each cell satisfy the assertion."""
-        self.check_label(target.variable, target.value.label)
-        return tuple(n if target.matches(label) else 0 for label, n in zip(self.column(target.variable), self.counts))
+        column = self.column(target.variable, target.value.label)
+        return tuple(n if target.matches(label) else 0 for label, n in zip(column, self.counts))
 
     def scaled(self, factor: int) -> Deck:
         """The same schema with every multiplicity multiplied by ``factor``."""
@@ -298,7 +307,7 @@ class SystemState(Value):
 
     def repeats(self, variable: str) -> bool:
         """Whether observing ``variable`` now is a repeated observation: the memory names it."""
-        return self.memory == self.deck.variable(variable).name
+        return self.memory == variable
 
     def pool_for(self, variable: str) -> tuple[int, ...]:
         """The counts of the pool the next observation of ``variable`` would draw from."""
@@ -306,14 +315,12 @@ class SystemState(Value):
 
     def draw_pool(self, manifestation: Manifestation) -> tuple[tuple[str, ...], tuple[int, ...], int]:
         """Each cell's label for the observed variable, the pool's counts, and the pool size, never zero."""
-        deck, variable = self.deck, manifestation.variable
-        if manifestation.partial_on is not None:
-            deck.check_label(variable, manifestation.partial_on)
-        pool = self.pool_for(variable)
+        column = self.deck.column(manifestation.variable, manifestation.partial_on)
+        pool = self.pool_for(manifestation.variable)
         size = sum(pool)
         if not size:
             raise DrawOutOfRangeError(f"draw pool for {manifestation} is empty")
-        return deck.column(variable), pool, size
+        return column, pool, size
 
     def after_report(self, outcome: Outcome) -> SystemState:
         """The state once an observation has reported ``outcome``.

@@ -6,9 +6,9 @@ Grammar (UTF-8; blank lines and ``#`` comments ignored)::
     variable <name>: <label> [<label> ...]     # first one is the face role
     card <face-label> <suit-label> <multiplicity>
 
-Duplicate ``card`` lines accumulate their multiplicities.  Serialisation is
-canonical (variables first, cards in declared-label order), so a deck
-round-trips losslessly through ``parse_deck(serialize_deck(deck))``.
+Multiplicities must be positive; duplicate ``card`` lines accumulate them.
+Serialisation is canonical (variables first, cards in declared-label order),
+so a deck round-trips losslessly through ``parse_deck(serialize_deck(deck))``.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ def parse_deck(text: str) -> Deck:
                 count = int(count_text)
             except ValueError:
                 raise DeckFileError(f"line {lineno}: multiplicity {count_text!r} is not an integer") from None
+            if count <= 0:
+                raise DeckFileError(f"line {lineno}: multiplicity {count} is not positive")
             if len(variables) != 2:
                 raise DeckFileError(f"line {lineno}: card listed before both variables were declared")
             cards[(face, suit)] = cards.get((face, suit), 0) + count
@@ -78,7 +80,8 @@ def serialize_deck(deck: Deck) -> str:
 def load_deck(path: str | Path) -> Deck:
     """Read and validate a deck schema file."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
     except UnicodeDecodeError as error:
         raise DeckFileError(f"{path}: not UTF-8 text (byte {error.start})") from None
     return parse_deck(text)

@@ -93,9 +93,7 @@ class Experiment(Value):
     ) -> None:
         deck.check_label(preparation.variable, preparation.value.label)
         for m in manifestations:
-            deck.variable(m.variable)
-            if m.partial_on is not None:
-                deck.check_label(m.variable, m.partial_on)
+            deck.column(m.variable, m.partial_on)
         Value.__init__(self, deck, preparation, manifestations, postselection)
         _set(self, "_kernel", None)
         if postselection is not None:
@@ -561,13 +559,9 @@ def parse_target(deck: Deck, text: str) -> Outcome:
 def parse_manifestation(deck: Deck, text: str) -> Manifestation:
     """Parse ``Var`` (complete) or ``Var?Value`` (partial) into a manifestation."""
     variable, sep, label = text.partition("?")
-    variable = variable.strip()
-    deck.variable(variable)
-    if not sep:
-        return Manifestation(variable)
-    label = label.strip()
-    deck.check_label(variable, label)
-    return Manifestation(variable, partial_on=label)
+    partial_on = label.strip() if sep else None
+    deck.column(variable.strip(), partial_on)
+    return Manifestation(variable.strip(), partial_on)
 
 
 def parse_outcome_reference(
@@ -604,7 +598,8 @@ def experiment_from_options(
 ) -> Experiment:
     """Assemble an experiment from the CLI's textual pieces."""
     preparation = parse_target(deck, prepare_text)
-    manifestations = tuple(parse_manifestation(deck, text) for text in observe_texts)
+    parsed = {text: parse_manifestation(deck, text) for text in dict.fromkeys(observe_texts)}
+    manifestations = tuple(map(parsed.__getitem__, observe_texts))
     postselection = None
     if postselect_text is not None:
         postselection = parse_outcome_reference(deck, manifestations, postselect_text)

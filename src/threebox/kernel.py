@@ -9,12 +9,11 @@ indices, which the Monte Carlo walker turns into arrays once per run (see
 :class:`Event`).  Rows and runs are tuples of ints: the kernel holds no
 ``Fraction``, and compiling loads no numpy.
 
-A cell reports :meth:`~threebox.deck.Manifestation.outcome_for` of its
-label, worked out once per distinct manifestation.  A state that
-:meth:`~threebox.deck.SystemState.repeats` the observed variable keeps its
-state; any other moves to the state the outcome re-prepares, and a compile
-re-prepares each distinct outcome once, through
-:meth:`~threebox.deck.SystemState.after_report`.  So the deck module alone
+A cell reports the outcome at its :meth:`~threebox.deck.Manifestation.positions`
+entry.  A state that :meth:`~threebox.deck.SystemState.repeats` the observed
+variable keeps its state; any other moves to the state the outcome
+re-prepares, through :meth:`~threebox.deck.SystemState.after_report`, once
+per distinct manifestation and outcome.  So the deck module alone
 states the pools and the rule, and a state's transitions cost time in the
 number of cells of the deck, never in its card count.  States are keyed by
 their memory and ``These`` counts.  A state met again reuses its
@@ -28,7 +27,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .deck import Deck, Manifestation, Outcome, SystemState, prepare
+from .deck import Deck, Manifestation, Outcome, prepare
 
 # One row: how many cards of the pool report the outcome, the next state's id.
 Row = tuple[int, int]
@@ -59,21 +58,10 @@ class Kernel:
     def __init__(self, deck: Deck, preparation: Outcome, manifestations: Sequence[Manifestation]):
         states = [prepare(deck, preparation)]  # every state met, by compile-wide id
         ids = {(states[0].memory, states[0].these): 0}
-        reprepared: dict[Outcome, int] = {}  # the compile-wide id of the state each outcome re-prepares
-
-        def reprepare(state: SystemState, outcome: Outcome) -> int:
-            """The compile-wide id of the state ``outcome`` re-prepares, re-preparing on its first report only."""
-            if outcome not in reprepared:
-                after = state.after_report(outcome)
-                reprepared[outcome] = ids.setdefault((after.memory, after.these), len(states))
-                if reprepared[outcome] == len(states):
-                    states.append(after)
-            return reprepared[outcome]
-
         kinds: dict[tuple[str, str | None], int] = {}  # each distinct manifestation's id, by its fields
         # By manifestation id: its outcomes, each cell's outcome position, the states its outcomes
         # re-prepare (filled on first need) and each state's pool runs, pool size and rows.
-        rules: list[tuple[tuple[Outcome, ...], list[int], list[int], dict[int, tuple]]] = []
+        rules: list[tuple[tuple[Outcome, ...], tuple[int, ...], list[int], dict[int, tuple]]] = []
         # By (compile-wide ids of a layer's states, manifestation id): the event and the next layer.
         compiled: dict[tuple[tuple[int, ...], int], tuple[Event, tuple[int, ...], tuple]] = {}
         layer: tuple[int, ...] = (0,)
@@ -82,9 +70,7 @@ class Kernel:
         for manifestation in manifestations:
             m = kinds.setdefault((manifestation.variable, manifestation.partial_on), len(kinds))
             if m == len(rules):
-                outcomes = manifestation.outcomes(deck)
-                cells = deck.column(manifestation.variable)
-                rules.append((outcomes, [outcomes.index(manifestation.outcome_for(label)) for label in cells], [], {}))
+                rules.append((manifestation.outcomes(deck), manifestation.positions(deck), [], {}))
             outcomes, positions, successors, derived = rules[m]
             if (layer, m) not in compiled:
                 for g in set(layer) - derived.keys():
@@ -95,7 +81,10 @@ class Kernel:
                         counts[k] += n
                     repeated = state.repeats(manifestation.variable)
                     if not (repeated or successors):
-                        successors.extend([reprepare(state, outcome) for outcome in outcomes])
+                        for after in map(state.after_report, outcomes):
+                            successors.append(ids.setdefault((after.memory, after.these), len(states)))
+                            if successors[-1] == len(states):
+                                states.append(after)
                     pool_runs = tuple((n, k) for n, k in zip(pool, positions) if n)
                     derived[g] = pool_runs, size, tuple(zip(counts, [g] * len(counts) if repeated else successors))
                 runs, sizes, rows = zip(*(derived[g] for g in layer))

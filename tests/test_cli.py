@@ -1,5 +1,7 @@
 """The command-line surface: wiring, formats, exit codes, determinism."""
 
+import argparse
+import contextlib
 import csv
 import gc
 import io
@@ -7,6 +9,7 @@ import json
 import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -566,3 +569,206 @@ def test_a_json_request_leaves_no_cyclic_garbage(capsys, deck_file, argv):
         gc.enable()
     assert garbage == 0
     json.loads(capsys.readouterr().out)
+
+
+# ---------------------------------------------------------------------------
+# The CLI contract, over generated command lines
+# ---------------------------------------------------------------------------
+
+DECK = str(Path(__file__).resolve().parent.parent / "decks" / "threebox.deck")
+
+# Tokens a hand might type in the wrong place: empty, option-like, negative, out of range, misspelt.
+MUTANTS = st.sampled_from(
+    ["", "-", "--", "-1", "-1,1", "-0.5i", "1e999", "nan", "0", "~", "=", "Suit?", "Face=~Q", "9:Face=K",
+     "--json", "--obs", "--stat", "-h", "bogus", "no/such.deck"]
+)
+TARGETS = ("Face=Q", "Face=K", "Suit=~S", "Suit=S", "1:Suit=S", "2:Face=K", "Face=~J")
+AMPLITUDES = ("1,1,1", "1,1,-1", "-1,1,1", "1,0,1", "1,0,-1", "0.6,0.8i,0", "1+2i,2-i,0", "0,0,0", "1,1")
+RATIONALS = ("1/2", "1/4", "3/4", "0", "1", "1/0", "-1/2")
+INDICES = ("0", "1", "2", "3")
+ABL = {
+    "--state": AMPLITUDES,
+    "--post": AMPLITUDES,
+    "--index": INDICES,
+    "--basis": ("1,0,0;0,1,0;0,0,1", "1,1,0;1,-1,0;0,0,1", "1,0;0,1"),
+}
+EXPERIMENT = {"--deck": (DECK,), "--prepare": TARGETS[:4], "--postselect": TARGETS[1:], "--query": TARGETS[3:]}
+RUN = {"--trials": ("0", "1", "10", "1000"), "--seed": ("0", "42", str(2**64 - 1), str(2**64), "-1")}
+# Each subcommand's words and its options with their values; exact and simulate also take events.
+REQUESTS = {
+    "validate": {"--deck": (DECK,)},
+    "exact": EXPERIMENT,
+    "simulate": {**EXPERIMENT, **RUN},
+    "formula partial": dict.fromkeys(
+        ("--likelihood", "--prior", "--likelihood-negation", "--prior-negation"), RATIONALS
+    ),
+    "formula complete": {
+        "--likelihoods": ("1/2,1/3,1", "1,0,1", "1/2"),
+        "--priors": ("1/3,1/3,1/3", "1/2,1/2", "1,0,0"),
+        "--index": INDICES,
+    },
+    "quantum abl-partial": ABL,
+    "quantum abl-complete": ABL,
+    "quantum born": {"--state": AMPLITUDES, "--post": AMPLITUDES},
+    "quantum condition": {"--state": AMPLITUDES, "--post": AMPLITUDES},
+    "quantum slits": {"--separation": ("10", "1", "0", "-3", "inf"), "--wavelength": ("1", "0.5")},
+    "quantum aad": {"--alpha": ("0.6", "-0.6", "0.7071067811865476"), "--beta": ("0.8", "-0.8i")},
+    "scenario": RUN,
+}
+# The options a request leaves out as often as not; any other is left out now and then.
+OPTIONAL = {"--postselect", "--query", "--basis", "--trials", "--seed", "--alpha", "--beta"}
+EVENTS = ("Suit", "Face", "Suit?S", "Face?K", "Suit?H")
+# Choices drawn uniformly (Hypothesis draws small integers more often than others): keep an
+# option, 1 in 10 left out or 1 in 2 if optional; mutate a value or insert a token, 1 in 10.
+KEEP, KEEP_OPTIONAL, MUTATE = (True,) * 9 + (False,), (True, False), (False,) * 9 + (True,)
+# Stray runs of tokens, inserted 1 in 4 after the first: events where no events are taken, and events after a "--".
+STRAY = (False,) * 3 + (True,)
+STRAYS = st.sampled_from(
+    [["--"], ["--observe", "Suit", "--observe", "Face"], ["--", "--observe", "Suit", "--observe", "Face"]]
+)
+
+
+@st.composite
+def command_lines(draw):
+    """A small command line of any subcommand: its options in any order, events at most 8, trials at most 1,000.
+
+    An option may be left out or its value or an event mutated, stray
+    tokens may be inserted, and events are spelt ``--observe X``,
+    ``--observe=X``, ``--obs X`` or several to one ``--observe``.
+    """
+    request = draw(st.sampled_from(sorted(REQUESTS)))
+    groups = [
+        [option, draw(st.sampled_from(values))]
+        for option, values in REQUESTS[request].items()
+        if draw(st.sampled_from(KEEP_OPTIONAL if option in OPTIONAL else KEEP))
+    ]
+    if request == "scenario":
+        groups.append([draw(st.sampled_from(cli.SCENARIO_NAMES))])
+    if request in ("exact", "simulate"):
+        events = draw(st.lists(st.sampled_from(EVENTS), max_size=8))
+        events = [draw(MUTANTS) if draw(st.sampled_from(MUTATE)) else event for event in events]
+        while events:
+            n = draw(st.integers(1, len(events)))
+            spelling = draw(st.sampled_from(["--observe", "--observe=", "--obs"]))
+            if spelling == "--observe=":
+                groups.append([f"--observe={events[0]}"])
+                n = 1
+            else:
+                groups.append([spelling, *events[:n]])
+            events = events[n:]
+    if draw(st.booleans()):
+        groups.append([draw(st.sampled_from(["--json", "--csv"]))])
+    for group in groups:
+        if draw(st.sampled_from(MUTATE)):
+            group[-1] = draw(MUTANTS)
+    order = draw(st.permutations(range(len(groups))))
+    argv = request.split() + [token for i in order for token in groups[i]]
+    if draw(st.sampled_from(MUTATE)):
+        argv.insert(draw(st.integers(0, len(argv))), draw(MUTANTS))
+    if draw(st.sampled_from(STRAY)):
+        at = draw(st.integers(1, len(argv)))
+        argv[at:at] = draw(STRAYS)
+    return argv
+
+
+def _outcome(call, argv):
+    """What ``call(argv)`` returns, or the code it exits with, and what it printed on stdout and stderr.
+
+    A namespace is given as its sorted fields with each value's repr, so that a ``nan`` equals itself.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = call(argv)
+        except SystemExit as exit_:
+            result = exit_.code
+    if isinstance(result, argparse.Namespace):
+        result = sorted((name, repr(value)) for name, value in vars(result).items())
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=250, deadline=None)
+@given(command_lines())
+def test_every_command_line_exits_0_1_or_2_in_its_own_shape(argv):
+    code, out, err = _outcome(cli.main, argv)
+    parsed = _outcome(cli._parse, argv)[0]
+    if not isinstance(parsed, list):  # argparse refused it, or printed help
+        assert code == parsed in (0, 2)
+        if code == 2:  # the usage block, then one line naming the (sub)command
+            assert err.startswith("usage: threebox") and out == ""
+            assert err.splitlines()[-1].startswith("threebox") and ": error: " in err.splitlines()[-1]
+        else:
+            assert out.startswith("usage: threebox") and err == ""
+    elif code == 2:  # a refused value: one error line, nothing on stdout
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:  # a report; 1 only for a scenario with a failing claim
+        assert code == 0 or (code == 1 and argv[0] == "scenario")
+        assert out and err == ""
+
+
+@settings(max_examples=250, deadline=None)
+@given(command_lines())
+def test_main_parses_as_the_top_level_parser_would(argv):
+    """The subcommand's own parser and the ``--observe`` fold change nothing the parser gives or prints."""
+    assert _outcome(cli._parse, argv) == _outcome(
+        lambda argv: cli.build_parser().parse_args(cli._joined(argv, fold=False)), argv
+    )
+
+
+def _alternating(n: int) -> list[str]:
+    events = [("Suit", "Face")[k % 2] for k in range(n)]
+    return ["exact", "--deck", DECK, "--prepare", "Face=Q", *(t for e in events for t in ("--observe", e)),
+            "--postselect", f"{n}:Face=K", "--query", "1:Suit=S"]
+
+
+def test_a_deep_request_parses_with_one_observe_option():
+    argv = _alternating(2048)
+    assert cli._joined(argv, fold=True).count("--observe") == 1
+    assert cli._parse(argv).observe == argv[6:-4:2]
+
+
+README_EXACT = ["exact", "--deck", DECK, "--prepare", "Face=Q", "--postselect", "Face=K", "--query", "Suit=S"]
+
+
+@pytest.mark.parametrize("form", ["--json", "--csv", None])
+def test_events_after_one_observe_print_what_repeated_observes_print(capsys, form):
+    tail = [form] if form else []
+    folded = run(capsys, *README_EXACT, "--observe", "Suit?S", "Face", *tail)
+    assert folded == run(capsys, *README_EXACT, "--observe", "Suit?S", "--observe", "Face", *tail)
+    assert folded[0] == 0 and folded[1]
+
+
+@pytest.mark.parametrize(
+    "events",
+    [
+        ["--observe=Suit?S", "--observe", "Face", "--observe=Suit"],
+        ["--obs", "Suit?S", "--observe", "Face", "--obs", "Suit"],
+        ["--observe", "Suit?S", "--json", "--observe", "Face", "--seed", "3", "--observe", "Suit"],
+        ["--observe", "Suit?S", "Face", "--observe", "Suit"],
+        ["--observe", "Suit?S", "--observe", "Face", "Suit"],
+    ],
+    ids=["equals", "abbreviated", "split by other options", "several to one", "mixed"],
+)
+def test_every_spelling_of_the_events_parses_to_one_event_list(events):
+    argv = ["simulate", "--deck", DECK, "--prepare", "Face=Q", *events]
+    assert cli._parse(argv).observe == ["Suit?S", "Face", "Suit"]
+    assert cli._parse(argv) == cli.build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact", "--observe", "Suit", "--observe", "--json"],
+        ["exact", "--observe", "Suit", "--observe", "-h"],
+        ["exact", "--observe", "Suit", "--observe", "-1", "--observe", "Face"],
+        ["exact", "--json", "--", "--observe", "Suit", "--observe", "Face"],
+        ["exact", "--observe", "Face", "--", "--observe", "Suit", "--observe", "Face"],
+        ["scenario", "aad", "--observe", "Suit", "--observe", "Face"],
+        ["validate", "--observe", "Suit", "--observe", "Face"],
+    ],
+    ids=["option after", "help after", "negative value", "after --", "into --", "scenario", "validate"],
+)
+def test_what_the_fold_leaves_alone_parses_as_before(argv):
+    """A value that starts with ``-``, anything after ``--`` and a subcommand without events are not folded."""
+    argv = [argv[0], "--deck", DECK, "--prepare", "Face=Q", *argv[1:]] if argv[0] == "exact" else argv
+    assert _outcome(cli._parse, argv) == _outcome(cli.build_parser().parse_args, argv)

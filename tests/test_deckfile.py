@@ -74,6 +74,8 @@ def test_comments_and_blank_lines_ignored():
         (lambda t: t.replace("variable Face", "deck Face"), "unknown directive"),
         (lambda t: "card K H 2\n" + t, "before both variables"),
         (lambda t: t.replace("variable Face: K Q J", "variable Face:"), "expected 'variable"),
+        (lambda t: t.replace("card K H 2", "card K H -1\ncard K H 3"), "line 5: multiplicity -1 is not positive"),
+        (lambda t: t.replace("card K H 2", "card K H 0\ncard K H 2"), "line 5: multiplicity 0 is not positive"),
     ],
 )
 def test_malformed_files_rejected(mutation, message):

@@ -206,6 +206,27 @@ def test_compiling_the_readme_experiment_tests_cells_not_cards(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
+def test_compiling_the_readme_experiment_builds_no_outcome_per_cell(threebox, monkeypatch):
+    """Each cell's outcome is a position worked out from its label; no cell builds an ``Outcome``."""
+    calls = []
+    original = Manifestation.outcome_for
+    monkeypatch.setattr(Manifestation, "outcome_for", lambda *args: calls.append(args) or original(*args))
+    experiment = exact.experiment_from_options(threebox, "Face=Q", ["Suit?S", "Face"], "Face=K")
+    assert len(experiment.kernel.events) == 2
+    assert calls == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(experiments(min_events=1))
+def test_each_cell_position_names_the_outcome_its_label_reports(experiment):
+    deck = experiment.deck
+    for manifestation in experiment.manifestations:
+        outcomes = manifestation.outcomes(deck)
+        column = deck.column(manifestation.variable)
+        expected = tuple(outcomes.index(manifestation.outcome_for(label)) for label in column)
+        assert manifestation.positions(deck) == expected
+
+
 def test_the_three_box_deck_has_few_reachable_states(threebox):
     for alternation in (("Suit", "Face"), ("Suit", "Face?K"), ("Suit?S", "Suit", "Face?Q", "Face")):
         events = tuple(parse_manifestation(threebox, alternation[k % len(alternation)]) for k in range(64))
