@@ -9,13 +9,20 @@ come back as frequency tables with binomial standard errors.
 gives the same counts faster: it spreads the pool runs of the experiment's
 compiled kernel (see :mod:`threebox.kernel`) into dense numpy arrays, one
 cell per draw index, once per run, and walks them over fixed chunks of
-:data:`CHUNK_TRIALS` trials, each event drawing from its table of pool
-sizes by the :class:`threebox.rng.DrawRule` worked out for it once per run
-(see :meth:`threebox.rng.CounterStreams.uniform_index`).  Below 8,192
-trials the fixed cost of each chunk, some 55 numpy calls for the README
-request, dominates.  8,192 is the largest power of two whose ``uint64``
-arrays (64 KiB) stay below glibc's default mmap threshold of 128 KiB; at
-16,384 the timing follows the allocator's history and peak memory grows.
+:data:`CHUNK_TRIALS` trials, each event drawing by the
+:class:`threebox.rng.DrawRule` worked out for it once per run (see
+:meth:`threebox.rng.CounterStreams.uniform_index`).  An event whose pool
+sizes are all powers of two repeats each pool across the widest, so it
+draws from that one size with one mask and reads no state id; so does an
+event of one pool size.  Only an event with other differing sizes draws
+from its per-state table.  The trial keys of a chunk below 2**30 start
+from the stream's trial progression (see :mod:`threebox.rng`), and
+successor ids are stored already multiplied by the next event's width
+when that event draws with one size.  Below 8,192 trials the fixed cost of
+each chunk, some 45 numpy calls for the README request, dominates.  8,192
+is the largest power of two whose ``uint64`` arrays (64 KiB) stay below
+glibc's default mmap threshold of 128 KiB; at 16,384 the timing follows
+the allocator's history and peak memory grows.
 The first event starts every trial from the prepared state, and the last
 one's successors are never built or gathered.  A chunk's outcome sequences
 come out as integer codes, which are counted in one array over the whole
@@ -177,11 +184,7 @@ def simulate(config: RunConfig) -> FrequencyTable:
     if space > np.iinfo(np.int64).max:
         raise InvalidArgumentsError("too many possible outcome sequences to tally in 64 bits")
     events = experiment.kernel.events
-    cells, place = [], 1
-    for event in reversed(events):
-        cells.append(_cells(event, place, successors=bool(cells)))  # the last event's are never read
-        place *= len(event.outcomes)
-    cells.reverse()
+    cells = _tables(events)
     key = seed_key(config.seed)
     chunks = (
         _walk(cells, key, range(start, min(start + CHUNK_TRIALS, config.trials)))
@@ -216,37 +219,64 @@ def _sig12(x: float) -> float:
     return float(format_float(x))
 
 
-def _cells(event: Event, place: int, successors: bool) -> tuple:
+def _tables(events: tuple[Event, ...]) -> list[tuple]:
+    """Every event's :func:`_cells`, each successor id scaled for the next event's draw.
+
+    When the next event draws with one size, a successor id is stored times
+    that event's width, so it is already the first cell of its row.
+    """
+    cells, place, scale = [], 1, None  # the last event's successor ids are never read
+    for event in reversed(events):
+        cells.append(_cells(event, place, scale))
+        width, rule = cells[-1][:2]
+        scale = width if rule.table is None else 1
+        place *= len(event.outcomes)
+    return cells[::-1]
+
+
+def _cells(event: Event, place: int, scale: int | None) -> tuple:
     """An event's ``(width, draw rule, code digits, successor ids)``, the last two dense arrays.
 
-    Cell ``s * width + i`` stands for draw index ``i`` into state ``s``'s
-    pool: its code digit is the reported outcome's position times ``place``,
-    the event's place value in the mixed-radix code (the first event most
-    significant), and its successor id the next state's.  Cells past a pool's
-    end are never drawn.  Without ``successors`` the successor ids are ``None``.
-    The draw rule is the :class:`DrawRule` of the event's pool sizes.
+    Cell ``s * width + i`` stands for draw index ``i mod n`` into state
+    ``s``'s pool of ``n`` cards: each row repeats its pool across the row.
+    Its code digit is the reported outcome's position times ``place``, the
+    event's place value in the mixed-radix code (the first event most
+    significant), and its successor id the next state's times ``scale``.
+    Without ``scale`` the successor ids are ``None``.
+
+    When every pool size is a power of two, each divides ``width``, and
+    ``w & (width - 1) & (n - 1)`` is ``w & (n - 1)``: the event draws by the
+    :class:`DrawRule` of the one size ``width``, with one mask and no state
+    id.  Otherwise the rule is that of the event's pool sizes, and the cells
+    past a pool's end are never drawn.
     """
-    width = max(event.pool_sizes)
-    digits = np.zeros((len(event.runs), width), dtype=np.int64)
-    successor_ids = np.zeros_like(digits) if successors else None
-    for s, (runs, rows) in enumerate(zip(event.runs, event.rows)):
+    sizes = event.pool_sizes
+    width = max(sizes)
+    digits = np.empty((len(sizes), width), dtype=np.int64)
+    successor_ids = None if scale is None else np.empty_like(digits)
+    for s, (runs, rows, size) in enumerate(zip(event.runs, event.rows, sizes)):
         start = 0
         for n, k in runs:
             digits[s, start : start + n] = k * place
-            if successors:
-                successor_ids[s, start : start + n] = rows[k][1]
+            if scale is not None:
+                successor_ids[s, start : start + n] = rows[k][1] * scale
             start += n
-    return width, DrawRule(event.pool_sizes), digits.ravel(), successor_ids.ravel() if successors else None
+        if size < width:
+            digits[s] = np.resize(digits[s, :size], width)
+            if scale is not None:
+                successor_ids[s] = np.resize(successor_ids[s, :size], width)
+    rule = DrawRule((width,) if all(n & (n - 1) == 0 for n in sizes) else sizes)
+    return width, rule, digits.ravel(), None if scale is None else successor_ids.ravel()
 
 
 def _walk(cells: list[tuple], key: np.uint64, trials: range) -> np.ndarray:
     """The outcome-sequence code of each of the given trials, drawn with the run's seed key.
 
     ``cells`` holds one ``(width, draw rule, code digits, successor ids)``
-    per event, the last two as arrays (the last event's successor ids
-    ``None``); a cell's code digit is its outcome
-    position times the event's place value, so a code is the sum of the
-    digits of the cells a trial passes through.
+    per event, from :func:`_cells`, the last event's successor ids ``None``;
+    a cell's code digit is its outcome position times the event's place
+    value, so a code is the sum of the digits of the cells a trial passes
+    through.
     """
     if not cells:
         return np.zeros(len(trials), dtype=np.int64)
@@ -255,12 +285,18 @@ def _walk(cells: list[tuple], key: np.uint64, trials: range) -> np.ndarray:
     state = code = None
     for k, (width, rule, digits, successor_ids) in enumerate(cells, 1):
         # An index is below its pool size, so its uint64 bits read as the same int64.
-        cell = streams.uniform_index(rule, state).view(np.int64)
-        if state is None:
-            code = digits[cell]
+        if rule.table is None:
+            # One size: the draw needs no state id, and ``state`` is already the row's first cell.
+            cell = streams.uniform_index(rule).view(np.int64)
+            if state is not None:
+                cell += state
         else:
+            cell = streams.uniform_index(rule, state).view(np.int64)
             state *= width
             cell += state
+        if code is None:
+            code = digits[cell]
+        else:
             code += digits[cell]
         if k < len(cells):
             state = successor_ids[cell]

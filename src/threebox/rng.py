@@ -17,24 +17,31 @@ Algorithm (all arithmetic modulo 2**64):
         then return w % n  (rejection keeps the index exactly uniform)
 
 Any change to these constants or steps is a new version and a new name.
+A pool holds 1 to :data:`MAX_POOL` (``2**64 - 1``) cards, the largest size
+a ``uint64`` table holds; both forms below refuse any other size with the
+same ``ValueError``.
 
 :class:`CounterStream` is the scalar definition.  :class:`CounterStreams`
 evaluates the same words for a range of trials at once over numpy ``uint64``
 arrays, whose arithmetic wraps modulo 2**64 exactly as the algorithm asks,
 so its indices and word counts are those of the scalar streams, bit for bit.
 A draw takes the table of pool sizes, one per state, and settles the rule
-on the table: a table of powers of two rejects no word and masks, any other
-table scans for rejections only above its smallest limit, and a table of
-one size divides by a scalar.  Sizes are gathered per trial only when they
-differ.  Each trial's stream position advances by one addition per word, a
-word count is the draw count plus the trial's own redraws, and the words
-are mixed from the positions through one reused scratch array.
+on the table: one power-of-two size masks, one other size divides by a
+scalar, and differing sizes are checked for rejections only above the
+table's smallest limit and gathered per trial.  Each trial's stream
+position advances by one addition per word, a word count is the draw count
+plus the trial's own redraws (an array made at the first rejection), and
+the words are mixed from the positions through one reused scratch array.
 
 What depends only on the run is worked out once per run, not once per
 chunk of trials or per draw: the seed's part of every stream key,
 ``F(seed)`` (:func:`seed_key`), and, for each event's table of pool sizes,
-its :class:`DrawRule` (the smallest limit, whether every size is a power of
-two, and the ``uint64`` tables of sizes, masks and last accepted words).
+its :class:`DrawRule` (the smallest limit, the mask of one power-of-two
+size, and the ``uint64`` tables of sizes and last accepted words).  The
+trial progression ``j * C1`` for ``j`` below 8,192 is worked out once, on
+import: ``t >> 30`` is 0 below 2**30, so ``F(t)`` begins with ``t * C1``,
+and the keys of up to 8,192 consecutive trials there start with one
+addition to it.
 """
 
 from __future__ import annotations
@@ -47,6 +54,13 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _C1 = np.uint64(0xBF58476D1CE4E5B9)
 _C2 = np.uint64(0x94D049BB133111EB)
 _STEP = np.uint64(_GOLDEN)
+# The largest pool a draw takes: the largest size a uint64 table holds.
+MAX_POOL = _MASK
+# Below this trial index t >> 30 is 0, so F(t) begins with t * C1 ...
+_PROGRESSION_END = 1 << 30
+# ... and over consecutive trials from start that is start * C1 + j * C1.  The
+# progression covers one Monte Carlo chunk (montecarlo.CHUNK_TRIALS).
+_PROGRESSION = np.arange(1 << 13, dtype=np.uint64) * _C1
 
 
 def finalize(z: int) -> int:
@@ -78,9 +92,9 @@ class CounterStream:
         return finalize((self._base + self._count * _GOLDEN) & _MASK)
 
     def uniform_index(self, n: int) -> int:
-        """An exactly uniform index into a pool of size ``n``."""
-        if n <= 0:
-            raise ValueError(f"pool size must be positive, got {n}")
+        """An exactly uniform index into a pool of size ``n``, from 1 to :data:`MAX_POOL`."""
+        if not 0 < n <= MAX_POOL:
+            _refuse_pool(n)
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             word = self.next_word()
@@ -100,12 +114,21 @@ def finalize_array(z: np.ndarray, scratch: np.ndarray, out: np.ndarray | None = 
     np.right_shift(z, 30, out=scratch)
     np.bitwise_xor(z, scratch, out=out)
     out *= _C1
-    np.right_shift(out, 27, out=scratch)
-    out ^= scratch
-    out *= _C2
-    np.right_shift(out, 31, out=scratch)
-    out ^= scratch
-    return out
+    return _finish(out, scratch)
+
+
+def _finish(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The finalizer's steps after its first multiply, in place in ``z``; returns ``z``."""
+    np.right_shift(z, 27, out=scratch)
+    z ^= scratch
+    z *= _C2
+    np.right_shift(z, 31, out=scratch)
+    z ^= scratch
+    return z
+
+
+def _refuse_pool(n: int) -> None:
+    raise ValueError(f"a pool holds 1 to 2**64 - 1 cards, got {n}")
 
 
 def _last_accepted(n: int) -> int:
@@ -116,35 +139,32 @@ def _last_accepted(n: int) -> int:
 class DrawRule:
     """How one event draws from its table of pool sizes, worked out once for the table.
 
-    ``sizes`` is the table, a positive int per state.  A word is redrawn when
-    it lies above ``2**64 - 1 - 2**64 % n``, so the words at or below the
-    smallest such limit of the table, ``bound``, are kept without a second
-    look.  When every size is a power of two, every limit is ``2**64 - 1``:
-    no word is rejected (``masked``) and ``w % n`` is ``w & (n - 1)``, so
-    ``mask`` holds ``n - 1``.  For a table of one size ``table`` is ``None``
-    and ``size`` and ``mask`` are ``uint64`` scalars; otherwise ``table``,
-    ``mask`` and ``last`` (each size's last accepted word) are ``uint64``
-    tables, one entry per state, to be gathered by each trial's state id.
+    ``sizes`` is the table, an int from 1 to :data:`MAX_POOL` per state.  A
+    word is redrawn when it lies above ``2**64 - 1 - 2**64 % n``, so the
+    words at or below the smallest such limit of the table, ``bound``, are
+    kept without a second look.  For a table of one size ``table`` is
+    ``None`` and ``size`` is a ``uint64`` scalar; when that size is a power
+    of two its limit is ``2**64 - 1``, no word is rejected and ``w % n`` is
+    ``w & (n - 1)``, so ``mask`` holds ``n - 1`` (otherwise ``None``).  For
+    differing sizes ``table`` and ``last`` (each size's last accepted word)
+    are ``uint64`` tables, one entry per state, to be gathered by each
+    trial's state id.
     """
 
-    __slots__ = ("bound", "masked", "size", "table", "mask", "last")
+    __slots__ = ("bound", "size", "mask", "table", "last")
 
     def __init__(self, sizes: tuple[int, ...]):
-        smallest = min(sizes, default=0)
-        if smallest <= 0:
-            raise ValueError(f"pool sizes must be positive, got {sizes}")
-        bound = min(map(_last_accepted, sizes))
-        self.bound = np.uint64(bound)
-        self.masked = bound == _MASK
-        largest = max(sizes)
+        smallest, largest = min(sizes, default=0), max(sizes, default=0)
+        if smallest <= 0 or largest > MAX_POOL:
+            _refuse_pool(smallest if smallest <= 0 else largest)
+        self.bound = np.uint64(min(map(_last_accepted, sizes)))
+        self.size = self.mask = self.table = self.last = None
         if smallest == largest:
-            self.table = self.last = None
             self.size = np.uint64(largest)
-            self.mask = np.uint64(largest - 1)
+            if largest & (largest - 1) == 0:
+                self.mask = np.uint64(largest - 1)
         else:
-            self.size = None
             self.table = np.array(sizes, dtype=np.uint64)
-            self.mask = self.table - np.uint64(1)
             self.last = np.array([_last_accepted(n) for n in sizes], dtype=np.uint64)
 
 
@@ -156,36 +176,47 @@ def seed_key(seed: int) -> np.uint64:
 class CounterStreams:
     """The word streams of a range of trials of one seed, one array element per trial.
 
-    ``key`` is the seed's :func:`seed_key`, worked out once per run.  Element
-    ``j`` follows ``CounterStream(seed, trials[j])`` exactly.  Every draw
-    takes one word from each trial, and a rejected word costs only the trial
-    that drew it a redraw, so a trial's word count is the number of draws
-    plus its own redraws.  Each trial's position ``base + count * golden`` is
-    kept and advanced by one addition per word.
+    ``key`` is the seed's :func:`seed_key`, worked out once per run.  A
+    range of at most 8,192 consecutive trials below 2**30 starts its keys
+    from the trial progression with one addition; any other range finalizes
+    its trial indices in full.  Element ``j`` follows ``CounterStream(seed,
+    trials[j])`` exactly.  Every draw takes one word from each trial, and a
+    rejected word costs only the trial that drew it a redraw, so a trial's
+    word count is the number of draws plus its own redraws.  Each trial's
+    position ``base + count * golden`` is kept and advanced by one addition
+    per word.
     """
 
     def __init__(self, key: np.uint64, trials: range):
-        self._scratch = np.empty(len(trials), dtype=np.uint64)
-        # The trial indices are finalized in place: they become the stream keys.
-        position = finalize_array(np.arange(trials.start, trials.stop, trials.step, dtype=np.uint64), self._scratch)
+        count = len(trials)
+        self._scratch = np.empty(count, dtype=np.uint64)
+        if trials.step == 1 and 0 <= trials.start and trials.stop <= _PROGRESSION_END and count <= len(_PROGRESSION):
+            # t * C1 = start * C1 + j * C1, and the rest of F(t) follows.
+            position = _finish(_PROGRESSION[:count] + np.uint64(trials.start * int(_C1) & _MASK), self._scratch)
+        else:
+            # The trial indices are finalized in place: they become the stream keys.
+            position = finalize_array(np.arange(trials.start, trials.stop, trials.step, dtype=np.uint64), self._scratch)
         position ^= key
         self._position = finalize_array(position, self._scratch)
         self._draws = 0
-        self._redraws = np.zeros(len(trials), dtype=np.uint64)
+        self._redraws = None  # per-trial redraws, made at the first rejection
 
     @property
     def words(self) -> np.ndarray:
         """Words consumed so far, per trial."""
+        if self._redraws is None:
+            return np.full(len(self._position), self._draws, dtype=np.uint64)
         return self._redraws + np.uint64(self._draws)
 
     def uniform_index(self, sizes: DrawRule | tuple[int, ...], state: np.ndarray | None = None) -> np.ndarray:
         """One exactly uniform index per trial, into a pool of ``sizes[state[j]]`` cards for trial ``j``.
 
-        ``sizes`` is the table of pool sizes, a positive int per state, or
-        the :class:`DrawRule` worked out from it, and ``state`` an int64
-        array of each trial's state id.  ``state`` is read only when the
-        sizes differ; a table of one size needs none.  The rule is settled
-        on the table, not per trial (see :class:`DrawRule`): one size
+        ``sizes`` is the table of pool sizes, an int from 1 to
+        :data:`MAX_POOL` per state, or the :class:`DrawRule` worked out from
+        it, and ``state`` an int64 array of each trial's state id.
+        ``state`` is read only when the sizes differ; a table of one size
+        needs none.  The rule is settled on the table, not per trial (see
+        :class:`DrawRule`): one power-of-two size masks, one other size
         divides by a scalar, and differing sizes take the remainder by each
         trial's own size.
         """
@@ -202,15 +233,17 @@ class CounterStreams:
         self._draws += 1
         self._position += _STEP
         words = finalize_array(self._position, self._scratch, np.empty_like(self._position))
-        if rule.masked:
-            # Every size is a power of two, so it divides 2**64.
-            words &= rule.mask if table is None else rule.mask[state]
+        if rule.mask is not None:
+            # One power-of-two size divides 2**64, so no word is rejected.
+            words &= rule.mask
             return words
         if words.max(initial=0) > rule.bound:
             suspects = np.flatnonzero(words > rule.bound)
             last = rule.bound if table is None else rule.last[state[suspects]]
             rejected = words[suspects] > last
             while rejected.any():
+                if self._redraws is None:
+                    self._redraws = np.zeros(len(words), dtype=np.uint64)
                 suspects = suspects[rejected]
                 if table is not None:
                     last = last[rejected]

@@ -10,15 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_kernel import experiments
-from threebox.deck import Manifestation, Outcome, validate_deck
+from threebox.deck import Deck, Manifestation, Outcome, Variable, validate_deck
 from threebox.errors import DrawOutOfRangeError, InvalidArgumentsError, NoAcceptedTrialsError
 from threebox.exact import AnyOf, Experiment, OutcomeAt, acceptance_probability, retrodict_exact
-from threebox import montecarlo
+from threebox import montecarlo, rng
 from threebox.montecarlo import CHUNK_TRIALS, TALLY_CODES, RunConfig, run_trial, simulate
-from threebox.rng import CounterStream, CounterStreams, DrawRule, finalize, seed_key
+from threebox.rng import MAX_POOL, CounterStream, CounterStreams, DrawRule, finalize, seed_key
 
 GOLDEN = 0x9E3779B97F4A7C15
 HALF_CHUNK = CHUNK_TRIALS // 2
+# Below this trial index F(t) begins with t * C1, so a range below it starts from the trial progression.
+EDGE = 2**30
 
 
 def out(deck, variable, label, negated=False):
@@ -38,8 +40,8 @@ def mixed_pool_check():
     """A face check on a 4-face deck, then the suit, then the face.
 
     The check leaves a suit pool of 2 cards after K and of 6 after not-K,
-    so the second event masks some trials' words and takes others modulo 6
-    in one draw.
+    so the second event draws from a per-state table, taking each trial's
+    word modulo its own pool size.
     """
     deck = validate_deck([("K", "S", 1), ("K", "D", 1), ("Q", "D", 1), ("Q", "H", 1),
                           ("J", "H", 1), ("J", "C", 1), ("A", "C", 1), ("A", "S", 1)])
@@ -48,6 +50,24 @@ def mixed_pool_check():
         out(deck, "Suit", "S"),
         (Manifestation("Face", "K"), Manifestation("Suit"), Manifestation("Face")),
         postselection=(3, out(deck, "Face", "K")),
+    )
+
+
+def cyclic_pool_check():
+    """A suit preparation, a face, the face again, then the suit, on a deck of 1 K, 2 Q and 4 J.
+
+    The repeated face draws from the reported face's cards: pools of 1, 2
+    and 4, three powers of two in one event.  A balanced deck gives an event
+    at most two pool sizes (a value's cards or the rest), so this deck is
+    built without :func:`validate_deck`.
+    """
+    cells = (("J", "H"), ("J", "S"), ("K", "S"), ("Q", "H"), ("Q", "S"))
+    deck = Deck(Variable("Face", ("K", "Q", "J")), Variable("Suit", ("S", "H")), cells, (2, 2, 1, 1, 1))
+    return Experiment(
+        deck,
+        out(deck, "Suit", "H"),
+        (Manifestation("Face"), Manifestation("Face"), Manifestation("Suit")),
+        postselection=(3, out(deck, "Suit", "S")),
     )
 
 
@@ -162,6 +182,47 @@ class TestCounterStreams:
             assert (once.words == per_call.words).all()
             assert once.words.tolist() == [scalar.words for scalar in scalars]
 
+    def test_both_forms_draw_up_to_the_pool_limit_and_refuse_past_it(self):
+        assert MAX_POOL == 2**64 - 1
+        words = assert_matches_the_scalar_streams(5, range(300), (MAX_POOL,), draws=2)
+        assert words.max() == 2  # only the one word 2**64 - 1 is rejected
+        assert_matches_the_scalar_streams(5, range(300), (3, MAX_POOL), np.arange(300) % 2, draws=2)
+        for n in (2**64, 2**64 + 1):
+            # Refused before a word is drawn: at 2**64 + 1 the scalar limit
+            # 2**64 - 2**64 % n is 0, so a draw would never return.
+            scalar = CounterStream(5, 0)
+            with pytest.raises(ValueError, match=f"1 to 2\\*\\*64 - 1 cards, got {n}$"):
+                scalar.uniform_index(n)
+            assert scalar.words == 0
+            for sizes, state in [((n,), None), ((3, n), np.array([0, 1])), ((n, 4), np.array([1, 0]))]:
+                streams = CounterStreams(seed_key(5), range(2))
+                with pytest.raises(ValueError, match=f"1 to 2\\*\\*64 - 1 cards, got {n}$"):
+                    streams.uniform_index(sizes, state)
+                assert (streams.words == 0).all()
+
+    # Ranges whose last trial is 2**30 - 2 .. 2**30 + 1, and one straddling
+    # 2**30: the first two start from the trial progression, the rest
+    # finalize their trial indices in full.
+    @pytest.mark.parametrize(
+        "trials",
+        [range(EDGE - 500, EDGE - 1), range(EDGE - 500, EDGE), range(EDGE - 500, EDGE + 1),
+         range(EDGE - 500, EDGE + 2), range(EDGE - 250, EDGE + 250)],
+    )
+    def test_trial_keys_at_the_progression_edge(self, trials):
+        for sizes, state in [((6,), None), ((4,), None), ((2, 3, 2**63 + 1), np.arange(len(trials)) % 3)]:
+            assert_matches_the_scalar_streams(31, trials, sizes, state)
+
+    @pytest.mark.parametrize(
+        "trials",
+        [
+            range(EDGE - len(rng._PROGRESSION), EDGE),  # the longest range the progression keys
+            range(len(rng._PROGRESSION) + 1),  # one trial longer, keyed in full
+            range(0, 600, 3),  # a step other than 1, keyed in full
+        ],
+    )
+    def test_trial_keys_of_the_longest_range_the_progression_covers_and_past_it(self, trials):
+        assert_matches_the_scalar_streams(31, trials, (6,), draws=1)
+
     def test_each_trial_has_its_own_pool_size(self):
         state = np.random.default_rng(0).integers(0, 59, 500)
         assert_matches_the_scalar_streams(7, range(10**6, 10**6 + 500), tuple(range(1, 60)), state)
@@ -248,14 +309,56 @@ class TestSimulate:
     def test_a_layer_mixing_a_power_of_two_pool_with_another_size(self):
         experiment = mixed_pool_check()
         assert [event.pool_sizes for event in experiment.kernel.events] == [(6,), (6, 2), (6, 6, 6, 6)]
+        assert [rule.table is None for _, rule, _, _ in montecarlo._tables(experiment.kernel.events)] == [
+            True, False, True,
+        ]
         trials = CHUNK_TRIALS + 1
         reference = Counter(run_trial(experiment, 19, t) for t in range(trials))
         assert simulate(RunConfig(experiment, trials, 19)).counts == dict(reference)
 
+    @pytest.mark.parametrize("tally_codes", [TALLY_CODES, 4])
+    def test_power_of_two_pools_draw_from_repeated_rows(self, monkeypatch, tally_codes):
+        experiment = cyclic_pool_check()
+        events = experiment.kernel.events
+        assert [event.pool_sizes for event in events] == [(4,), (1, 2, 4), (6, 5, 3)]
+        tables = montecarlo._tables(events)
+        # The repeated face draws with one mask over rows of 4, and the suit after it from its per-state table.
+        assert [(width, None if rule.table is None else rule.table.tolist()) for width, rule, _, _ in tables] == [
+            (4, None), (4, None), (6, [6, 5, 3]),
+        ]
+        # Code digits (outcome position times 2): K; Q, Q; J, J, J, J, each row repeated to 4 cells.
+        assert tables[1][2].tolist() == [0, 0, 0, 0, 2, 2, 2, 2, 4, 4, 4, 4]
+        trials = CHUNK_TRIALS + 1
+        reference = Counter(run_trial(experiment, 37, t) for t in range(trials))
+        assert len({seq[1] for seq in reference}) == 3
+        monkeypatch.setattr(montecarlo, "TALLY_CODES", tally_codes)
+        assert simulate(RunConfig(experiment, trials, 37)).counts == dict(reference)
+
+    def test_a_two_card_pool_repeats_across_a_row_of_four(self, threebox):
+        # The README request: after a spade, the face comes from the 2 spades (J, Q), else from 4 cards.
+        events = spade_check(threebox).kernel.events
+        assert [event.pool_sizes for event in events] == [(4,), (4, 2)]
+        (_, first, _, successor_ids), (width, second, digits, _) = montecarlo._tables(events)
+        assert width == 4 and first.table is second.table is None and second.mask == 3
+        assert successor_ids.tolist() == [4, 0, 4, 4]  # each next state's first cell
+        assert digits.tolist() == [2, 0, 0, 1, 2, 1, 2, 1]  # J K K Q, then J Q twice
+
+    def test_walk_across_the_progression_edge(self):
+        # Every chunk below 2**30 is short enough to start from the progression.
+        assert CHUNK_TRIALS <= len(rng._PROGRESSION)
+        # Simulate's chunks start at multiples of 8,192, so none straddles
+        # 2**30; the walker is handed such ranges here.
+        experiment = mixed_pool_check()
+        events = experiment.kernel.events
+        tables, key = montecarlo._tables(events), seed_key(29)
+        for trials in (range(EDGE - 4096, EDGE), range(EDGE - 4095, EDGE + 1), range(EDGE - 4096, EDGE + 4096)):
+            codes = montecarlo._walk(tables, key, trials)
+            assert montecarlo._decode(events, codes) == [run_trial(experiment, 29, t) for t in trials]
+
     @pytest.mark.parametrize("name", ["mixed pools", "merged tallies"])
     def test_counts_do_not_depend_on_the_chunk_size(self, threebox, monkeypatch, name):
         if name == "mixed pools":
-            # One draw masks, one divides by a scalar and one gathers each trial's size.
+            # Two draws divide by a scalar and one gathers each trial's size.
             experiment = mixed_pool_check()
             assert [event.pool_sizes for event in experiment.kernel.events] == [(6,), (6, 2), (6, 6, 6, 6)]
         else:
