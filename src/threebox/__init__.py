@@ -52,7 +52,6 @@ _EXPORTS = {
         "probability",
         "retrodict_exact",
         "single_step_probability",
-        "tree_leaves",
     ),
     "formulas": ("RetrodictionInputs", "retrodict_complete", "retrodict_partial"),
     "montecarlo": ("FrequencyTable", "RetrodictionEstimate", "RunConfig", "run_trial", "simulate"),

@@ -241,15 +241,24 @@ def _build_experiment(args: argparse.Namespace):
     return deck, experiment_from_options(deck, args.prepare, args.observe or [], args.postselect)
 
 
+def _query(experiment, text: str):
+    """The ``--query`` as ``(ordinal, outcome)``, checked as a retrodiction when postselecting, before any run."""
+    ordinal, outcome = parse_outcome_reference(experiment.deck, experiment.manifestations, text)
+    if experiment.postselection is not None:
+        experiment.check_retrodiction(ordinal, outcome)
+    else:
+        experiment.check_outcome_at(ordinal, outcome, "query")
+    return ordinal, outcome
+
+
 def _cmd_exact(args: argparse.Namespace) -> int:
     deck, experiment = _build_experiment(args)
     if args.query is not None:
-        ordinal, outcome = parse_outcome_reference(deck, experiment.manifestations, args.query)
+        ordinal, outcome = _query(experiment, args.query)
         if experiment.postselection is not None:
             value = retrodict_exact(experiment, ordinal, outcome)
             kind = "retrodiction"
         else:
-            experiment.check_outcome_at(ordinal, outcome, "query")
             value = probability(experiment, OutcomeAt(ordinal, outcome))
             kind = "probability"
         report = {
@@ -287,13 +296,14 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    _, experiment = _build_experiment(args)
+    query = None if args.query is None else _query(experiment, args.query)
     from .montecarlo import RunConfig, simulate
 
-    deck, experiment = _build_experiment(args)
     table = simulate(RunConfig(experiment, args.trials, args.seed))
     report = table.to_dict()
-    if args.query is not None:
-        ordinal, outcome = parse_outcome_reference(deck, experiment.manifestations, args.query)
+    if query is not None:
+        ordinal, outcome = query
         if experiment.postselection is not None:
             try:
                 estimate = table.retrodiction(ordinal, outcome)

@@ -14,7 +14,7 @@ pattern.  ``tree_blocks`` produces every outcome sequence with its
 probability lazily, a block of leaves per path to the middle layer, walking
 the kernel rows: the leaves below a middle state are reduced once per prefix
 probability, and every path that reaches the state with that probability
-shares the block; ``tree_leaves`` flattens the blocks one leaf at a time.
+shares the block; ``leaf_distribution`` flattens the blocks into one map.
 Only tree listings read them, so only they are capped at ``MAX_EVENTS``.
 
 The module also carries the deck's closed-form single-step probability
@@ -29,7 +29,7 @@ from fractions import Fraction
 from operator import floordiv
 from typing import Callable, ClassVar, Iterator, Sequence, TypeVar
 
-from .deck import Deck, Manifestation, Outcome, SystemState, Value
+from .deck import Deck, Manifestation, Outcome, SystemState, Value, _set
 from .errors import (
     InvalidArgumentsError,
     SequenceTooLongError,
@@ -37,8 +37,6 @@ from .errors import (
     WeightsNotNormalizedError,
 )
 from .kernel import Event, Kernel
-
-_set = object.__setattr__
 
 # A tree has as many leaves as the product of its events' outcome counts: V
 # (values per variable) for a complete event and 2 for a partial one, so 3^8 =
@@ -218,25 +216,13 @@ def tree_blocks(
     return ((head, block(s, hn, hd)) for s, head, hn, hd in prefixes)
 
 
-def tree_leaves(
-    experiment: Experiment, unit: Callable[[int, Outcome], Key], empty: Key
-) -> Iterator[tuple[Key, int, int]]:
-    """Every leaf of the tree as ``(key, numerator, denominator)``, depth first in row order.
-
-    The leaves of :func:`tree_blocks`, each prefix's block flattened with
-    the prefix's head put before every tail; keys, ``unit`` and ``empty``
-    are as there.  Like it, the call raises SequenceTooLongError beyond
-    ``MAX_EVENTS`` events, and the iterator it returns makes one leaf at a
-    time, so no leaf outlives its consumer's use.
-    """
-    return (
-        (head + tail, n, d) for head, block in tree_blocks(experiment, unit, empty) for tail, n, d in zip(*block)
-    )
-
-
 def leaf_distribution(experiment: Experiment) -> dict[tuple[Outcome, ...], Fraction]:
-    """Probability of every complete outcome sequence."""
-    return {key: Fraction(n, d) for key, n, d in tree_leaves(experiment, lambda ordinal, outcome: (outcome,), ())}
+    """Probability of every complete outcome sequence: the leaves of :func:`tree_blocks`, flattened."""
+    return {
+        head + tail: Fraction(n, d)
+        for head, block in tree_blocks(experiment, lambda ordinal, outcome: (outcome,), ())
+        for tail, n, d in zip(*block)
+    }
 
 
 def tree_header(experiment: Experiment) -> dict:

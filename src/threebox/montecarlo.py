@@ -33,14 +33,13 @@ number of distinct sequences, never the trial count.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
-from .deck import Outcome, observe, prepare
+from .deck import Outcome, Value, _set, observe, prepare
 from .errors import InvalidArgumentsError, NoAcceptedTrialsError
 from .exact import Experiment, OutcomeAt, Pattern, check_seed, format_float
 from .kernel import Event
@@ -56,21 +55,19 @@ CHUNK_TRIALS = 8192
 TALLY_CODES = 1 << 16
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Value):
     """A simulation request: experiment, trial count, 64-bit seed."""
 
-    experiment: Experiment
-    trials: int
-    seed: int
+    __slots__ = ("experiment", "trials", "seed")
 
-    def __post_init__(self) -> None:
-        if self.trials < 1:
+    def __init__(self, experiment: Experiment, trials: int, seed: int) -> None:
+        if trials < 1:
             raise InvalidArgumentsError("a run needs at least one trial")
-        if self.trials > 1 << 64:
+        if trials > 1 << 64:
             # Trial indices key the stream modulo 2**64, so more would replay trial 0.
-            raise InvalidArgumentsError(f"a run takes at most 2**64 trials, got {self.trials}")
-        check_seed(self.seed)
+            raise InvalidArgumentsError(f"a run takes at most 2**64 trials, got {trials}")
+        check_seed(seed)
+        Value.__init__(self, experiment, trials, seed)
 
 
 def run_trial(experiment: Experiment, seed: int, trial: int) -> tuple[Outcome, ...]:
@@ -84,8 +81,7 @@ def run_trial(experiment: Experiment, seed: int, trial: int) -> tuple[Outcome, .
     return tuple(outcomes)
 
 
-@dataclass
-class RetrodictionEstimate:
+class RetrodictionEstimate(NamedTuple):
     """Conditional frequency among accepted trials, with its standard error."""
 
     estimate: float
@@ -94,25 +90,27 @@ class RetrodictionEstimate:
     acceptance_rate: float
 
 
-@dataclass
-class FrequencyTable:
+class FrequencyTable(Value):
     """Counts per outcome sequence, with empirical probabilities and errors."""
 
-    experiment: Experiment
-    trials: int
-    seed: int
-    counts: dict[tuple[Outcome, ...], int]
+    __slots__ = ("experiment", "trials", "seed", "counts", "_accepted")
+    __hash__ = None  # the counts are a dict
+
+    def __init__(self, experiment: Experiment, trials: int, seed: int, counts: dict[tuple[Outcome, ...], int]) -> None:
+        Value.__init__(self, experiment, trials, seed, counts)
+        _set(self, "_accepted", None)
 
     def count(self, pattern: Pattern) -> int:
         """Trials whose outcome sequence matches the pattern."""
         return sum(n for seq, n in self.counts.items() if pattern.matches(seq))
 
-    @functools.cached_property
+    @property
     def accepted(self) -> int:
-        """Trials that pass the postselection; every trial when there is none."""
-        if self.experiment.postselection is None:
-            return self.trials
-        return self.count(OutcomeAt(*self.experiment.postselection))
+        """Trials that pass the postselection; every trial when there is none.  Counted on first use."""
+        if self._accepted is None:
+            postselection = self.experiment.postselection
+            _set(self, "_accepted", self.trials if postselection is None else self.count(OutcomeAt(*postselection)))
+        return self._accepted
 
     def marginal_frequency(self, ordinal: int, outcome: Outcome) -> float:
         """Empirical chance that the event at ``ordinal`` reported ``outcome``."""

@@ -25,13 +25,14 @@ same ``ValueError``.
 evaluates the same words for a range of trials at once over numpy ``uint64``
 arrays, whose arithmetic wraps modulo 2**64 exactly as the algorithm asks,
 so its indices and word counts are those of the scalar streams, bit for bit.
-A draw takes the table of pool sizes, one per state, and settles the rule
-on the table: one power-of-two size masks, one other size divides by a
-scalar, and differing sizes are checked for rejections only above the
-table's smallest limit and gathered per trial.  Each trial's stream
-position advances by one addition per word, a word count is the draw count
-plus the trial's own redraws (an array made at the first rejection), and
-the words are mixed from the positions through one reused scratch array.
+A draw takes the :class:`DrawRule` of the table of pool sizes, one per
+state, which settles the rule on the table: one power-of-two size masks,
+one other size divides by a scalar, and differing sizes are checked for
+rejections only above the table's smallest limit and gathered per trial.
+Each trial's stream position advances by one addition per word, a word
+count is the draw count plus the trial's own redraws (an array made with
+the streams), and the words are mixed from the positions through one
+reused scratch array.
 
 What depends only on the run is worked out once per run, not once per
 chunk of trials or per draw: the seed's part of every stream key,
@@ -182,9 +183,9 @@ class CounterStreams:
     its trial indices in full.  Element ``j`` follows ``CounterStream(seed,
     trials[j])`` exactly.  Every draw takes one word from each trial, and a
     rejected word costs only the trial that drew it a redraw, so a trial's
-    word count is the number of draws plus its own redraws.  Each trial's
-    position ``base + count * golden`` is kept and advanced by one addition
-    per word.
+    word count is the number of draws plus its own redraws, counted in an
+    array made with the streams.  Each trial's position ``base + count *
+    golden`` is kept and advanced by one addition per word.
     """
 
     def __init__(self, key: np.uint64, trials: range):
@@ -199,28 +200,20 @@ class CounterStreams:
         position ^= key
         self._position = finalize_array(position, self._scratch)
         self._draws = 0
-        self._redraws = None  # per-trial redraws, made at the first rejection
+        self._redraws = np.zeros(count, dtype=np.uint64)  # per-trial redraws
 
     @property
     def words(self) -> np.ndarray:
         """Words consumed so far, per trial."""
-        if self._redraws is None:
-            return np.full(len(self._position), self._draws, dtype=np.uint64)
         return self._redraws + np.uint64(self._draws)
 
-    def uniform_index(self, sizes: DrawRule | tuple[int, ...], state: np.ndarray | None = None) -> np.ndarray:
+    def uniform_index(self, rule: DrawRule, state: np.ndarray | None = None) -> np.ndarray:
         """One exactly uniform index per trial, into a pool of ``sizes[state[j]]`` cards for trial ``j``.
 
-        ``sizes`` is the table of pool sizes, an int from 1 to
-        :data:`MAX_POOL` per state, or the :class:`DrawRule` worked out from
-        it, and ``state`` an int64 array of each trial's state id.
-        ``state`` is read only when the sizes differ; a table of one size
-        needs none.  The rule is settled on the table, not per trial (see
-        :class:`DrawRule`): one power-of-two size masks, one other size
-        divides by a scalar, and differing sizes take the remainder by each
-        trial's own size.
+        ``rule`` is the :class:`DrawRule` worked out from ``sizes``, the
+        table of pool sizes, and ``state`` an int64 array of each trial's
+        state id, read only when the sizes differ.
         """
-        rule = sizes if isinstance(sizes, DrawRule) else DrawRule(sizes)
         if state is not None and state.shape != self._position.shape:
             raise ValueError("state ids must be given one per trial")
         table = rule.table
@@ -242,8 +235,6 @@ class CounterStreams:
             last = rule.bound if table is None else rule.last[state[suspects]]
             rejected = words[suspects] > last
             while rejected.any():
-                if self._redraws is None:
-                    self._redraws = np.zeros(len(words), dtype=np.uint64)
                 suspects = suspects[rejected]
                 if table is not None:
                     last = last[rejected]

@@ -1,7 +1,7 @@
 """The branch-tree enumerator: every outcome sequence of an experiment as one node per path.
 
 It expands the kernel rows by plain recursion, so it is the oracle that the
-leaf walk (:func:`threebox.exact.tree_leaves`) and the forward pass are
+leaf walk (:func:`threebox.exact.tree_blocks`) and the forward pass are
 tested against; the kernel rows themselves are tested against the deck's
 ``observe`` and ``step_distribution``.
 """

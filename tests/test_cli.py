@@ -261,6 +261,29 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and "2**64 trials" in err
 
+    @pytest.mark.parametrize(
+        "postselect, query, message",
+        [
+            (("--postselect", "Face=K"), "Nope=K", "unknown variable 'Nope'"),
+            (("--postselect", "Face=K"), "2:Face=K", "must precede the postselection"),
+            (("--postselect", "Face=K"), "1:Suit=H", "reports only S or ~S"),
+            ((), "2:Face=Z", "has no value 'Z'"),
+            ((), "3:Face=K", "does not name a manifestation"),
+        ],
+        ids=["unknown variable", "at the postselection", "unreported outcome", "unknown label", "no such event"],
+    )
+    def test_a_bad_query_exits_2_before_the_run(self, capsys, deck_file, monkeypatch, postselect, query, message):
+        from threebox import montecarlo
+
+        monkeypatch.setattr(montecarlo, "simulate", lambda config: pytest.fail("the run started"))
+        code, out, err = run(
+            capsys,
+            "simulate", "--deck", deck_file, "--prepare", "Face=Q", "--observe", "Suit?S", "--observe", "Face",
+            *postselect, "--trials", "50000000", "--query", query,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_out_of_range_exits_2(self, capsys, deck_file, seed):
         code, out, err = run(

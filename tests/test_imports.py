@@ -1,4 +1,5 @@
-"""What a call loads: the exact, quantum and unsampled scenario paths run without numpy or dataclasses, and the package exports its names lazily."""
+"""What a call loads: the exact, quantum and unsampled scenario paths run without numpy or dataclasses, the sampling
+paths load numpy but no dataclasses, and the package exports its names lazily."""
 
 import argparse
 import importlib
@@ -58,8 +59,9 @@ UNSAMPLED = {
 }
 
 # Every name the package exported when it imported all of its modules eagerly, by module,
-# less the projector algebra and the branch-tree oracle that only tests used, and the card
-# type that decks stored as counts no longer need.
+# less the projector algebra and the branch-tree oracle that only tests used, the card
+# type that decks stored as counts no longer need, and the one-leaf-at-a-time walk that
+# ``leaf_distribution`` now flattens itself from ``tree_blocks``.
 EXPORTS = {
     "deck": "CardValue Deck Manifestation Outcome SystemState Variable format_cards observe prepare "
     "step_distribution validate_deck",
@@ -67,7 +69,7 @@ EXPORTS = {
     "decks": "three_box_deck two_value_deck",
     "exact": "AllOf AnyOf Experiment MixtureState Negation OutcomeAt Pattern acceptance_probability "
     "conditional_probability format_fraction leaf_distribution mixture_combine probability "
-    "retrodict_exact single_step_probability tree_leaves",
+    "retrodict_exact single_step_probability",
     "formulas": "RetrodictionInputs retrodict_complete retrodict_partial",
     "montecarlo": "FrequencyTable RetrodictionEstimate RunConfig run_trial simulate",
     "quantum": "QState SlitGeometry abl_complete abl_partial aad_analysis born_probability three_box_pair "
@@ -107,17 +109,21 @@ def test_the_exact_path_creates_no_dataclass(argv, expected):
     assert loaded_after(*argv) == expected
 
 
+# The sampling paths load numpy, which itself imports ``inspect``, so only ``dataclasses`` is
+# guarded there: the Monte Carlo's value types are ``__slots__`` classes and a named tuple.
 def test_simulate_loads_numpy():
     argv = ["simulate", *EXACT[1:], "--trials", "1000", "--seed", "7"]
-    assert "numpy" in loaded_after(*argv)
+    loaded = loaded_after(*argv)
+    assert "numpy" in loaded and "dataclasses" not in loaded
 
 
 def test_a_sampling_scenario_loads_numpy():
-    assert "numpy" in loaded_after("scenario", "three-box-card")
+    loaded = loaded_after("scenario", "three-box-card")
+    assert "numpy" in loaded and "dataclasses" not in loaded
 
 
 def test_every_export_is_the_defining_modules_object():
-    assert len(NAMES) == 54
+    assert len(NAMES) == 53
     for module, name in NAMES:
         assert getattr(threebox, name) is getattr(importlib.import_module(f"threebox.{module}"), name), name
 

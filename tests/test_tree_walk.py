@@ -26,12 +26,16 @@ from threebox.exact import (
     probability,
     tree_blocks,
     tree_header,
-    tree_leaves,
 )
 
 
 def out(deck, variable, label, negated=False):
     return Outcome(deck.value(variable, label), negated=negated)
+
+
+def leaves(experiment, unit=lambda ordinal, outcome: (outcome,), empty=()):
+    """Every leaf of the walk as ``(key, numerator, denominator)``: each block's tails after its head."""
+    return [(head + tail, n, d) for head, block in tree_blocks(experiment, unit, empty) for tail, n, d in zip(*block)]
 
 
 def oracle_report(experiment):
@@ -66,20 +70,21 @@ def text_lines(report):
 @given(experiments())
 def test_walk_leaves_equal_the_enumerated_leaves_in_order(experiment):
     oracle = [(leaf.outcomes, leaf.probability) for leaf in enumerate_tree(experiment).leaves()]
-    walked = list(tree_leaves(experiment, lambda ordinal, outcome: (outcome,), ()))
+    walked = leaves(experiment)
     assert [key for key, _, _ in walked] == [outcomes for outcomes, _ in oracle]
     assert [(n, d) for _, n, d in walked] == [(p.numerator, p.denominator) for _, p in oracle]
     # The unit sees each outcome with its own ordinal; string keys concatenate the same way.
-    numbered = list(tree_leaves(experiment, lambda ordinal, outcome: ((ordinal, outcome),), ()))
+    numbered = leaves(experiment, lambda ordinal, outcome: ((ordinal, outcome),))
     assert [key for key, _, _ in numbered] == [tuple(enumerate(outcomes, start=1)) for outcomes, _ in oracle]
-    spelled = list(tree_leaves(experiment, lambda ordinal, outcome: f"{outcome};", ""))
+    spelled = leaves(experiment, lambda ordinal, outcome: f"{outcome};", "")
     assert [key for key, _, _ in spelled] == ["".join(f"{o};" for o in outcomes) for outcomes, _ in oracle]
     assert leaf_distribution(experiment) == dict(oracle)
 
 
 def test_a_zero_event_tree_has_one_certain_leaf(threebox):
     experiment = Experiment(threebox, out(threebox, "Face", "Q"))
-    assert list(tree_leaves(experiment, lambda ordinal, outcome: (outcome,), ())) == [((), 1, 1)]
+    assert leaves(experiment) == [((), 1, 1)]
+    assert leaf_distribution(experiment) == {(): 1}
     assert [leaf.outcomes for leaf in enumerate_tree(experiment).leaves()] == [()]
 
 
@@ -91,7 +96,7 @@ def test_prefixes_of_equal_probability_share_one_reduced_block(threebox):
     assert len({id(block) for _, block in blocks}) <= 15
     flattened = [(head + tail, n, d) for head, block in blocks for tail, n, d in zip(*block)]
     assert len(flattened) == 3**8
-    assert flattened == list(tree_leaves(experiment, lambda ordinal, outcome: (outcome,), ()))
+    assert sum(Fraction(n, d) for _, n, d in flattened) == 1
     assert all(math.gcd(n, d) == 1 for _, n, d in flattened)
 
 
@@ -99,7 +104,6 @@ def test_every_tree_consumer_keeps_the_event_cap(threebox):
     experiment = Experiment(threebox, out(threebox, "Face", "Q"), (Manifestation("Suit"),) * 9)
     for consume in (
         leaf_distribution,
-        lambda e: tree_leaves(e, lambda ordinal, outcome: (outcome,), ()),
         lambda e: tree_blocks(e, lambda ordinal, outcome: (outcome,), ()),
     ):
         with pytest.raises(SequenceTooLongError):

@@ -1,4 +1,5 @@
-"""Value semantics of the deck, exact, formula and slit types: equality, hashing, immutability, copies and reprs."""
+"""Value semantics of the deck, exact, formula, slit and Monte Carlo types: equality, hashing, immutability, copies
+and reprs."""
 
 import copy
 import inspect
@@ -22,6 +23,7 @@ from threebox.errors import (
 )
 from threebox.exact import AllOf, AnyOf, Experiment, MixtureState, Negation, OutcomeAt
 from threebox.formulas import RetrodictionInputs
+from threebox.montecarlo import FrequencyTable, RunConfig, simulate
 from threebox.quantum import SlitGeometry, three_slit_design
 
 
@@ -32,6 +34,7 @@ def samples():
     state = prepare(deck, king)
     events = (Manifestation("Face"), Manifestation("Suit", "H"))
     at_1, at_2 = OutcomeAt(1, king), OutcomeAt(2, heart)
+    experiment = Experiment(deck, king, events, (2, heart))
     return {
         Variable: (lambda: Variable("Face", ("K", "Q")), Variable("Face", ("Q", "K"))),
         CardValue: (lambda: CardValue("Face", "K"), CardValue("Face", "Q")),
@@ -57,6 +60,7 @@ def samples():
             ),
         ),
         SlitGeometry: (lambda: three_slit_design(10.0, 1.0), three_slit_design(3.7, 0.21)),
+        RunConfig: (lambda: RunConfig(experiment, 1000, 7), RunConfig(experiment, trials=1000, seed=8)),
     }
 
 
@@ -132,6 +136,10 @@ TWO_VALUE_DECK = (
 KING = "Outcome(value=CardValue(variable='Face', label='K'), negated=False)"
 NOT_HEART = "Outcome(value=CardValue(variable='Suit', label='H'), negated=True)"
 KING_STATE = f"SystemState(deck={TWO_VALUE_DECK}, these=(1, 2, 0, 0), memory='Face')"
+EXPERIMENT = (
+    f"Experiment(deck={TWO_VALUE_DECK}, preparation={KING}, manifestations=(Manifestation(variable='Face', "
+    f"partial_on=None), Manifestation(variable='Suit', partial_on='H')), postselection=(2, {NOT_HEART}))"
+)
 REPRS = {
     Variable: "Variable(name='Face', labels=('K', 'Q'))",
     CardValue: "CardValue(variable='Face', label='K')",
@@ -139,10 +147,7 @@ REPRS = {
     Manifestation: "Manifestation(variable='Suit', partial_on='H')",
     Deck: TWO_VALUE_DECK,
     SystemState: KING_STATE,
-    Experiment: (
-        f"Experiment(deck={TWO_VALUE_DECK}, preparation={KING}, manifestations=(Manifestation(variable='Face', "
-        f"partial_on=None), Manifestation(variable='Suit', partial_on='H')), postselection=(2, {NOT_HEART}))"
-    ),
+    Experiment: EXPERIMENT,
     Branch: f"Branch(state={KING_STATE}, outcomes=({KING},), probability=Fraction(1, 2), children=())",
     OutcomeAt: f"OutcomeAt(ordinal=1, outcome={KING})",
     AllOf: f"AllOf(patterns=(OutcomeAt(ordinal=1, outcome={KING}), OutcomeAt(ordinal=2, outcome={NOT_HEART})))",
@@ -154,6 +159,7 @@ REPRS = {
         "prior_negation=Fraction(3, 4))"
     ),
     SlitGeometry: "SlitGeometry(separation=10.0, wavelength=1.0, distance=99.75)",
+    RunConfig: f"RunConfig(experiment={EXPERIMENT}, trials=1000, seed=7)",
 }
 
 
@@ -218,6 +224,27 @@ def test_the_kernel_compiles_once_and_stays_out_of_equality(monkeypatch):
     assert repr(used) == repr(fresh)
     assert copy.copy(used) == used and pickle.loads(pickle.dumps(used)) == used
     assert len(compiled) == 1
+
+
+def test_a_frequency_table_counts_its_accepted_trials_once_and_is_immutable(monkeypatch):
+    config = SAMPLES[RunConfig][0]()
+    table = simulate(config)
+    counted = []
+    count = FrequencyTable.count
+    monkeypatch.setattr(FrequencyTable, "count", lambda self, pattern: counted.append(pattern) or count(self, pattern))
+    # The postselection is a not-heart report at the second event.
+    not_heart = config.experiment.postselection[1]
+    expected = sum(n for sequence, n in table.counts.items() if sequence[1] == not_heart)
+    assert 0 < expected < table.trials
+    assert table.accepted == expected and table.acceptance_rate == expected / 1000
+    assert len(counted) == 1
+    for name in ("experiment", "trials", "seed", "counts", "accepted", "_accepted", "other"):
+        with pytest.raises(AttributeError):
+            setattr(table, name, None)
+    assert table.accepted == expected and len(counted) == 1
+    assert table == simulate(config) and copy.copy(table) == table
+    with pytest.raises(TypeError):
+        hash(table)
 
 
 def test_states_reached_twice_intern_to_one_kernel_state(threebox):
