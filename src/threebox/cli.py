@@ -187,7 +187,17 @@ def _add_format_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--csv", action="store_true", help="emit CSV rows")
 
 
+# The largest decimal exponent a rational literal may carry.  ``Fraction``
+# builds ``10**exponent`` in full, so a short literal such as 1e30000000 would
+# take minutes to parse and print; 1e10000 takes milliseconds.
+_MAX_EXPONENT = 10_000
+
+
 def _parse_fraction(text: str) -> Fraction:
+    _, marker, exponent = text.lower().rpartition("e")
+    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if marker and digits.isdecimal() and (len(digits) > len(str(_MAX_EXPONENT)) or int(digits) > _MAX_EXPONENT):
+        raise ThreeBoxError(f"{text!r} is not a rational number: its exponent is beyond ±{_MAX_EXPONENT}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as error:

@@ -14,10 +14,12 @@ memory holding the *name* (never the value) of the last-observed variable:
 
 Observations come in two flavours: *complete* (report whichever value the
 drawn card carries) and *partial on v* (report ``v`` or its negation ``~v``).
-A negated report re-prepares the system in the genuine state ``~v`` (These =
-every card not carrying ``v``), which is what gives the machine its
-interference-like behaviour.  For the memory test a variable counts as the
-same variable whether observed completely or partially.
+Each report is one flat ``Outcome(variable, label, negated)``, and the same
+value names a preparation target.  A negated report re-prepares the system
+in the genuine state ``~v`` (These = every card not carrying ``v``), which
+is what gives the machine its interference-like behaviour.  For the memory
+test a variable counts as the same variable whether observed completely or
+partially.
 
 All types here are immutable values; the operations are pure functions, so a
 single transition rule can serve both the exact enumerator and the Monte
@@ -123,41 +125,28 @@ class Variable(Value):
         Value.__init__(self, name, labels)
 
 
-class CardValue(Value):
-    """A single value of a single variable, e.g. Face=Q."""
-
-    __slots__ = ("variable", "label")
-
-    def __init__(self, variable: str, label: str) -> None:
-        Value.__init__(self, variable, label)
-
-    def __str__(self) -> str:
-        return self.label
-
-
 class Outcome(Value):
-    """A value or its negation: the report of an observation, and equally a
-    preparation target (``prepare`` consumes reported outcomes directly).
+    """One assertion about one variable: the report of an observation, and
+    equally a preparation target (``prepare`` consumes reported outcomes
+    directly).
 
-    ``Outcome(v)`` asserts the variable carries value ``v``;
-    ``Outcome(v, negated=True)`` asserts it carries any value but ``v``.
+    ``Outcome(variable, label)`` asserts the variable carries the value
+    ``label``; ``Outcome(variable, label, negated=True)`` asserts it carries
+    any value but ``label``.  :meth:`Deck.outcome` builds one after checking
+    the label against the deck.
     """
 
-    __slots__ = ("value", "negated")
+    __slots__ = ("variable", "label", "negated")
 
-    def __init__(self, value: CardValue, negated: bool = False) -> None:
-        Value.__init__(self, value, negated)
-
-    @property
-    def variable(self) -> str:
-        return self.value.variable
+    def __init__(self, variable: str, label: str, negated: bool = False) -> None:
+        Value.__init__(self, variable, label, negated)
 
     def matches(self, label: str) -> bool:
         """Whether a card whose value has this ``label`` satisfies the assertion."""
-        return (label == self.value.label) != self.negated
+        return (label == self.label) != self.negated
 
     def __str__(self) -> str:
-        return f"~{self.value.label}" if self.negated else self.value.label
+        return f"~{self.label}" if self.negated else self.label
 
 
 class Manifestation(Value):
@@ -176,8 +165,8 @@ class Manifestation(Value):
     def outcome_for(self, label: str) -> Outcome:
         """Map a drawn card's value label to the reported outcome."""
         if self.partial_on is None:
-            return Outcome(CardValue(self.variable, label))
-        return Outcome(CardValue(self.variable, self.partial_on), negated=label != self.partial_on)
+            return Outcome(self.variable, label)
+        return Outcome(self.variable, self.partial_on, label != self.partial_on)
 
     def positions(self, deck: Deck) -> tuple[int, ...]:
         """Each cell's position in :meth:`outcomes` of the outcome :meth:`outcome_for` reports for its label."""
@@ -189,12 +178,8 @@ class Manifestation(Value):
     def outcomes(self, deck: Deck) -> tuple[Outcome, ...]:
         """All outcomes this manifestation can report, in schema order."""
         if self.partial_on is None:
-            return tuple(
-                Outcome(CardValue(self.variable, label))
-                for label in deck.variable(self.variable).labels
-            )
-        value = CardValue(self.variable, self.partial_on)
-        return (Outcome(value), Outcome(value, negated=True))
+            return tuple(Outcome(self.variable, label) for label in deck.variable(self.variable).labels)
+        return (Outcome(self.variable, self.partial_on), Outcome(self.variable, self.partial_on, negated=True))
 
     def __str__(self) -> str:
         return self.variable if self.partial_on is None else f"{self.variable}?{self.partial_on}"
@@ -242,9 +227,10 @@ class Deck(Value):
         """Raise UnknownLabelError unless ``label`` is a value of ``variable``."""
         self.column(variable, label)
 
-    def value(self, variable: str, label: str) -> CardValue:
+    def outcome(self, variable: str, label: str, negated: bool = False) -> Outcome:
+        """``Outcome(variable, label, negated)``; UnknownLabelError unless ``label`` is a value of ``variable``."""
         self.check_label(variable, label)
-        return CardValue(variable, label)
+        return Outcome(variable, label, negated)
 
     def column(self, variable: str, label: str | None = None) -> tuple[str, ...]:
         """Each cell's label for ``variable``, in canonical order; UnknownLabelError unless ``label`` is None or
@@ -260,8 +246,8 @@ class Deck(Value):
         i = bisect_left(self.cells, (face_label, suit_label))
         return self.counts[i] if self.cells[i : i + 1] == ((face_label, suit_label),) else 0
 
-    def joint_count_for(self, a: CardValue, b: CardValue) -> int:
-        """Joint count for one value of each variable, in either order."""
+    def joint_count_for(self, a: Outcome, b: Outcome) -> int:
+        """Joint count for the labels of two outcomes, one of each variable, in either order, negation ignored."""
         if a.variable == b.variable:
             raise InvalidArgumentsError("joint counts pair one value of each variable")
         face_label = a.label if self.variable(a.variable) is self.face else b.label
@@ -270,7 +256,7 @@ class Deck(Value):
 
     def matching(self, target: Outcome) -> tuple[int, ...]:
         """How many cards of each cell satisfy the assertion."""
-        column = self.column(target.variable, target.value.label)
+        column = self.column(target.variable, target.label)
         return tuple(n if target.matches(label) else 0 for label, n in zip(column, self.counts))
 
     def scaled(self, factor: int) -> Deck:
@@ -342,7 +328,7 @@ class SystemState(Value):
             return None
         for negated in (False, True):
             for label in self.deck.variable(variable).labels:
-                target = Outcome(CardValue(self.memory, label), negated=negated)
+                target = Outcome(self.memory, label, negated)
                 if self.these == self.deck.matching(target):
                     return target
         return None

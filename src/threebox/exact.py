@@ -89,7 +89,7 @@ class Experiment(Value):
         manifestations: tuple[Manifestation, ...] = (),
         postselection: tuple[int, Outcome] | None = None,
     ) -> None:
-        deck.check_label(preparation.variable, preparation.value.label)
+        deck.check_label(preparation.variable, preparation.label)
         for m in manifestations:
             deck.column(m.variable, m.partial_on)
         Value.__init__(self, deck, preparation, manifestations, postselection)
@@ -112,8 +112,8 @@ class Experiment(Value):
         if m.partial_on is None:
             if outcome.negated:
                 raise InvalidArgumentsError(f"complete observation at ordinal {ordinal} never reports {outcome}")
-            self.deck.check_label(outcome.variable, outcome.value.label)
-        elif outcome.value.label != m.partial_on:
+            self.deck.check_label(outcome.variable, outcome.label)
+        elif outcome.label != m.partial_on:
             raise InvalidArgumentsError(
                 f"partial observation {m} at ordinal {ordinal} reports only {m.partial_on} or ~{m.partial_on}"
             )
@@ -456,20 +456,20 @@ def single_step_probability(deck: Deck, preparation: Outcome, outcome: Outcome) 
     A negated outcome ~v has the complementary chance 1 - Pr[v].  Raises
     UnknownLabelError when either label is not on the deck.
     """
-    deck.check_label(preparation.variable, preparation.value.label)
-    deck.check_label(outcome.variable, outcome.value.label)
+    deck.check_label(preparation.variable, preparation.label)
+    deck.check_label(outcome.variable, outcome.label)
     n = deck.copies_per_value
     v = deck.values_per_variable
     same_variable = preparation.variable == outcome.variable
-    same_label = same_variable and preparation.value.label == outcome.value.label
+    same_label = same_variable and preparation.label == outcome.label
     if not preparation.negated and same_variable:
         p = Fraction(1 if same_label else 0)
     elif not preparation.negated:
-        p = Fraction(n - deck.joint_count_for(preparation.value, outcome.value), n * (v - 1))
+        p = Fraction(n - deck.joint_count_for(preparation, outcome), n * (v - 1))
     elif same_variable:
         p = Fraction(0) if same_label else Fraction(1, v - 1)
     else:
-        p = Fraction(deck.joint_count_for(preparation.value, outcome.value), n)
+        p = Fraction(deck.joint_count_for(preparation, outcome), n)
     return 1 - p if outcome.negated else p
 
 
@@ -539,7 +539,7 @@ def parse_target(deck: Deck, text: str) -> Outcome:
     negated = label.startswith("~")
     if negated:
         label = label[1:]
-    return Outcome(deck.value(variable.strip(), label.strip()), negated=negated)
+    return deck.outcome(variable.strip(), label.strip(), negated)
 
 
 def parse_manifestation(deck: Deck, text: str) -> Manifestation:

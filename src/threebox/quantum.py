@@ -294,7 +294,6 @@ def rotated_basis(alpha: complex, beta: complex) -> list[QState]:
 class SharedEigenstateReport(NamedTuple):
     """Retrodictions of the shared value under the rotated basis."""
 
-    basis: tuple[QState, QState, QState]
     partial_result: float
     complete_result: float
 
@@ -309,7 +308,6 @@ def aad_analysis(alpha: complex, beta: complex) -> SharedEigenstateReport:
     pre, post, _ = shared_eigenstate_pair()
     basis = rotated_basis(alpha, beta)
     return SharedEigenstateReport(
-        basis=tuple(basis),
         partial_result=abl_partial(pre, basis, 1, post),
         complete_result=abl_complete(pre, basis, 1, post),
     )

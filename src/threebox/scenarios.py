@@ -255,13 +255,13 @@ def three_box_card(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) -> Sc
     skip the Monte Carlo routes.
     """
     deck = three_box_deck()
-    prep = Outcome(deck.value("Face", "Q"))
-    final = Outcome(deck.value("Face", "K"))
+    prep = deck.outcome("Face", "Q")
+    final = deck.outcome("Face", "K")
     ends_in_k = OutcomeAt(2, final)
     specs = []
     for label in "SD":
-        suit = Outcome(deck.value("Suit", label))
-        not_suit = Outcome(deck.value("Suit", label), negated=True)
+        suit = deck.outcome("Suit", label)
+        not_suit = deck.outcome("Suit", label, negated=True)
         experiment = Experiment(
             deck,
             prep,
@@ -324,9 +324,9 @@ def interference_demo(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) ->
     retrodicted suits become {1/2, 0, 1/2}.
     """
     deck = three_box_deck()
-    prep = Outcome(deck.value("Face", "Q"))
-    final = Outcome(deck.value("Face", "K"))
-    suit_of = {label: Outcome(deck.value("Suit", label)) for label in "SHD"}
+    prep = deck.outcome("Face", "Q")
+    final = deck.outcome("Face", "K")
+    suit_of = {label: deck.outcome("Suit", label) for label in "SHD"}
     experiment = Experiment(
         deck,
         prep,
@@ -365,7 +365,7 @@ def interference_demo(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) ->
         )
     )
 
-    not_s = Outcome(deck.value("Suit", "S"), negated=True)
+    not_s = deck.outcome("Suit", "S", negated=True)
     partial_experiment = Experiment(
         deck,
         prep,
@@ -379,7 +379,7 @@ def interference_demo(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) ->
     for variable in (deck.face.name, deck.suit.name):
         for label in deck.variable(variable).labels:
             for negated in (False, True):
-                target = Outcome(deck.value(variable, label), negated=negated)
+                target = deck.outcome(variable, label, negated)
                 lhs = single_step_probability(deck, target, not_s)
                 rhs = single_step_probability(deck, target, suit_of["H"]) + single_step_probability(
                     deck, target, suit_of["D"]
@@ -580,8 +580,8 @@ def counterfactual_trace(
     three-box deck is such a deck).
     """
     deck = two_value_deck() if deck is None else deck
-    prep = Outcome(deck.value("Face", "K"))
-    final = Outcome(deck.value("Suit", "H"))
+    prep = deck.outcome("Face", "K")
+    final = deck.outcome("Suit", "H")
     experiment = Experiment(
         deck,
         prep,

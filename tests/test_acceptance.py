@@ -51,7 +51,7 @@ def report(criterion: str):
 
 
 def out(deck, variable, label, negated=False):
-    return Outcome(deck.value(variable, label), negated=negated)
+    return deck.outcome(variable, label, negated)
 
 
 def test_criterion_01_partial_checks_are_certain():
@@ -82,7 +82,7 @@ def test_criterion_02_complete_observation_destroys_certainty():
         (2, out(deck, "Face", "K")),
     )
     assert {
-        o.value.label: p
+        o.label: p
         for o, p in step_distribution(
             prepare(deck, out(deck, "Face", "Q")), Manifestation("Suit")
         ).items()

@@ -7,6 +7,7 @@ import gc
 import io
 import json
 import sys
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -351,6 +352,19 @@ class TestFormula:
         )
         assert (code, out) == (2, "")
         assert err.startswith("error: likelihood = 1" + "0" * 5000) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("literal", ["1e30000000", "1E-30000000", "1e1000000"])
+    def test_a_huge_exponent_is_refused_before_the_value_is_built(self, capsys, literal):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys,
+            "formula", "partial",
+            "--likelihood", literal, "--prior", "1",
+            "--likelihood-negation", "0", "--prior-negation", "0",
+        )
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {literal!r} is not a rational number") and err.count("\n") == 1
 
 
 class TestQuantum:

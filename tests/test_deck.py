@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from threebox.deck import (
     MAX_CARDS,
-    CardValue,
     Manifestation,
     Outcome,
     format_cards,
@@ -29,7 +28,7 @@ from threebox.errors import (
 
 
 def outcome(deck, variable, label, negated=False):
-    return Outcome(deck.value(variable, label), negated=negated)
+    return deck.outcome(variable, label, negated)
 
 
 def first_index(state, variable, cell):
@@ -126,7 +125,15 @@ class TestPrepare:
 
     def test_unknown_value_rejected(self, threebox):
         with pytest.raises(UnknownLabelError):
-            prepare(threebox, Outcome(CardValue("Face", "A")))
+            prepare(threebox, Outcome("Face", "A"))
+
+    def test_deck_outcome_is_the_flat_value_with_its_label_checked(self, threebox):
+        assert threebox.outcome("Face", "K") == Outcome("Face", "K")
+        assert threebox.outcome("Suit", "S", negated=True) == Outcome("Suit", "S", True)
+        assert threebox.joint_count_for(Outcome("Suit", "H", True), Outcome("Face", "K")) == 2
+        for variable, label in (("Face", "Z"), ("Colour", "S")):
+            with pytest.raises(UnknownLabelError):
+                threebox.outcome(variable, label)
 
     def test_sharp_value_tracks_preparation(self, threebox):
         state = prepare(threebox, outcome(threebox, "Face", "Q"))
@@ -264,10 +271,7 @@ def walks(draw, deck):
     """A preparation plus a short random sequence of (manifestation, draw index)."""
     variables = (deck.face, deck.suit)
     variable = draw(st.sampled_from(variables))
-    target = Outcome(
-        CardValue(variable.name, draw(st.sampled_from(variable.labels))),
-        negated=draw(st.booleans()),
-    )
+    target = Outcome(variable.name, draw(st.sampled_from(variable.labels)), draw(st.booleans()))
     steps = []
     for _ in range(draw(st.integers(0, 4))):
         m_variable = draw(st.sampled_from(variables))

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threebox import cli
-from threebox.deck import CardValue, Deck, Manifestation, Outcome, Variable, validate_deck
+from threebox.deck import Deck, Manifestation, Outcome, Variable, validate_deck
 from threebox.deckfile import load_deck, parse_deck, save_deck, serialize_deck
 from threebox.errors import (
     DeckFileError,
@@ -144,7 +144,7 @@ def syntax_round_trips(deck):
                 if parse_manifestation(deck, str(partial)) != partial:
                     return False
                 for negated in (False, True):
-                    outcome = Outcome(CardValue(variable.name, label), negated)
+                    outcome = Outcome(variable.name, label, negated)
                     text = f"{variable.name}={outcome}"
                     if parse_target(deck, text) != outcome:
                         return False

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import enumerate_tree
-from threebox.deck import CardValue, Manifestation, Outcome, prepare, step_distribution
+from threebox.deck import Manifestation, Outcome, prepare, step_distribution
 from threebox.errors import (
     InvalidArgumentsError,
     SequenceTooLongError,
@@ -36,7 +36,7 @@ from threebox.formulas import RetrodictionInputs, retrodict_partial
 
 
 def out(deck, variable, label, negated=False):
-    return Outcome(deck.value(variable, label), negated=negated)
+    return deck.outcome(variable, label, negated)
 
 
 @pytest.fixture
@@ -265,11 +265,11 @@ class TestClosedForm:
 
     def test_unknown_label_is_refused(self, threebox):
         q = out(threebox, "Face", "Q")
-        for bad in (CardValue("Face", "Z"), CardValue("Suit", "C"), CardValue("Colour", "S")):
+        for bad in (("Face", "Z"), ("Suit", "C"), ("Colour", "S")):
             with pytest.raises(UnknownLabelError):
-                single_step_probability(threebox, q, Outcome(bad))
+                single_step_probability(threebox, q, Outcome(*bad))
             with pytest.raises(UnknownLabelError):
-                single_step_probability(threebox, Outcome(bad, negated=True), q)
+                single_step_probability(threebox, Outcome(*bad, negated=True), q)
 
     def test_matches_enumeration_for_every_first_step(self, threebox, twovalue):
         # Every preparation against every single manifestation, on both decks.

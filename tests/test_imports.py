@@ -4,6 +4,7 @@ paths load numpy but no dataclasses, and the package exports its names lazily.""
 import argparse
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -60,10 +61,11 @@ UNSAMPLED = {
 
 # Every name the package exported when it imported all of its modules eagerly, by module,
 # less the projector algebra and the branch-tree oracle that only tests used, the card
-# type that decks stored as counts no longer need, and the one-leaf-at-a-time walk that
-# ``leaf_distribution`` now flattens itself from ``tree_blocks``.
+# type that decks stored as counts no longer need, the one-leaf-at-a-time walk that
+# ``leaf_distribution`` now flattens itself from ``tree_blocks``, and the card-value type
+# that ``Outcome`` now holds flat as its own fields: 52 names.
 EXPORTS = {
-    "deck": "CardValue Deck Manifestation Outcome SystemState Variable format_cards observe prepare "
+    "deck": "Deck Manifestation Outcome SystemState Variable format_cards observe prepare "
     "step_distribution validate_deck",
     "deckfile": "load_deck parse_deck save_deck serialize_deck",
     "decks": "three_box_deck two_value_deck",
@@ -123,9 +125,17 @@ def test_a_sampling_scenario_loads_numpy():
 
 
 def test_every_export_is_the_defining_modules_object():
-    assert len(NAMES) == 53
+    assert len(NAMES) == 52
     for module, name in NAMES:
         assert getattr(threebox, name) is getattr(importlib.import_module(f"threebox.{module}"), name), name
+
+
+def test_the_readme_library_example_runs():
+    """The one ``python`` block under the README's "Library example" heading runs as written."""
+    section = (ROOT / "README.md").read_text().split("\n## Library example\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```python\n(.*?)^```$", section, re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
 
 
 def test_all_and_dir_list_every_export_and_star_binds_them():

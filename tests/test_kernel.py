@@ -11,7 +11,7 @@ from test_deck import balanced_decks
 from threebox import deck as deck_module
 from threebox import exact
 from threebox import kernel as kernel_module
-from threebox.deck import CardValue, Manifestation, Outcome, observe, prepare, step_distribution, validate_deck
+from threebox.deck import Manifestation, Outcome, observe, prepare, step_distribution, validate_deck
 from threebox.errors import UndefinedConditionalError
 from threebox.exact import (
     AllOf,
@@ -30,7 +30,7 @@ from threebox.montecarlo import RunConfig, simulate
 
 
 def out(deck, variable, label, negated=False):
-    return Outcome(deck.value(variable, label), negated=negated)
+    return deck.outcome(variable, label, negated)
 
 
 @st.composite
@@ -40,9 +40,7 @@ def experiments(draw, max_events=6, max_scale=1, min_events=0):
     deck = draw(balanced_decks(max_scale))
     variables = (deck.face, deck.suit)
     variable = draw(st.sampled_from(variables))
-    preparation = Outcome(
-        CardValue(variable.name, draw(st.sampled_from(variable.labels))), negated=draw(st.booleans())
-    )
+    preparation = Outcome(variable.name, draw(st.sampled_from(variable.labels)), draw(st.booleans()))
     events = []
     for _ in range(draw(st.integers(min_events, max_events))):
         observed = draw(st.sampled_from(variables))

@@ -24,7 +24,7 @@ EDGE = 2**30
 
 
 def out(deck, variable, label, negated=False):
-    return Outcome(deck.value(variable, label), negated=negated)
+    return deck.outcome(variable, label, negated)
 
 
 def spade_check(deck):

@@ -30,7 +30,7 @@ from threebox.exact import (
 
 
 def out(deck, variable, label, negated=False):
-    return Outcome(deck.value(variable, label), negated=negated)
+    return deck.outcome(variable, label, negated)
 
 
 def leaves(experiment, unit=lambda ordinal, outcome: (outcome,), empty=()):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from oracles import Branch
 from test_deck import balanced_decks
 from threebox import exact
-from threebox.deck import CardValue, Deck, Manifestation, Outcome, SystemState, Variable, observe, prepare, validate_deck
+from threebox.deck import Deck, Manifestation, Outcome, SystemState, Variable, observe, prepare, validate_deck
 from threebox.decks import three_box_deck, two_value_deck
 from threebox.errors import (
     GeometryInfeasibleError,
@@ -30,18 +30,17 @@ from threebox.quantum import SlitGeometry, three_slit_design
 def samples():
     """Per class: a factory that builds a fresh value on each call, and a value that differs from it."""
     deck = two_value_deck()
-    king, heart = Outcome(CardValue("Face", "K")), Outcome(CardValue("Suit", "H"), negated=True)
+    king, heart = Outcome("Face", "K"), Outcome("Suit", "H", negated=True)
     state = prepare(deck, king)
     events = (Manifestation("Face"), Manifestation("Suit", "H"))
     at_1, at_2 = OutcomeAt(1, king), OutcomeAt(2, heart)
     experiment = Experiment(deck, king, events, (2, heart))
     return {
         Variable: (lambda: Variable("Face", ("K", "Q")), Variable("Face", ("Q", "K"))),
-        CardValue: (lambda: CardValue("Face", "K"), CardValue("Face", "Q")),
-        Outcome: (lambda: Outcome(CardValue("Suit", "H"), negated=True), Outcome(CardValue("Suit", "H"))),
+        Outcome: (lambda: Outcome("Suit", "H", negated=True), Outcome("Suit", "H")),
         Manifestation: (lambda: Manifestation("Suit", "H"), Manifestation("Suit")),
         Deck: (two_value_deck, three_box_deck()),
-        SystemState: (lambda: prepare(deck, king), prepare(deck, Outcome(CardValue("Face", "Q")))),
+        SystemState: (lambda: prepare(deck, king), prepare(deck, Outcome("Face", "Q"))),
         Experiment: (lambda: Experiment(deck, king, events, (2, heart)), Experiment(deck, king, events)),
         Branch: (lambda: Branch(state, (king,), Fraction(1, 2)), Branch(state, (king,), Fraction(1, 3))),
         OutcomeAt: (lambda: OutcomeAt(1, king), OutcomeAt(2, king)),
@@ -98,11 +97,11 @@ def test_equality_is_type_strict(cls):
 
 
 def test_values_of_different_classes_with_equal_fields_differ():
-    assert CardValue("Face", "K") != Manifestation("Face", "K")
-    assert len({CardValue("Face", "K"), Manifestation("Face", "K")}) == 2
-    patterns = (OutcomeAt(1, Outcome(CardValue("Face", "K"))),)
+    assert Variable("Face", ("K",)) != Manifestation("Face", ("K",))
+    assert len({Variable("Face", ("K",)), Manifestation("Face", ("K",))}) == 2
+    patterns = (OutcomeAt(1, Outcome("Face", "K")),)
     assert AllOf(patterns) != AnyOf(patterns) and len({AllOf(patterns), AnyOf(patterns)}) == 2
-    assert Manifestation("Face", "K") != CardValue("Face", "K")
+    assert Manifestation("Face", ("K",)) != Variable("Face", ("K",))
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
@@ -133,8 +132,8 @@ TWO_VALUE_DECK = (
     "Deck(face=Variable(name='Face', labels=('K', 'Q')), suit=Variable(name='Suit', labels=('S', 'H')), "
     "cells=(('K', 'H'), ('K', 'S'), ('Q', 'H'), ('Q', 'S')), counts=(1, 2, 2, 1))"
 )
-KING = "Outcome(value=CardValue(variable='Face', label='K'), negated=False)"
-NOT_HEART = "Outcome(value=CardValue(variable='Suit', label='H'), negated=True)"
+KING = "Outcome(variable='Face', label='K', negated=False)"
+NOT_HEART = "Outcome(variable='Suit', label='H', negated=True)"
 KING_STATE = f"SystemState(deck={TWO_VALUE_DECK}, these=(1, 2, 0, 0), memory='Face')"
 EXPERIMENT = (
     f"Experiment(deck={TWO_VALUE_DECK}, preparation={KING}, manifestations=(Manifestation(variable='Face', "
@@ -142,7 +141,6 @@ EXPERIMENT = (
 )
 REPRS = {
     Variable: "Variable(name='Face', labels=('K', 'Q'))",
-    CardValue: "CardValue(variable='Face', label='K')",
     Outcome: NOT_HEART,
     Manifestation: "Manifestation(variable='Suit', partial_on='H')",
     Deck: TWO_VALUE_DECK,
@@ -174,26 +172,26 @@ def test_cells_sort_by_face_then_suit():
     deck = validate_deck([(face, suit, 1) for face, suit in hand], face_labels="QKJ", suit_labels="SDH")
     assert deck.cells == (("J", "D"), ("J", "H"), ("K", "H"), ("K", "S"), ("Q", "D"), ("Q", "S"))
     assert str(deck) == "{JD, JH, KH, KS, QD, QS}"
-    state = prepare(deck, Outcome(CardValue("Face", "Q")))
+    state = prepare(deck, Outcome("Face", "Q"))
     drawn = [str(observe(state, Manifestation("Suit"), lambda n, i=i: i)[0]) for i in range(4)]
     assert drawn == ["D", "H", "H", "S"]
 
 
 def test_construction_keeps_its_checks():
     deck = two_value_deck()
-    king = Outcome(CardValue("Face", "K"))
+    king = Outcome("Face", "K")
     with pytest.raises(InvalidArgumentsError, match="duplicate value labels for variable 'Face'"):
         Variable("Face", ("K", "K"))
     with pytest.raises(UnknownLabelError, match="unknown variable 'Colour'"):
         SystemState(deck, deck.counts, "Colour")
     with pytest.raises(UnknownLabelError, match="has no value 'A'"):
-        Experiment(deck, Outcome(CardValue("Face", "A")))
+        Experiment(deck, Outcome("Face", "A"))
     with pytest.raises(UnknownLabelError, match="unknown variable 'Colour'"):
         Experiment(deck, king, (Manifestation("Colour"),))
     with pytest.raises(UnknownLabelError, match="has no value 'D'"):
         Experiment(deck, king, (Manifestation("Suit", "D"),))
     with pytest.raises(InvalidArgumentsError, match="postselection ordinal 2 does not name a manifestation"):
-        Experiment(deck, king, (Manifestation("Suit"),), (2, Outcome(CardValue("Suit", "H"))))
+        Experiment(deck, king, (Manifestation("Suit"),), (2, Outcome("Suit", "H")))
     state = prepare(deck, king)
     with pytest.raises(WeightsNotNormalizedError, match="at least one component"):
         MixtureState(())
@@ -250,7 +248,7 @@ def test_a_frequency_table_counts_its_accepted_trials_once_and_is_immutable(monk
 def test_states_reached_twice_intern_to_one_kernel_state(threebox):
     # The Suit event leads to three Suit states (H with chance zero), and the Face event's
     # nine rows from them re-prepare one of the same three Face states.
-    king = Outcome(threebox.value("Face", "K"))
+    king = threebox.outcome("Face", "K")
     kernel = Experiment(threebox, king, (Manifestation("Suit"), Manifestation("Face"))).kernel
     after_suit, after_face = kernel.layers[1:]
     assert len(after_suit) == 3
@@ -259,7 +257,7 @@ def test_states_reached_twice_intern_to_one_kernel_state(threebox):
     assert {t for rows in kernel.events[1].rows for _, t in rows} == {0, 1, 2}
     assert [sum(n for n, _ in rows) for rows in kernel.events[1].rows] == list(kernel.events[1].pool_sizes)
     assert sorted(str(state) for state in after_face) == sorted(
-        str(prepare(threebox, Outcome(threebox.value("Face", label)))) for label in "KQJ"
+        str(prepare(threebox, threebox.outcome("Face", label))) for label in "KQJ"
     )
 
 
@@ -269,11 +267,11 @@ def test_a_state_reached_by_two_routes_is_one_value(data):
     """Observing Face from two different Suit states re-prepares equal, equally hashed Face states."""
     deck = data.draw(balanced_decks())
     label = data.draw(st.sampled_from(deck.face.labels))
-    target = Outcome(CardValue("Face", label))
+    target = Outcome("Face", label)
     prepared = prepare(deck, target)
     reached = []
     for suit in deck.suit.labels:
-        state = prepare(deck, Outcome(CardValue("Suit", suit)))
+        state = prepare(deck, Outcome("Suit", suit))
         others = state.others
         for i, ((face, _), n) in enumerate(zip(deck.cells, others)):
             if face == label and n:
