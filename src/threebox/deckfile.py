@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .deck import Deck, validate_deck
+from .deck import MAX_CARDS, Deck, validate_deck
 from .errors import DeckFileError
 
 
@@ -40,6 +40,9 @@ def parse_deck(text: str) -> Deck:
             if len(fields) != 3:
                 raise DeckFileError(f"line {lineno}: expected 'card <face> <suit> <multiplicity>'")
             face, suit, count_text = fields
+            digits = len(count_text.lstrip("+-").replace("_", "").lstrip("0"))
+            if digits > len(str(MAX_CARDS)):  # refused before int() spends time quadratic in the digits
+                raise DeckFileError(f"line {lineno}: a {digits}-digit multiplicity; at most {MAX_CARDS} cards allowed")
             try:
                 count = int(count_text)
             except ValueError:

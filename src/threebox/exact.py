@@ -6,15 +6,16 @@ outcome at one ordinal that accepted runs must show.  Each experiment is
 compiled once into a :class:`~threebox.kernel.Kernel`, the transition table
 every engine reads, and every probabilistic claim is an exact `Fraction`.
 
-Every query is a :class:`Pattern` of outcomes at given ordinals, and
-``probability`` answers it by propagating integer state weights over one
-common denominator forward through the kernel, each carrying the part of
-the pattern still open, in time linear in the event count for a given
-pattern.  ``tree_blocks`` produces every outcome sequence with its
-probability lazily, a block of leaves per path to the middle layer, walking
-the kernel rows: the leaves below a middle state are reduced once per prefix
-probability, and every path that reaches the state with that probability
-shares the block; ``leaf_distribution`` flattens the blocks into one map.
+Both readers of the kernel rows only multiply their integer weights, over
+the product of the events' denominators.  Every query is a :class:`Pattern`
+of outcomes at given ordinals, and ``probability`` answers it by
+propagating state weights forward through the kernel, each carrying the
+part of the pattern still open, in time linear in the event count for a
+given pattern.  ``tree_blocks`` produces every outcome sequence with its
+probability lazily, a block of leaves per path to the middle layer: the
+leaves below a middle state are reduced once per prefix weight, and every
+path that reaches the state with that weight shares the block;
+``leaf_distribution`` flattens the blocks into one map.
 Only tree listings read them, so only they are capped at ``MAX_EVENTS``.
 
 The module also carries the deck's closed-form single-step probability
@@ -24,6 +25,7 @@ of system states merged into one enlarged [These | Others] partition.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from operator import floordiv
@@ -167,15 +169,16 @@ def tree_blocks(
     The walk reads the kernel rows and meets in the middle.  Prefixes run
     forward to the middle layer, one per path.  Below that layer, the leaves
     under each state are built once, backward from the last layer.  Both
-    carry a probability as integer products of the row counts and pool
-    sizes.  A block is the leaves below a prefix's state times the
-    prefix's probability, reduced by one gcd per leaf; it is built once per
-    middle state and reduced prefix probability, and the same tuple is
-    handed to every prefix that shares both.  Blocks live until the listing
-    ends, so each holds three columns rather than a tuple per leaf: thousands
-    of live tuples would set off garbage collections inside the listing.
+    carry the product of their rows' weights, so a leaf's probability is its
+    prefix's weight times its own over ``D``, the product of the event
+    denominators.  Equal prefix weights are equal probabilities: a block is
+    built once per middle state and prefix weight, each leaf reduced by its
+    gcd with ``D``, and the same tuple is handed to every prefix that shares
+    both.  Blocks live until the listing ends, so each holds three columns
+    rather than a tuple per leaf: thousands of live tuples would set off
+    garbage collections inside the listing.
 
-    The call builds the tables and the shared lower halves, and raises
+    The call builds the prefixes and the shared lower halves, and raises
     SequenceTooLongError beyond ``MAX_EVENTS`` events; the iterator it
     returns builds each distinct block when a prefix first needs it.
     """
@@ -184,36 +187,26 @@ def tree_blocks(
             f"{len(experiment.manifestations)} events requested; the enumerator expands at most {MAX_EVENTS}"
         )
     kernel = experiment.kernel
-    tables = []  # per event and state: (key unit, count, pool size, next state) per row
-    for ordinal, event in enumerate(kernel.events, start=1):
-        units = [unit(ordinal, outcome) for outcome in event.outcomes]
-        tables.append(
-            [[(u, n, size, t) for u, (n, t) in zip(units, rows)] for rows, size in zip(event.rows, event.pool_sizes)]
-        )
-    middle = len(tables) // 2
-    prefixes = [(0, empty, 1, 1)]
-    for table in tables[:middle]:
-        prefixes = [(t, key + u, n * un, d * ud) for s, key, n, d in prefixes for u, un, ud, t in table[s]]
-    below = [[(empty, 1, 1)]] * len(kernel.layers[-1])
-    for table in reversed(tables[middle:]):
-        below = [[(u + key, un * n, ud * d) for u, un, ud, t in rows for key, n, d in below[t]] for rows in table]
+    # Per event: the key unit of each outcome, and each state's rows.
+    steps = [([unit(o, outcome) for outcome in e.outcomes], e.rows) for o, e in enumerate(kernel.events, start=1)]
+    denominator = math.prod(event.denominator for event in kernel.events)
+    middle = len(steps) // 2
+    prefixes = [(0, empty, 1)]
+    for units, rows in steps[:middle]:
+        prefixes = [(t, key + u, w * uw) for s, key, w in prefixes for u, (uw, t) in zip(units, rows[s])]
+    below = [[(empty, 1)]] * len(kernel.layers[-1])
+    for units, rows in reversed(steps[middle:]):
+        below = [[(u + key, uw * w) for u, (uw, t) in zip(units, r) for key, w in below[t]] for r in rows]
     columns = [tuple(map(tuple, zip(*leaves))) for leaves in below]
-    gcd = math.gcd
-    blocks: dict[tuple[int, int, int], tuple] = {}
 
-    def block(s: int, hn: int, hd: int) -> tuple:
-        common = gcd(hn, hd)
-        group = (s, hn // common, hd // common)
-        if group not in blocks:
-            _, hn, hd = group
-            tails, tns, tds = columns[s]
-            ns = [hn * tn for tn in tns]
-            ds = [hd * td for td in tds]
-            gs = list(map(gcd, ns, ds))
-            blocks[group] = tails, tuple(map(floordiv, ns, gs)), tuple(map(floordiv, ds, gs))
-        return blocks[group]
+    @functools.cache
+    def block(s: int, weight: int) -> tuple:
+        tails, tail_weights = columns[s]
+        ns = [weight * w for w in tail_weights]
+        gs = [math.gcd(n, denominator) for n in ns]
+        return tails, tuple(map(floordiv, ns, gs)), tuple(denominator // g for g in gs)
 
-    return ((head, block(s, hn, hd)) for s, head, hn, hd in prefixes)
+    return ((head, block(s, weight)) for s, head, weight in prefixes)
 
 
 def leaf_distribution(experiment: Experiment) -> dict[tuple[Outcome, ...], Fraction]:
@@ -357,12 +350,12 @@ def probability(experiment: Experiment, pattern: Pattern) -> Fraction:
     and the part of the pattern still open, which starts as the whole
     pattern on the prepared state.  At an ordinal the pattern names, each
     row passes its weight on with :meth:`Pattern.given` of its outcome:
-    weight settled ``True`` is banked, since a state's rows sum to one;
+    weight settled ``True`` is banked, since a state's rows sum to certainty;
     weight settled ``False`` is dropped; equal open patterns share weights.
     Weights are integers over one common denominator, which each event
-    multiplies, with the banked total, by the lcm of its pool sizes: a row
-    passes on its state's weight times its cell count times the lcm over the
-    state's pool size.  The one ``Fraction`` is built at the end.
+    multiplies, with the banked total, by its own denominator: a row passes
+    on its state's weight times the row's weight.  The one ``Fraction`` is
+    built at the end.
     """
     ordinals, depth = pattern.ordinals(), len(experiment.manifestations)
     for ordinal in ordinals:
@@ -373,10 +366,9 @@ def probability(experiment: Experiment, pattern: Pattern) -> Fraction:
     scale, banked = 1, 0
     weights: list[tuple[Pattern, dict[int, int]]] = [(pattern, {0: 1})]
     for ordinal, event in enumerate(experiment.kernel.events[: max(ordinals)], start=1):
-        factor = math.lcm(*event.pool_sizes)
-        scale, banked = scale * factor, banked * factor
+        scale, banked = scale * event.denominator, banked * event.denominator
         if ordinal not in ordinals:
-            weights = [(open_pattern, _step(vector, event, factor)) for open_pattern, vector in weights]
+            weights = [(open_pattern, _step(vector, event)) for open_pattern, vector in weights]
             continue
         merged: dict[Pattern, dict[int, int]] = {}
         for open_pattern, vector in weights:
@@ -384,26 +376,24 @@ def probability(experiment: Experiment, pattern: Pattern) -> Fraction:
             settled = [open_pattern.given(ordinal, outcome) for outcome in event.outcomes]
             targets = [rest if isinstance(rest, bool) else merged.setdefault(rest, {}) for rest in settled]
             for s, weight in vector.items():
-                m = factor // event.pool_sizes[s]
-                for target, (n, t) in zip(targets, event.rows[s]):
-                    if target is not False and n:
+                for target, (w, t) in zip(targets, event.rows[s]):
+                    if target is not False and w:
                         if target is True:
-                            banked += weight * (n * m)
+                            banked += weight * w
                         else:
-                            target[t] = target.get(t, 0) + weight * (n * m)
+                            target[t] = target.get(t, 0) + weight * w
         weights = list(merged.items())
     return Fraction(banked, scale)
 
 
-def _step(vector: dict[int, int], event: Event, factor: int) -> dict[int, int]:
-    """The state weights after an event, whatever it reports, over a denominator ``factor`` times larger."""
+def _step(vector: dict[int, int], event: Event) -> dict[int, int]:
+    """The state weights after an event, whatever it reports, over a denominator ``event.denominator`` times larger."""
     moved: dict[int, int] = {}
-    rows, sizes = event.rows, event.pool_sizes
+    rows = event.rows
     for s, weight in vector.items():
-        m = factor // sizes[s]
-        for n, t in rows[s]:
-            if n:
-                moved[t] = moved.get(t, 0) + weight * (n * m)
+        for w, t in rows[s]:
+            if w:
+                moved[t] = moved.get(t, 0) + weight * w
     return moved
 
 

@@ -6,8 +6,9 @@ its layer is its id.  Event ``e + 1`` gives every state of layer ``e`` one
 row per outcome the manifestation can report, zero-probability outcomes
 included, which the exact engine reads, and its pool as runs of draw
 indices, which the Monte Carlo walker turns into arrays once per run (see
-:class:`Event`).  Rows and runs are tuples of ints: the kernel holds no
-``Fraction``, and compiling loads no numpy.
+:class:`Event`).  A row weighs its outcome over the lcm of the event's pool
+sizes, so the exact engine only multiplies.  Rows and runs are tuples of
+ints: the kernel holds no ``Fraction``, and compiling loads no numpy.
 
 A cell reports the outcome at its :meth:`~threebox.deck.Manifestation.positions`
 entry.  A state that :meth:`~threebox.deck.SystemState.repeats` the observed
@@ -25,11 +26,12 @@ once per distinct event.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Sequence
 
 from .deck import Deck, Manifestation, Outcome, prepare
 
-# One row: how many cards of the pool report the outcome, the next state's id.
+# One row: the outcome's chance times the event's denominator, the next state's id.
 Row = tuple[int, int]
 # A pool's cards in canonical order: runs of (count, reported outcome's position).
 Runs = tuple[tuple[int, int], ...]
@@ -38,10 +40,10 @@ Runs = tuple[tuple[int, int], ...]
 class Event(NamedTuple):
     """The compiled transitions of one event, from every state of the layer before it.
 
-    ``rows[s][k]`` is ``(count, t)``: ``count`` of the ``pool_sizes[s]``
-    cards in state ``s``'s pool report ``outcomes[k]``, and then the state
-    is state ``t`` of the next layer.  ``runs[s]`` is the pool: draw indices
-    ``0 .. n0 - 1`` report ``outcomes[k0]`` when the first run is
+    ``rows[s][k]`` is ``(weight, t)``: state ``s`` reports ``outcomes[k]``
+    with chance ``weight / denominator``, the lcm of the pool sizes, and
+    then is state ``t`` of the next layer.  ``runs[s]`` is the pool: draw
+    indices ``0 .. n0 - 1`` report ``outcomes[k0]`` when the first run is
     ``(n0, k0)``, the next ``n1`` indices ``outcomes[k1]``, and so on.
     ``pool_sizes[s]`` is the pool size, the sum of the run counts.
     """
@@ -50,6 +52,7 @@ class Event(NamedTuple):
     rows: tuple[tuple[Row, ...], ...]
     pool_sizes: tuple[int, ...]
     runs: tuple[Runs, ...]
+    denominator: int
 
 
 class Kernel:
@@ -88,9 +91,14 @@ class Kernel:
                     pool_runs = tuple((n, k) for n, k in zip(pool, positions) if n)
                     derived[g] = pool_runs, size, tuple(zip(counts, [g] * len(counts) if repeated else successors))
                 runs, sizes, rows = zip(*(derived[g] for g in layer))
+                denominator = math.lcm(*sizes)
                 local: dict[int, int] = {}  # compile-wide id -> id in the next layer
-                rows = tuple(tuple((n, local.setdefault(t, len(local))) for n, t in r) for r in rows)
-                compiled[layer, m] = Event(outcomes, rows, sizes, runs), tuple(local), tuple(states[g] for g in local)
+                rows = tuple(
+                    tuple((n * (denominator // size), local.setdefault(t, len(local))) for n, t in r)
+                    for r, size in zip(rows, sizes)
+                )
+                event = Event(outcomes, rows, sizes, runs, denominator)
+                compiled[layer, m] = event, tuple(local), tuple(states[g] for g in local)
             event, layer, reached = compiled[layer, m]
             events.append(event)
             layers.append(reached)

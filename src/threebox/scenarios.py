@@ -597,18 +597,16 @@ def counterfactual_trace(
             "after preparing Face=K, the unselected pile holds no hearts"
         )
 
-    # Walk the likeliest accepted branch through the kernel, weighing a branch by the
-    # product of its counts (the rows compared share a pool size), and snapshot the
-    # machine after every event.
+    # Walk one accepted branch through the kernel, taking at each event the current state's
+    # likeliest accepted row (ties to the outcome's name), and snapshot the machine after every event.
     kernel = experiment.kernel
-    s, weight = 0, 1
+    s = 0
     snapshots = [_snapshot(deck, "preparation Face=K", None, kernel.layers[0][s])]
     ps_ordinal, ps_outcome = experiment.postselection
     for depth, (manifestation, event) in enumerate(zip(experiment.manifestations, kernel.events), start=1):
         rows = zip(event.outcomes, event.rows[s])
-        accepted = [(o, n, t) for o, (n, t) in rows if depth != ps_ordinal or o == ps_outcome]
-        outcome, n, s = max(accepted, key=lambda row: (weight * row[1], str(row[0])))
-        weight *= n
+        accepted = [(o, w, t) for o, (w, t) in rows if depth != ps_ordinal or o == ps_outcome]
+        outcome, _, s = max(accepted, key=lambda row: (row[1], str(row[0])))
         snapshots.append(
             _snapshot(deck, f"event {depth}: observe {manifestation}", outcome, kernel.layers[depth][s])
         )

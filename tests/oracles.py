@@ -55,8 +55,8 @@ def enumerate_tree(experiment: Experiment) -> Branch:
             return Branch(state, outcomes, probability)
         event = kernel.events[depth]
         children = tuple(
-            expand(depth + 1, t, outcomes + (outcome,), probability * Fraction(n, event.pool_sizes[s]))
-            for outcome, (n, t) in zip(event.outcomes, event.rows[s])
+            expand(depth + 1, t, outcomes + (outcome,), probability * Fraction(w, event.denominator))
+            for outcome, (w, t) in zip(event.outcomes, event.rows[s])
         )
         return Branch(state, outcomes, probability, children)
 

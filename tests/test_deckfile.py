@@ -59,6 +59,23 @@ def test_duplicate_card_lines_accumulate():
     assert parse_deck(text) == parse_deck(THREE_BOX_TEXT)
 
 
+TWO_CARDS = "variable Face: K Q\nvariable Suit: S H\ncard K S {0}\ncard Q H {0}\n"
+
+
+@pytest.mark.parametrize("count, value", [("0001", 1), ("1_0", 10), ("+1", 1), ("0" * 100 + "7", 7)])
+def test_a_multiplicity_is_read_as_int_reads_it(count, value):
+    assert parse_deck(TWO_CARDS.format(count)) == parse_deck(TWO_CARDS.format(value))
+
+
+@pytest.mark.parametrize(
+    "count, digits", [("1" * 1_000_000, 1_000_000), ("1" * 8, 8), ("-" + "1" * 8, 8), ("1_" * 7 + "1", 8)]
+)
+def test_a_multiplicity_longer_than_any_deck_holds_is_refused_unquoted(count, digits):
+    with pytest.raises(DeckFileError) as excinfo:
+        parse_deck(TWO_CARDS.format(count))
+    assert str(excinfo.value) == f"line 3: a {digits}-digit multiplicity; at most 1000000 cards allowed"
+
+
 def test_comments_and_blank_lines_ignored():
     noisy = "\n# hello\n" + THREE_BOX_TEXT.replace("card Q S 1", "card Q S 1  # inline note")
     assert parse_deck(noisy) == parse_deck(THREE_BOX_TEXT)

@@ -1,5 +1,6 @@
 """The compiled kernel against the deck's rules, and forward queries against enumeration."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -91,15 +92,16 @@ def test_kernel_rows_equal_the_step_distribution_of_every_reachable_state(experi
     for depth, (manifestation, event) in enumerate(zip(experiment.manifestations, kernel.events)):
         assert event.outcomes == manifestation.outcomes(experiment.deck)
         assert all(isinstance(outcome, Outcome) for outcome in event.outcomes)
-        assert _ints_only((event.rows, event.pool_sizes, event.runs))
+        assert _ints_only((event.rows, event.pool_sizes, event.runs, event.denominator))
+        assert event.denominator == math.lcm(*event.pool_sizes)
         assert len(event.rows) == len(kernel.layers[depth])
         reached = set()
         for s, state in enumerate(kernel.layers[depth]):
             rows, pool_size = event.rows[s], event.pool_sizes[s]
             assert len(rows) == len(event.outcomes)
-            shares = [(outcome, Fraction(n, pool_size)) for outcome, (n, _) in zip(event.outcomes, rows)]
+            shares = [(outcome, Fraction(w, event.denominator)) for outcome, (w, _) in zip(event.outcomes, rows)]
             assert shares == list(step_distribution(state, manifestation).items())
-            assert sum(n for n, _ in rows) == pool_size
+            assert sum(w for w, _ in rows) == event.denominator
             for outcome, (_, t) in zip(event.outcomes, rows):
                 assert kernel.layers[depth + 1][t] == state.after_report(outcome)
                 reached.add(t)

@@ -88,14 +88,19 @@ def test_a_zero_event_tree_has_one_certain_leaf(threebox):
     assert [leaf.outcomes for leaf in enumerate_tree(experiment).leaves()] == [()]
 
 
-def test_prefixes_of_equal_probability_share_one_reduced_block(threebox):
-    events = tuple(Manifestation(("Suit", "Face")[k % 2]) for k in range(8))
+@pytest.mark.parametrize(
+    "suit, prefixes, distinct, count",
+    [(Manifestation("Suit"), 81, 11, 3**8), (Manifestation("Suit", "S"), 36, 16, 2**4 * 3**4)],
+    ids=["complete", "partial"],
+)
+def test_prefixes_of_equal_probability_share_one_reduced_block(threebox, suit, prefixes, distinct, count):
+    events = tuple((suit, Manifestation("Face"))[k % 2] for k in range(8))
     experiment = Experiment(threebox, out(threebox, "Face", "Q"), events, (8, out(threebox, "Face", "K")))
     blocks = list(tree_blocks(experiment, lambda ordinal, outcome: (outcome,), ()))
-    assert len(blocks) == 81
-    assert len({id(block) for _, block in blocks}) <= 15
+    assert len(blocks) == prefixes
+    assert len({id(block) for _, block in blocks}) == distinct
     flattened = [(head + tail, n, d) for head, block in blocks for tail, n, d in zip(*block)]
-    assert len(flattened) == 3**8
+    assert len(flattened) == count
     assert sum(Fraction(n, d) for _, n, d in flattened) == 1
     assert all(math.gcd(n, d) == 1 for _, n, d in flattened)
 

@@ -253,9 +253,9 @@ def test_states_reached_twice_intern_to_one_kernel_state(threebox):
     after_suit, after_face = kernel.layers[1:]
     assert len(after_suit) == 3
     assert sum(len(rows) for rows in kernel.events[1].rows) == 9
-    # Each row is (cell count, next state id): all nine lead into the three Face states.
+    # Each row is (weight, next state id): all nine lead into the three Face states.
     assert {t for rows in kernel.events[1].rows for _, t in rows} == {0, 1, 2}
-    assert [sum(n for n, _ in rows) for rows in kernel.events[1].rows] == list(kernel.events[1].pool_sizes)
+    assert [sum(w for w, _ in rows) for rows in kernel.events[1].rows] == [kernel.events[1].denominator] * 3
     assert sorted(str(state) for state in after_face) == sorted(
         str(prepare(threebox, threebox.outcome("Face", label))) for label in "KQJ"
     )
