@@ -42,6 +42,7 @@ from .errors import (
     InvalidArgumentsError,
     UnequalValueCountsError,
     UnknownLabelError,
+    quote,
 )
 
 DrawSource = Callable[[int], int]
@@ -121,7 +122,7 @@ class Variable(Value):
 
     def __init__(self, name: str, labels: tuple[str, ...]) -> None:
         if len(set(labels)) != len(labels):
-            raise InvalidArgumentsError(f"duplicate value labels for variable {name!r}")
+            raise InvalidArgumentsError(f"duplicate value labels for variable {quote(name)}")
         Value.__init__(self, name, labels)
 
 
@@ -389,12 +390,16 @@ def validate_deck(
     for face_label, suit_label, multiplicity in entries:
         if multiplicity <= 0:
             raise InvalidArgumentsError(
-                f"card ({face_label}, {suit_label}) has nonpositive multiplicity {multiplicity}"
+                f"card ({quote(face_label)}, {quote(suit_label)}) has nonpositive multiplicity {multiplicity}"
             )
         if face_labels is not None and face_label not in face_seen:
-            raise UnknownLabelError(f"face label {face_label!r} not among declared values {face_seen}")
+            raise UnknownLabelError(
+                f"face label {quote(face_label)} not among declared values {quote(' '.join(face_seen))}"
+            )
         if suit_labels is not None and suit_label not in suit_seen:
-            raise UnknownLabelError(f"suit label {suit_label!r} not among declared values {suit_seen}")
+            raise UnknownLabelError(
+                f"suit label {quote(suit_label)} not among declared values {quote(' '.join(suit_seen))}"
+            )
         if face_label not in face_seen:
             face_seen.append(face_label)
         if suit_label not in suit_seen:
@@ -402,7 +407,9 @@ def validate_deck(
         counts[(face_label, suit_label)] = counts.get((face_label, suit_label), 0) + multiplicity
     for text in (face_name, suit_name, *face_seen, *suit_seen):
         if not text or any(c.isspace() or c in _RESERVED for c in text):
-            raise InvalidArgumentsError(f"name or label {text!r} must be non-empty, with no whitespace or {_RESERVED}")
+            raise InvalidArgumentsError(
+                f"name or label {quote(text)} must be non-empty, with no whitespace or {_RESERVED}"
+            )
 
     face_totals, suit_totals = dict.fromkeys(face_seen, 0), dict.fromkeys(suit_seen, 0)
     for (face_label, suit_label), n in counts.items():

@@ -16,7 +16,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .deck import MAX_CARDS, Deck, validate_deck
-from .errors import DeckFileError
+from .errors import DeckFileError, quote
 
 
 def parse_deck(text: str) -> Deck:
@@ -46,14 +46,14 @@ def parse_deck(text: str) -> Deck:
             try:
                 count = int(count_text)
             except ValueError:
-                raise DeckFileError(f"line {lineno}: multiplicity {count_text!r} is not an integer") from None
+                raise DeckFileError(f"line {lineno}: multiplicity {quote(count_text)} is not an integer") from None
             if count <= 0:
                 raise DeckFileError(f"line {lineno}: multiplicity {count} is not positive")
             if len(variables) != 2:
                 raise DeckFileError(f"line {lineno}: card listed before both variables were declared")
             cards[(face, suit)] = cards.get((face, suit), 0) + count
         else:
-            raise DeckFileError(f"line {lineno}: unknown directive {keyword!r}")
+            raise DeckFileError(f"line {lineno}: unknown directive {quote(keyword)}")
     if len(variables) != 2:
         raise DeckFileError("a deck file must declare exactly two variables")
     (face_name, face_labels), (suit_name, suit_labels) = variables

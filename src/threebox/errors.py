@@ -6,6 +6,17 @@ callers (notably the CLI) can distinguish validation problems from bugs.
 
 from __future__ import annotations
 
+# A refusal quotes text of at most this many characters whole, and only
+# this many of a longer one, so a huge label or count makes a short message.
+QUOTED_CHARS = 40
+
+
+def quote(text: str) -> str:
+    """``repr(text)``, or for a longer text than :data:`QUOTED_CHARS` the repr of its start and its length."""
+    if len(text) <= QUOTED_CHARS:
+        return repr(text)
+    return f"{text[:QUOTED_CHARS]!r}... ({len(text)} characters)"
+
 
 class ThreeBoxError(Exception):
     """Base class for all errors raised by this package."""
@@ -27,8 +38,8 @@ class UnequalValueCountsError(ThreeBoxError):
         self.other_label = other_label
         self.other_count = other_count
         super().__init__(
-            f"unequal value counts: {label!r} appears {count} time(s) "
-            f"but {other_label!r} appears {other_count} time(s); "
+            f"unequal value counts: {quote(label)} appears {count} time(s) "
+            f"but {quote(other_label)} appears {other_count} time(s); "
             "every value of every variable must appear equally often"
         )
 

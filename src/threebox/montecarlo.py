@@ -29,6 +29,13 @@ come out as integer codes, which are counted in one array over the whole
 code space when that space is small, and otherwise merged as sorted
 distinct codes with their counts.  Memory follows the code space or the
 number of distinct sequences, never the trial count.
+
+:func:`simulate_runs` walks several experiments with one ``(trials,
+seed)`` together, and :func:`simulate` is its one-experiment case.  The
+runs of a chunk read one set of streams: its trial keys are mixed once and
+word ``k`` once, for every run's ``k``-th draw.  Words depend only on
+(seed, trial, word index), and each run keeps its own redraws, so each
+run's counts are those of a run of its own, bit for bit.
 """
 
 from __future__ import annotations
@@ -61,13 +68,17 @@ class RunConfig(Value):
     __slots__ = ("experiment", "trials", "seed")
 
     def __init__(self, experiment: Experiment, trials: int, seed: int) -> None:
-        if trials < 1:
-            raise InvalidArgumentsError("a run needs at least one trial")
-        if trials > 1 << 64:
-            # Trial indices key the stream modulo 2**64, so more would replay trial 0.
-            raise InvalidArgumentsError(f"a run takes at most 2**64 trials, got {trials}")
-        check_seed(seed)
+        _check_run(trials, seed)
         Value.__init__(self, experiment, trials, seed)
+
+
+def _check_run(trials: int, seed: int) -> None:
+    if trials < 1:
+        raise InvalidArgumentsError("a run needs at least one trial")
+    if trials > 1 << 64:
+        # Trial indices key the stream modulo 2**64, so more would replay trial 0.
+        raise InvalidArgumentsError(f"a run takes at most 2**64 trials, got {trials}")
+    check_seed(seed)
 
 
 def run_trial(experiment: Experiment, seed: int, trial: int) -> tuple[Outcome, ...]:
@@ -169,47 +180,76 @@ class FrequencyTable(Value):
 
 
 def simulate(config: RunConfig) -> FrequencyTable:
-    """Run every trial and tally its outcome sequence.
+    """Run every trial and tally its outcome sequence: :func:`simulate_runs` of one experiment."""
+    return simulate_runs((config.experiment,), config.trials, config.seed)[0]
 
-    The counts equal those of :func:`run_trial` over trials ``0 .. trials-1``
-    exactly.  Chunk tallies merge by plain count addition, so the result
-    does not depend on the order trials are executed in.  A code space of at
-    most :data:`TALLY_CODES` sequences is tallied in one array of counts;
-    a larger one by merging each chunk's distinct codes and their counts.
+
+def simulate_runs(experiments: tuple[Experiment, ...], trials: int, seed: int) -> tuple[FrequencyTable, ...]:
+    """The table of each experiment's run of ``trials`` trials with ``seed``, walked together.
+
+    Each experiment's counts equal those of :func:`run_trial` over trials
+    ``0 .. trials-1`` exactly, so they equal its own :func:`simulate` run.
+    The runs of one chunk read one set of streams (see
+    :meth:`threebox.rng.CounterStreams.reader`): the trial keys are mixed
+    once, and word ``k`` once for every run's ``k``-th draw.  Chunk tallies
+    merge by plain count addition, so a result does not depend on the order
+    trials are executed in.  A code space of at most :data:`TALLY_CODES`
+    sequences is tallied in one array of counts; a larger one by merging
+    each chunk's distinct codes and their counts.
     """
-    experiment = config.experiment
-    space = math.prod(len(m.outcomes(experiment.deck)) for m in experiment.manifestations)
-    if space > np.iinfo(np.int64).max:
-        raise InvalidArgumentsError("too many possible outcome sequences to tally in 64 bits")
-    events = experiment.kernel.events
-    cells = _tables(events)
-    key = seed_key(config.seed)
-    chunks = (
-        _walk(cells, key, range(start, min(start + CHUNK_TRIALS, config.trials)))
-        for start in range(0, config.trials, CHUNK_TRIALS)
-    )
-    if space <= TALLY_CODES:
-        total = np.zeros(space, dtype=np.int64)
-        for code in chunks:
-            total += np.bincount(code, minlength=space)
-        codes = np.flatnonzero(total)
-        counts = total[codes]
-    else:
-        # Merge whenever the unmerged chunk tallies outgrow the merged one,
-        # so memory follows the number of distinct sequences, not of trials.
-        tallies, held = [], 0
-        for code in chunks:
-            tallies.append(np.unique(code, return_counts=True))
-            held += len(tallies[-1][0])
-            if held > max(TALLY_CODES, len(tallies[0][0])):
-                tallies, held = [_merge(tallies)], 0
-        codes, counts = _merge(tallies)
-    return FrequencyTable(
-        experiment=experiment,
-        trials=config.trials,
-        seed=config.seed,
-        counts=dict(zip(_decode(events, codes), counts.tolist())),
-    )
+    _check_run(trials, seed)
+    if not experiments:
+        return ()
+    tallies = []
+    for experiment in experiments:
+        space = math.prod(len(m.outcomes(experiment.deck)) for m in experiment.manifestations)
+        if space > np.iinfo(np.int64).max:
+            raise InvalidArgumentsError("too many possible outcome sequences to tally in 64 bits")
+        tallies.append(_Tally(space))
+    tables = [_tables(experiment.kernel.events) for experiment in experiments]
+    key = seed_key(seed)
+    for start in range(0, trials, CHUNK_TRIALS):
+        for tally, code in zip(tallies, _walk(tables, key, range(start, min(start + CHUNK_TRIALS, trials)))):
+            tally.add(code)
+    results = []
+    for experiment, tally in zip(experiments, tallies):
+        codes, counts = tally.result()
+        sequences = _decode(experiment.kernel.events, codes)
+        results.append(FrequencyTable(experiment, trials, seed, dict(zip(sequences, counts.tolist()))))
+    return tuple(results)
+
+
+class _Tally:
+    """The counts of one run's outcome-sequence codes, added a chunk at a time.
+
+    A space of at most :data:`TALLY_CODES` codes is counted in one array;
+    a larger one keeps each chunk's distinct codes and counts, merged
+    whenever the unmerged tallies outgrow the merged one, so memory follows
+    the number of distinct sequences, not of trials.
+    """
+
+    __slots__ = ("space", "total", "tallies", "held")
+
+    def __init__(self, space: int) -> None:
+        self.space = space
+        self.total = np.zeros(space, dtype=np.int64) if space <= TALLY_CODES else None
+        self.tallies, self.held = [], 0
+
+    def add(self, code: np.ndarray) -> None:
+        if self.total is not None:
+            self.total += np.bincount(code, minlength=self.space)
+            return
+        self.tallies.append(np.unique(code, return_counts=True))
+        self.held += len(self.tallies[-1][0])
+        if self.held > max(TALLY_CODES, len(self.tallies[0][0])):
+            self.tallies, self.held = [_merge(self.tallies)], 0
+
+    def result(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct codes, in order, and their counts."""
+        if self.total is None:
+            return _merge(self.tallies)
+        codes = np.flatnonzero(self.total)
+        return codes, self.total[codes]
 
 
 def _sig12(x: float) -> float:
@@ -267,38 +307,45 @@ def _cells(event: Event, place: int, scale: int | None) -> tuple:
     return width, rule, digits.ravel(), None if scale is None else successor_ids.ravel()
 
 
-def _walk(cells: list[tuple], key: np.uint64, trials: range) -> np.ndarray:
-    """The outcome-sequence code of each of the given trials, drawn with the run's seed key.
+def _walk(tables: list[list[tuple]], key: np.uint64, trials: range) -> list[np.ndarray]:
+    """Each run's outcome-sequence code of each of the given trials, drawn with the runs' seed key.
 
-    ``cells`` holds one ``(width, draw rule, code digits, successor ids)``
-    per event, from :func:`_cells`, the last event's successor ids ``None``;
-    a cell's code digit is its outcome position times the event's place
-    value, so a code is the sum of the digits of the cells a trial passes
-    through.
+    ``tables`` holds one run's :func:`_tables` per experiment: one ``(width,
+    draw rule, code digits, successor ids)`` per event, the last event's
+    successor ids ``None``.  A cell's code digit is its outcome position
+    times the event's place value, so a code is the sum of the digits of
+    the cells a trial passes through.  Every run reads its own reader of
+    one set of streams, so the runs share the trial keys and words.
     """
-    if not cells:
-        return np.zeros(len(trials), dtype=np.int64)
-    streams = CounterStreams(key, trials)
-    # Every trial starts in the prepared state, id 0, so the first event's cell is the draw itself.
-    state = code = None
-    for k, (width, rule, digits, successor_ids) in enumerate(cells, 1):
-        # An index is below its pool size, so its uint64 bits read as the same int64.
-        if rule.table is None:
-            # One size: the draw needs no state id, and ``state`` is already the row's first cell.
-            cell = streams.uniform_index(rule).view(np.int64)
-            if state is not None:
+    shared = CounterStreams(key, trials)
+    # Every reader is made before the first draw, so each word is mixed once and kept for the others.
+    readers = [shared, *(shared.reader() for _ in tables[1:])]
+    codes = []
+    for cells, streams in zip(tables, readers):
+        if not cells:
+            codes.append(np.zeros(len(trials), dtype=np.int64))
+            continue
+        # Every trial starts in the prepared state, id 0, so the first event's cell is the draw itself.
+        state = code = None
+        for k, (width, rule, digits, successor_ids) in enumerate(cells, 1):
+            # An index is below its pool size, so its uint64 bits read as the same int64.
+            if rule.table is None:
+                # One size: the draw needs no state id, and ``state`` is already the row's first cell.
+                cell = streams.uniform_index(rule).view(np.int64)
+                if state is not None:
+                    cell += state
+            else:
+                cell = streams.uniform_index(rule, state).view(np.int64)
+                state *= width
                 cell += state
-        else:
-            cell = streams.uniform_index(rule, state).view(np.int64)
-            state *= width
-            cell += state
-        if code is None:
-            code = digits[cell]
-        else:
-            code += digits[cell]
-        if k < len(cells):
-            state = successor_ids[cell]
-    return code
+            if code is None:
+                code = digits[cell]
+            else:
+                code += digits[cell]
+            if k < len(cells):
+                state = successor_ids[cell]
+        codes.append(code)
+    return codes
 
 
 def _merge(tallies: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:

@@ -29,10 +29,15 @@ A draw takes the :class:`DrawRule` of the table of pool sizes, one per
 state, which settles the rule on the table: one power-of-two size masks,
 one other size divides by a scalar, and differing sizes are checked for
 rejections only above the table's smallest limit and gathered per trial.
-Each trial's stream position advances by one addition per word, a word
-count is the draw count plus the trial's own redraws (an array made with
-the streams), and the words are mixed from the positions through one
-reused scratch array.
+Word ``i`` of every trial is one addition to the trial keys, mixed through
+one reused scratch array, and a word count is the draw count plus the
+trial's own redraws (an array per reader of the streams).
+
+Runs of one seed draw the same words (common random numbers), so the
+readers of one :class:`CounterStreams` share its trial keys and words, each
+mixed once.  A word is a function of (seed, trial, word index) alone, and
+each reader keeps its own redraws, so no reader's indices or word counts
+depend on the others.
 
 What depends only on the run is worked out once per run, not once per
 chunk of trials or per draw: the seed's part of every stream key,
@@ -184,8 +189,17 @@ class CounterStreams:
     trials[j])`` exactly.  Every draw takes one word from each trial, and a
     rejected word costs only the trial that drew it a redraw, so a trial's
     word count is the number of draws plus its own redraws, counted in an
-    array made with the streams.  Each trial's position ``base + count *
-    golden`` is kept and advanced by one addition per word.
+    array per reader.
+
+    :meth:`reader` hands out further readers of the same trials: each has
+    its own draw count and redraw array, and all share the trial keys and a
+    cache of the words, so the keys are mixed once and word ``k`` of every
+    trial is mixed once, when the first reader draws it, however many
+    readers draw it after.  A word is a function of (seed, trial, word
+    index) alone, so a reader's indices and word counts are those of a
+    reader of its own.  A trial that has redrawn reads its own later words,
+    mixed from its key and word index.  Streams with one reader keep no
+    words: each is reduced to indices in place.
     """
 
     def __init__(self, key: np.uint64, trials: range):
@@ -193,28 +207,47 @@ class CounterStreams:
         self._scratch = np.empty(count, dtype=np.uint64)
         if trials.step == 1 and 0 <= trials.start and trials.stop <= _PROGRESSION_END and count <= len(_PROGRESSION):
             # t * C1 = start * C1 + j * C1, and the rest of F(t) follows.
-            position = _finish(_PROGRESSION[:count] + np.uint64(trials.start * int(_C1) & _MASK), self._scratch)
+            keys = _finish(_PROGRESSION[:count] + np.uint64(trials.start * int(_C1) & _MASK), self._scratch)
         else:
             # The trial indices are finalized in place: they become the stream keys.
-            position = finalize_array(np.arange(trials.start, trials.stop, trials.step, dtype=np.uint64), self._scratch)
-        position ^= key
-        self._position = finalize_array(position, self._scratch)
+            keys = finalize_array(np.arange(trials.start, trials.stop, trials.step, dtype=np.uint64), self._scratch)
+        keys ^= key
+        self._keys = finalize_array(keys, self._scratch)
+        self._cache = None  # word k of every trial by k, once a second reader shares the streams
+        self._start_reading()
+
+    def _start_reading(self) -> None:
         self._draws = 0
-        self._redraws = np.zeros(count, dtype=np.uint64)  # per-trial redraws
+        self._redraws = np.zeros(len(self._keys), dtype=np.uint64)  # per-trial redraws
+        self._redrawn = None  # the trials with a redraw, once there is one
+
+    def reader(self) -> "CounterStreams":
+        """A new reader of these trials' streams, from their first word, sharing the keys and words."""
+        if self._cache is None:
+            self._cache = {}
+        other = object.__new__(CounterStreams)
+        other._scratch, other._keys, other._cache = self._scratch, self._keys, self._cache
+        other._start_reading()
+        return other
 
     @property
     def words(self) -> np.ndarray:
         """Words consumed so far, per trial."""
         return self._redraws + np.uint64(self._draws)
 
+    def _redrawn_words(self, trials: np.ndarray) -> np.ndarray:
+        """The word of the current draw of each of the given trials, past its own redraws."""
+        position = self._keys[trials] + (self._redraws[trials] + np.uint64(self._draws)) * _STEP
+        return finalize_array(position, np.empty_like(position))
+
     def uniform_index(self, rule: DrawRule, state: np.ndarray | None = None) -> np.ndarray:
         """One exactly uniform index per trial, into a pool of ``sizes[state[j]]`` cards for trial ``j``.
 
         ``rule`` is the :class:`DrawRule` worked out from ``sizes``, the
         table of pool sizes, and ``state`` an int64 array of each trial's
-        state id, read only when the sizes differ.
+        state id, read only when the sizes differ.  Returns a new array.
         """
-        if state is not None and state.shape != self._position.shape:
+        if state is not None and state.shape != self._keys.shape:
             raise ValueError("state ids must be given one per trial")
         table = rule.table
         if table is not None:
@@ -223,30 +256,42 @@ class CounterStreams:
             # A negative id reads as a huge one in uint64, so one scan finds both kinds outside the table.
             if state.view(np.uint64).max(initial=0) >= len(table):
                 raise ValueError(f"state ids must index the {len(table)} pool sizes")
+        cache, draw = self._cache, self._draws
         self._draws += 1
-        self._position += _STEP
-        words = finalize_array(self._position, self._scratch, np.empty_like(self._position))
+        words = None if cache is None else cache.get(draw)
+        if words is None:
+            words = finalize_array(self._keys + np.uint64(self._draws * _GOLDEN & _MASK), self._scratch)
+            if cache is not None:
+                cache[draw] = words
+        # A word that no other reader shares is reduced in place; a shared one is only read.
+        out = words if cache is None else None
+        redrawn = self._redrawn
+        if redrawn is not None:
+            # A trial that has redrawn is further along its stream than the shared word.
+            if out is None:
+                words = out = words.copy()
+            words[redrawn] = self._redrawn_words(redrawn)
         if rule.mask is not None:
             # One power-of-two size divides 2**64, so no word is rejected.
-            words &= rule.mask
-            return words
+            return np.bitwise_and(words, rule.mask, out=out)
         if words.max(initial=0) > rule.bound:
             suspects = np.flatnonzero(words > rule.bound)
             last = rule.bound if table is None else rule.last[state[suspects]]
             rejected = words[suspects] > last
-            while rejected.any():
-                suspects = suspects[rejected]
-                if table is not None:
-                    last = last[rejected]
-                self._redraws[suspects] += np.uint64(1)
-                self._position[suspects] += _STEP
-                redrawn = self._position[suspects]
-                words[suspects] = finalize_array(redrawn, np.empty_like(redrawn))
-                rejected = words[suspects] > last
+            if rejected.any():
+                if out is None:
+                    words = out = words.copy()
+                while rejected.any():
+                    suspects = suspects[rejected]
+                    if table is not None:
+                        last = last[rejected]
+                    self._redraws[suspects] += np.uint64(1)
+                    words[suspects] = self._redrawn_words(suspects)
+                    rejected = words[suspects] > last
+                self._redrawn = np.flatnonzero(self._redraws)
         if table is None:
             # One pool size for every trial: numpy divides by a scalar several times faster.
             np.floor_divide(words, rule.size, out=self._scratch)
             self._scratch *= rule.size
-            words -= self._scratch
-            return words
-        return np.remainder(words, table[state], out=words)
+            return np.subtract(words, self._scratch, out=out)
+        return np.remainder(words, table[state], out=out)

@@ -205,9 +205,15 @@ def _evaluate(specs: list, trials: int, seed: int, answers: dict | None = None) 
     and skipped when ``trials`` is 0; a :class:`Claim` passes through; any other
     spec is called with ``answer`` and returns a claim built from answers.
     ``answers`` maps the questions the caller has already answered to their answers.
+
+    At the first :class:`Sampled` spec, every experiment that a sampled spec
+    asks about is simulated in one :func:`threebox.montecarlo.simulate_runs`
+    call.  Runs of one seed draw the same words, so that call mixes the trial
+    keys and each word once for all of them; a word depends only on (seed,
+    trial, word index), so each experiment's counts are those of its own run.
     """
     answers = {} if answers is None else answers
-    tables = {}
+    tables = None
 
     def answer(question):
         value = answers.get(question)
@@ -223,12 +229,14 @@ def _evaluate(specs: list, trials: int, seed: int, answers: dict | None = None) 
         elif isinstance(spec, Sampled):
             if trials == 0:
                 continue
-            experiment, target, given = spec.ask
-            table = tables.get(experiment)
-            if table is None:
-                from .montecarlo import RunConfig, simulate
+            if tables is None:
+                from .montecarlo import simulate_runs
 
-                table = tables[experiment] = simulate(RunConfig(experiment, trials, seed))
+                sampled = (other.ask.experiment for other in specs if isinstance(other, Sampled))
+                experiments = tuple(dict.fromkeys(sampled))
+                tables = dict(zip(experiments, simulate_runs(experiments, trials, seed)))
+            experiment, target, given = spec.ask
+            table = tables[experiment]
             if given is None:
                 hits, samples = table.count(target), table.trials
             else:

@@ -76,6 +76,23 @@ def test_a_multiplicity_longer_than_any_deck_holds_is_refused_unquoted(count, di
     assert str(excinfo.value) == f"line 3: a {digits}-digit multiplicity; at most 1000000 cards allowed"
 
 
+@pytest.mark.parametrize(
+    "card, length",
+    [
+        # One significant character passes the digit rule, so int() refuses the text.
+        ("card K S " + "0" * 1_000_000 + "x", 1_000_001),
+        ("card K " + "S" * 1_000_000 + " 1", 1_000_000),  # a suit label outside the declared ones
+    ],
+)
+def test_a_refusal_quotes_a_huge_field_by_its_start_and_length(tmp_path, capsys, card, length):
+    path = tmp_path / "huge.deck"
+    path.write_text("variable Face: K Q\nvariable Suit: S H\n" + card + "\n", encoding="utf-8")
+    assert cli.main(["validate", "--deck", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 200 and f"... ({length} characters)" in err
+
+
 def test_comments_and_blank_lines_ignored():
     noisy = "\n# hello\n" + THREE_BOX_TEXT.replace("card Q S 1", "card Q S 1  # inline note")
     assert parse_deck(noisy) == parse_deck(THREE_BOX_TEXT)

@@ -225,6 +225,82 @@ class TestCounterStreams:
         assert_matches_the_scalar_streams(7, range(10**6, 10**6 + 500), tuple(range(1, 60)), state)
 
 
+class TestSharedStreams:
+    """Readers of one set of streams share the trial keys and words, yet each draws as on its own."""
+
+    # Ranges below 2**30, keyed from the progression, and across it, keyed in full.
+    @pytest.mark.parametrize(
+        "trials", [range(EDGE - 700, EDGE), range(EDGE - 350, EDGE + 350), range(EDGE, EDGE + 700)]
+    )
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_interleaved_readers_draw_as_their_scalar_streams(self, trials, first):
+        # A pool of 3 * 2**61 rejects every word from 2**64 - 2**61 up, an
+        # eighth of them, so its reader falls further behind the shared words
+        # with every draw; a pool of 4 rejects none.
+        sizes = ((3 * 2**61,), (4,))
+        streams = CounterStreams(seed_key(11), trials)
+        readers = [streams, streams.reader()]
+        scalars = [[CounterStream(11, trial) for trial in trials] for _ in readers]
+        for _ in range(6):
+            for which in (first, 1 - first):
+                (n,) = sizes[which]
+                drawn = readers[which].uniform_index(DrawRule(sizes[which]))
+                assert drawn.tolist() == [scalar.uniform_index(n) for scalar in scalars[which]]
+                assert readers[which].words.tolist() == [scalar.words for scalar in scalars[which]]
+        assert readers[0].words.max() > 6 and (readers[1].words == 6).all()
+
+    def test_a_reader_made_after_draws_reads_from_the_first_word(self):
+        trials = range(500)
+        streams, rule = CounterStreams(seed_key(3), trials), DrawRule((3, 2**63 + 1))
+        state = np.arange(len(trials)) % 2
+        first = [streams.uniform_index(rule, state) for _ in range(3)]
+        second = streams.reader()
+        for drawn in first:
+            assert second.uniform_index(rule, state).tolist() == drawn.tolist()
+        assert second.words.tolist() == streams.words.tolist()
+
+
+def pairs_of_runs():
+    """Two random balanced experiments, a trial count (some at the chunk's edges) and a seed."""
+    return st.tuples(
+        experiments(max_events=4),
+        experiments(max_events=4),
+        st.sampled_from([1, 2, 57, CHUNK_TRIALS - 1, CHUNK_TRIALS, CHUNK_TRIALS + 1]),
+        st.integers(0, 2**64 - 1),
+    )
+
+
+class TestSharedRuns:
+    @settings(max_examples=40, deadline=None)
+    @given(pairs_of_runs())
+    def test_a_shared_run_equals_separate_runs(self, run):
+        first, second, trials, seed = run
+        shared = montecarlo.simulate_runs((first, second), trials, seed)
+        separate = [simulate(RunConfig(experiment, trials, seed)) for experiment in (first, second)]
+        assert [table.counts for table in shared] == [table.counts for table in separate]
+        assert [table.to_dict() for table in shared] == [table.to_dict() for table in separate]
+
+    @pytest.mark.parametrize("trials", [1, CHUNK_TRIALS - 1, CHUNK_TRIALS, CHUNK_TRIALS + 1, 3 * CHUNK_TRIALS + 5])
+    @pytest.mark.parametrize("seed", [0, 7, 42, 2**64 - 1])
+    def test_runs_of_two_three_and_no_events_share_a_seed(self, threebox, trials, seed):
+        runs = (
+            spade_check(threebox),
+            mixed_pool_check(),  # three events, one drawing from a per-state table
+            Experiment(threebox, out(threebox, "Face", "Q"), ()),
+            cyclic_pool_check(),
+        )
+        shared = montecarlo.simulate_runs(runs, trials, seed)
+        assert [table.experiment for table in shared] == list(runs)
+        for table, experiment in zip(shared, runs):
+            assert table.counts == simulate(RunConfig(experiment, trials, seed)).counts
+
+    def test_no_runs_and_invalid_requests(self, threebox):
+        assert montecarlo.simulate_runs((), 10, 1) == ()
+        for trials, seed in [(0, 1), (2**64 + 1, 1), (10, -1), (10, 2**64)]:
+            with pytest.raises(InvalidArgumentsError):
+                montecarlo.simulate_runs((spade_check(threebox),), trials, seed)
+
+
 class TestSimulate:
     def test_reruns_are_bitwise_identical(self, threebox):
         config = RunConfig(spade_check(threebox), trials=5000, seed=123)
@@ -349,7 +425,7 @@ class TestSimulate:
         events = experiment.kernel.events
         tables, key = montecarlo._tables(events), seed_key(29)
         for trials in (range(EDGE - 4096, EDGE), range(EDGE - 4095, EDGE + 1), range(EDGE - 4096, EDGE + 4096)):
-            codes = montecarlo._walk(tables, key, trials)
+            (codes,) = montecarlo._walk([tables], key, trials)
             assert montecarlo._decode(events, codes) == [run_trial(experiment, 29, t) for t in trials]
 
     @pytest.mark.parametrize("name", ["mixed pools", "merged tallies"])

@@ -178,12 +178,23 @@ def test_no_claim_has_two_routes_from_one_engine(monkeypatch, name):
 @pytest.mark.parametrize("trials", [0, 200])
 @pytest.mark.parametrize("name", sorted(MC_RUNS))
 def test_each_experiment_is_simulated_once(monkeypatch, name, trials):
-    configs = []
-    simulate = montecarlo.simulate
-    monkeypatch.setattr(montecarlo, "simulate", lambda config: configs.append(config) or simulate(config))
+    """A scenario's sampled experiments run in one shared call, each walked once per chunk."""
+    calls, walked = [], []
+    simulate_runs, walk = montecarlo.simulate_runs, montecarlo._walk
+
+    def counted(experiments, *args):
+        calls.append(experiments)
+        return simulate_runs(experiments, *args)
+
+    monkeypatch.setattr(montecarlo, "simulate_runs", counted)
+    monkeypatch.setattr(montecarlo, "_walk", lambda tables, *args: walked.append(len(tables)) or walk(tables, *args))
+    monkeypatch.setattr(montecarlo, "simulate", lambda config: pytest.fail("an experiment ran on its own"))
     run_scenario(name, trials=trials, seed=3)
-    assert len(configs) == (MC_RUNS[name] if trials else 0)
-    assert len({config.experiment for config in configs}) == len(configs)
+    runs = MC_RUNS[name] if trials else 0
+    assert len(calls) == (1 if runs else 0)
+    experiments = [experiment for call in calls for experiment in call]
+    assert len(experiments) == len(set(experiments)) == runs
+    assert walked == ([runs] if runs else [])  # 200 trials are one chunk
 
 
 @pytest.mark.parametrize("name", ["three-box-card", "interference", "counterfactual"])
