@@ -16,15 +16,26 @@ sizes are all powers of two repeats each pool across the widest, so it
 draws from that one size with one mask and reads no state id; so does an
 event of one pool size.  Only an event with other differing sizes draws
 from its per-state table.  The trial keys of a chunk below 2**30 start
-from the stream's trial progression (see :mod:`threebox.rng`), and
-successor ids are stored already multiplied by the next event's width
-when that event draws with one size.  Below 8,192 trials the fixed cost of
-each chunk, some 45 numpy calls for the README request, dominates.  8,192
-is the largest power of two whose ``uint64`` arrays (64 KiB) stay below
-glibc's default mmap threshold of 128 KiB; at 16,384 the timing follows
-the allocator's history and peak memory grows.
-The first event starts every trial from the prepared state, and the last
-one's successors are never built or gathered.  A chunk's outcome sequences
+from the stream's trial progression (see :mod:`threebox.rng`).
+
+The walk goes a block of consecutive events at a time.  A block grows
+while its events all draw with one size and its cells, entry states times
+the product of the events' widths, stay within one chunk's trials (or the
+run's, when fewer), so its tables never cost more to build than one walk
+of the run; an event drawing from its per-state table is a block of its
+own.  Each event of a block draws its index as before, in the same order
+from the same words; the indices combine into one joint index, and one
+gather reads the block's summed code digits, one more its exit state.
+Exit ids are stored already multiplied by the next block's joint width
+when that block draws with one size.  The README request is one block of
+two events, so a chunk of it makes some 45 numpy array operations, one of
+them a gather, where one event at a time made 47 with three gathers.
+Below 8,192 trials the fixed cost of each chunk dominates.  8,192 is the
+largest power of two whose ``uint64`` arrays (64 KiB) stay below glibc's
+default mmap threshold of 128 KiB; at 16,384 the timing follows the
+allocator's history and peak memory grows.
+The first block starts every trial from the prepared state, and the last
+one's exit ids are never built or gathered.  A chunk's outcome sequences
 come out as integer codes, which are counted in one array over the whole
 code space when that space is small, and otherwise merged as sorted
 distinct codes with their counts.  Memory follows the code space or the
@@ -206,7 +217,7 @@ def simulate_runs(experiments: tuple[Experiment, ...], trials: int, seed: int) -
         if space > np.iinfo(np.int64).max:
             raise InvalidArgumentsError("too many possible outcome sequences to tally in 64 bits")
         tallies.append(_Tally(space))
-    tables = [_tables(experiment.kernel.events) for experiment in experiments]
+    tables = [_tables(experiment.kernel.events, trials) for experiment in experiments]
     key = seed_key(seed)
     for start in range(0, trials, CHUNK_TRIALS):
         for tally, code in zip(tallies, _walk(tables, key, range(start, min(start + CHUNK_TRIALS, trials)))):
@@ -257,36 +268,88 @@ def _sig12(x: float) -> float:
     return float(format_float(x))
 
 
-def _tables(events: tuple[Event, ...]) -> list[tuple]:
-    """Every event's :func:`_cells`, each successor id scaled for the next event's draw.
+def _tables(events: tuple[Event, ...], trials: int) -> list[tuple]:
+    """The run's blocks of consecutive events, each ``(draws, code digits, exit ids)``.
 
-    When the next event draws with one size, a successor id is stored times
-    that event's width, so it is already the first cell of its row.
+    ``draws`` holds each of the block's events' ``(width, draw rule)`` (see
+    :func:`_draw`).  A block grows while every event in it draws with one
+    size and its cells, its entry states times the product of its widths,
+    stay within ``min(CHUNK_TRIALS, trials)``, so building its tables never
+    costs more than walking the run once.  An event that draws from its
+    per-state table is a block of its own, whose tables are its
+    :func:`_cells`.  A block's tables are :func:`_block`; when the next
+    block draws with one size, an exit id is stored times that block's
+    joint width, so it is already the first cell of its row.
     """
-    cells, place, scale = [], 1, None  # the last event's successor ids are never read
-    for event in reversed(events):
-        cells.append(_cells(event, place, scale))
-        width, rule = cells[-1][:2]
-        scale = width if rule.table is None else 1
-        place *= len(event.outcomes)
-    return cells[::-1]
+    cap = min(CHUNK_TRIALS, trials)
+    draws = [_draw(event) for event in events]
+    places = [1] * len(events)  # each event's place value in the mixed-radix code, the first most significant
+    for e in range(len(events) - 2, -1, -1):
+        places[e] = places[e + 1] * len(events[e + 1].outcomes)
+    groups, cells = [], 0  # each block's event positions; the last block's cells
+    for e, (width, rule) in enumerate(draws):
+        if groups and rule.table is None and draws[groups[-1][0]][1].table is None and cells * width <= cap:
+            groups[-1].append(e)
+            cells *= width
+        else:
+            groups.append([e])
+            cells = len(events[e].pool_sizes) * width
+    tables, scale = [], None  # the last block's exit ids are never read
+    for group in reversed(groups):
+        block = tuple(draws[e] for e in group)
+        tables.append((block, *_block([events[e] for e in group], [places[e] for e in group], scale)))
+        scale = math.prod(width for width, _ in block) if block[0][1].table is None else 1
+    return tables[::-1]
 
 
-def _cells(event: Event, place: int, scale: int | None) -> tuple:
-    """An event's ``(width, draw rule, code digits, successor ids)``, the last two dense arrays.
-
-    Cell ``s * width + i`` stands for draw index ``i mod n`` into state
-    ``s``'s pool of ``n`` cards: each row repeats its pool across the row.
-    Its code digit is the reported outcome's position times ``place``, the
-    event's place value in the mixed-radix code (the first event most
-    significant), and its successor id the next state's times ``scale``.
-    Without ``scale`` the successor ids are ``None``.
+def _draw(event: Event) -> tuple[int, DrawRule]:
+    """An event's width, its widest pool, and the :class:`DrawRule` it draws by.
 
     When every pool size is a power of two, each divides ``width``, and
     ``w & (width - 1) & (n - 1)`` is ``w & (n - 1)``: the event draws by the
-    :class:`DrawRule` of the one size ``width``, with one mask and no state
-    id.  Otherwise the rule is that of the event's pool sizes, and the cells
-    past a pool's end are never drawn.
+    rule of the one size ``width``, with one mask and no state id.
+    Otherwise the rule is that of the event's pool sizes.
+    """
+    sizes = event.pool_sizes
+    width = max(sizes)
+    return width, DrawRule((width,) if all(n & (n - 1) == 0 for n in sizes) else sizes)
+
+
+def _block(events: list[Event], places: list[int], scale: int | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """The code digits and exit ids of a block of events, flat arrays of one cell per path.
+
+    Cell ``s * W + J`` of a block of joint width ``W`` stands for entry
+    state ``s`` and joint index ``J = (i1 * w2 + i2) * w3 + ...`` of its
+    events' draw indices.  Its code digit is the sum of the digits of the
+    events' :func:`_cells` along that path, and its exit id the successor id
+    it ends in, times ``scale`` (``None`` without ``scale``).  Each further
+    event spreads every path so far over its own draw indices, with the
+    gathers a walk of its cells would make.  A block of one event is its
+    cells.
+    """
+    digits = successor_ids = None
+    for k, (event, place) in enumerate(zip(events, places), 1):
+        event_digits, event_ids = _cells(event, place, scale if k == len(events) else 1)
+        if digits is None:
+            digits, successor_ids = event_digits, event_ids
+        else:
+            path = (successor_ids[..., None], np.arange(event_digits.shape[1]))
+            digits = digits[..., None] + event_digits[path]
+            successor_ids = None if event_ids is None else event_ids[path]
+    return digits.ravel(), None if successor_ids is None else successor_ids.ravel()
+
+
+def _cells(event: Event, place: int, scale: int | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """An event's code digits and successor ids, dense arrays of one row per state.
+
+    Entry ``[s, i]`` of a row of ``width`` (see :func:`_draw`) stands for
+    draw index ``i mod n`` into state ``s``'s pool of ``n`` cards: each row
+    repeats its pool across the row.  Its code digit is the reported
+    outcome's position times ``place``, the event's place value in the
+    mixed-radix code, and its successor id the next state's times
+    ``scale``.  Without ``scale`` the successor ids are ``None``.  Entries
+    past a pool's end are only drawn when every pool size is a power of
+    two.
     """
     sizes = event.pool_sizes
     width = max(sizes)
@@ -303,47 +366,54 @@ def _cells(event: Event, place: int, scale: int | None) -> tuple:
             digits[s] = np.resize(digits[s, :size], width)
             if scale is not None:
                 successor_ids[s] = np.resize(successor_ids[s, :size], width)
-    rule = DrawRule((width,) if all(n & (n - 1) == 0 for n in sizes) else sizes)
-    return width, rule, digits.ravel(), None if scale is None else successor_ids.ravel()
+    return digits, successor_ids
 
 
 def _walk(tables: list[list[tuple]], key: np.uint64, trials: range) -> list[np.ndarray]:
     """Each run's outcome-sequence code of each of the given trials, drawn with the runs' seed key.
 
-    ``tables`` holds one run's :func:`_tables` per experiment: one ``(width,
-    draw rule, code digits, successor ids)`` per event, the last event's
-    successor ids ``None``.  A cell's code digit is its outcome position
-    times the event's place value, so a code is the sum of the digits of
-    the cells a trial passes through.  Every run reads its own reader of
-    one set of streams, so the runs share the trial keys and words.
+    ``tables`` holds one run's :func:`_tables` per experiment.  Each block
+    draws its events' indices in order, each by its own rule, combines them
+    into the joint index and reads its cell with one gather for the code
+    digits and one for the exit ids, none for the run's last block.  A
+    code is the sum of the digits of the cells a trial passes through.
+    Every run reads its own reader of one set of streams, so the runs share
+    the trial keys and words.
     """
     shared = CounterStreams(key, trials)
     # Every reader is made before the first draw, so each word is mixed once and kept for the others.
     readers = [shared, *(shared.reader() for _ in tables[1:])]
     codes = []
-    for cells, streams in zip(tables, readers):
-        if not cells:
+    for blocks, streams in zip(tables, readers):
+        if not blocks:
             codes.append(np.zeros(len(trials), dtype=np.int64))
             continue
-        # Every trial starts in the prepared state, id 0, so the first event's cell is the draw itself.
+        # Every trial starts in the prepared state, id 0, so the first block's cell is its joint index.
         state = code = None
-        for k, (width, rule, digits, successor_ids) in enumerate(cells, 1):
-            # An index is below its pool size, so its uint64 bits read as the same int64.
-            if rule.table is None:
-                # One size: the draw needs no state id, and ``state`` is already the row's first cell.
-                cell = streams.uniform_index(rule).view(np.int64)
-                if state is not None:
-                    cell += state
-            else:
-                cell = streams.uniform_index(rule, state).view(np.int64)
-                state *= width
+        for k, (draws, digits, exit_ids) in enumerate(blocks, 1):
+            cell = None
+            for width, rule in draws:
+                # An index is below its pool size, so its uint64 bits read as the same int64.
+                if rule.table is None:
+                    index = streams.uniform_index(rule).view(np.int64)
+                else:
+                    # A per-state table's event is a block of its own, entered with unscaled state ids.
+                    index = streams.uniform_index(rule, state).view(np.int64)
+                    state *= width
+                if cell is None:
+                    cell = index
+                else:
+                    cell *= width
+                    cell += index
+            if state is not None:
+                # ``state`` is already the first cell of the trial's row.
                 cell += state
             if code is None:
                 code = digits[cell]
             else:
                 code += digits[cell]
-            if k < len(cells):
-                state = successor_ids[cell]
+            if k < len(blocks):
+                state = exit_ids[cell]
         codes.append(code)
     return codes
 

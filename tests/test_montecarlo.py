@@ -1,16 +1,18 @@
 """The counter-based stream and the seeded Monte Carlo sampler."""
 
+import itertools
 import math
 import random
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_kernel import experiments
 from threebox.deck import Deck, Manifestation, Outcome, Variable, validate_deck
+from threebox.decks import three_box_deck
 from threebox.errors import DrawOutOfRangeError, InvalidArgumentsError, NoAcceptedTrialsError
 from threebox.exact import AnyOf, Experiment, OutcomeAt, acceptance_probability, retrodict_exact
 from threebox import montecarlo, rng
@@ -69,6 +71,28 @@ def cyclic_pool_check():
         (Manifestation("Face"), Manifestation("Face"), Manifestation("Suit")),
         postselection=(3, out(deck, "Suit", "S")),
     )
+
+
+def block_cells(events, places):
+    """Each cell of a block of the given events, in order, as (code digit, exit state), read from the kernel's runs.
+
+    Cell ``s * W + J`` enters in state ``s`` and draws the indices whose
+    mixed-radix number over the events' widths is ``J``; index ``i`` of a
+    pool of ``n`` reads draw index ``i mod n``.
+    """
+    cells = []
+    for entry in range(len(events[0].pool_sizes)):
+        for indices in itertools.product(*(range(max(event.pool_sizes)) for event in events)):
+            digit, state = 0, entry
+            for event, place, index in zip(events, places, indices):
+                index %= event.pool_sizes[state]
+                for n, k in event.runs[state]:
+                    if index < n:
+                        break
+                    index -= n
+                digit, state = digit + k * place, event.rows[state][k][1]
+            cells.append((digit, state))
+    return cells
 
 
 class TestCounterStream:
@@ -381,11 +405,13 @@ class TestSimulate:
 
     def test_a_layer_mixing_a_power_of_two_pool_with_another_size(self):
         experiment = mixed_pool_check()
-        assert [event.pool_sizes for event in experiment.kernel.events] == [(6,), (6, 2), (6, 6, 6, 6)]
-        assert [rule.table is None for _, rule, _, _ in montecarlo._tables(experiment.kernel.events)] == [
-            True, False, True,
-        ]
+        events = experiment.kernel.events
+        assert [event.pool_sizes for event in events] == [(6,), (6, 2), (6, 6, 6, 6)]
+        assert [rule.table is None for _, rule in map(montecarlo._draw, events)] == [True, False, True]
         trials = CHUNK_TRIALS + 1
+        # The per-state table closes the block before it and is a block of its own, so no block has two events.
+        blocks = montecarlo._tables(events, trials)
+        assert [[rule.table is None for _, rule in draws] for draws, _, _ in blocks] == [[True], [False], [True]]
         reference = Counter(run_trial(experiment, 19, t) for t in range(trials))
         assert simulate(RunConfig(experiment, trials, 19)).counts == dict(reference)
 
@@ -394,14 +420,20 @@ class TestSimulate:
         experiment = cyclic_pool_check()
         events = experiment.kernel.events
         assert [event.pool_sizes for event in events] == [(4,), (1, 2, 4), (6, 5, 3)]
-        tables = montecarlo._tables(events)
         # The repeated face draws with one mask over rows of 4, and the suit after it from its per-state table.
-        assert [(width, None if rule.table is None else rule.table.tolist()) for width, rule, _, _ in tables] == [
+        draws = map(montecarlo._draw, events)
+        assert [(width, None if rule.table is None else rule.table.tolist()) for width, rule in draws] == [
             (4, None), (4, None), (6, [6, 5, 3]),
         ]
         # Code digits (outcome position times 2): K; Q, Q; J, J, J, J, each row repeated to 4 cells.
-        assert tables[1][2].tolist() == [0, 0, 0, 0, 2, 2, 2, 2, 4, 4, 4, 4]
+        digits, successor_ids = montecarlo._cells(events[1], 2, 1)
+        assert digits.ravel().tolist() == [0, 0, 0, 0, 2, 2, 2, 2, 4, 4, 4, 4]
+        assert successor_ids.ravel().tolist() == [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]  # a repeat keeps its state
         trials = CHUNK_TRIALS + 1
+        # Both faces draw as one block of 16 cells; the suit, from its per-state table, is a block of its own.
+        (draws, block_digits, exit_ids), (suit_draws, _, last_ids) = montecarlo._tables(events, trials)
+        assert [width for width, _ in draws] == [4, 4] and len(suit_draws) == 1 and last_ids is None
+        assert list(zip(block_digits.tolist(), exit_ids.tolist())) == block_cells(events[:2], [6, 2])
         reference = Counter(run_trial(experiment, 37, t) for t in range(trials))
         assert len({seq[1] for seq in reference}) == 3
         monkeypatch.setattr(montecarlo, "TALLY_CODES", tally_codes)
@@ -411,10 +443,18 @@ class TestSimulate:
         # The README request: after a spade, the face comes from the 2 spades (J, Q), else from 4 cards.
         events = spade_check(threebox).kernel.events
         assert [event.pool_sizes for event in events] == [(4,), (4, 2)]
-        (_, first, _, successor_ids), (width, second, digits, _) = montecarlo._tables(events)
+        (_, first), (width, second) = map(montecarlo._draw, events)
         assert width == 4 and first.table is second.table is None and second.mask == 3
-        assert successor_ids.tolist() == [4, 0, 4, 4]  # each next state's first cell
-        assert digits.tolist() == [2, 0, 0, 1, 2, 1, 2, 1]  # J K K Q, then J Q twice
+        _, successor_ids = montecarlo._cells(events[0], 3, width)
+        assert successor_ids.ravel().tolist() == [4, 0, 4, 4]  # each next state's first cell
+        digits, _ = montecarlo._cells(events[1], 1, None)
+        assert digits.ravel().tolist() == [2, 0, 0, 1, 2, 1, 2, 1]  # J K K Q, then J Q twice
+        # At the README's 100k trials the two events draw as one block of widths (4, 4): 16 cells, no exit ids.
+        ((draws, block_digits, exit_ids),) = montecarlo._tables(events, 100_000)
+        assert [width for width, _ in draws] == [4, 4] and exit_ids is None
+        # Not S (position 1, place 3) then J Q J Q, or S then J K K Q: the composition of the two events' cells.
+        assert block_digits.tolist() == [5, 4, 5, 4, 2, 0, 0, 1, 5, 4, 5, 4, 5, 4, 5, 4]
+        assert block_digits.tolist() == [digit for digit, _ in block_cells(events, [3, 1])]
 
     def test_walk_across_the_progression_edge(self):
         # Every chunk below 2**30 is short enough to start from the progression.
@@ -423,7 +463,7 @@ class TestSimulate:
         # 2**30; the walker is handed such ranges here.
         experiment = mixed_pool_check()
         events = experiment.kernel.events
-        tables, key = montecarlo._tables(events), seed_key(29)
+        tables, key = montecarlo._tables(events, CHUNK_TRIALS), seed_key(29)
         for trials in (range(EDGE - 4096, EDGE), range(EDGE - 4095, EDGE + 1), range(EDGE - 4096, EDGE + 4096)):
             (codes,) = montecarlo._walk([tables], key, trials)
             assert montecarlo._decode(events, codes) == [run_trial(experiment, 29, t) for t in trials]
@@ -506,6 +546,75 @@ def test_vector_engine_matches_the_observe_loop_on_random_decks(experiment, seed
     if experiment.postselection is not None:
         ordinal, outcome = experiment.postselection
         assert table.accepted == sum(n for seq, n in reference.items() if seq[ordinal - 1] == outcome)
+
+
+def complete_events(deck, count):
+    """``count`` complete observations alternating Suit and Face, after preparing Face=Q."""
+    manifestations = tuple(Manifestation(("Suit", "Face")[k % 2]) for k in range(count))
+    return Experiment(deck, out(deck, "Face", "Q"), manifestations)
+
+
+# Experiments whose runs of a chunk or more walk at least one block of several events.
+README_REQUEST = spade_check(three_box_deck())
+EIGHT_COMPLETE = complete_events(three_box_deck(), 8)
+BLOCK_TRIALS = [1, 57, CHUNK_TRIALS - 1, CHUNK_TRIALS + 7]
+
+
+@example(README_REQUEST, 42, CHUNK_TRIALS + 7)
+@example(EIGHT_COMPLETE, 42, CHUNK_TRIALS + 7)
+@settings(max_examples=30, deadline=None)
+@given(experiments(max_events=8, max_scale=10**5), st.integers(0, 2**64 - 1), st.sampled_from(BLOCK_TRIALS))
+def test_the_block_walk_matches_the_observe_loop(experiment, seed, trials):
+    if experiment in (README_REQUEST, EIGHT_COMPLETE):
+        # Not vacuous: these compile to a block of several events, so the joint index and its tables are walked.
+        assert any(len(draws) > 1 for draws, _, _ in montecarlo._tables(experiment.kernel.events, trials))
+    reference = Counter(run_trial(experiment, seed, t) for t in range(trials))
+    assert simulate(RunConfig(experiment, trials, seed)).counts == dict(reference)
+
+
+@pytest.mark.parametrize("trials", [1, 10, 1000])
+def test_small_runs_build_block_tables_no_larger_than_the_run(monkeypatch, trials):
+    # Eight complete events: a block of k events entered from the prepared state has 4**k cells, from a
+    # later layer 3 * 4**k.  At 1 and 10 trials every block is one event; at 1,000 two blocks of four.
+    # A one-event block is that event's own table, which every run builds, so only longer blocks are capped.
+    experiment = complete_events(three_box_deck(), 8)
+    built, block = [], montecarlo._block
+
+    def recording_block(events, places, scale):
+        built.append((len(events), *block(events, places, scale)))
+        return built[-1][1:]
+
+    monkeypatch.setattr(montecarlo, "_block", recording_block)
+    reference = Counter(run_trial(experiment, 3, t) for t in range(trials))
+    assert simulate(RunConfig(experiment, trials, 3)).counts == dict(reference)
+    assert [events for events, _, _ in built] == ([1] * 8 if trials < 16 else [4, 4])
+    assert all(len(digits) <= trials for events, digits, _ in built if events > 1)
+
+
+def test_per_trial_word_counts_equal_the_scalar_streams(monkeypatch):
+    runs = (README_REQUEST, EIGHT_COMPLETE, mixed_pool_check(), cyclic_pool_check())
+    trials = CHUNK_TRIALS + 7
+    readers = []
+
+    class Recording(CounterStreams):
+        def __init__(self, key, trials):
+            CounterStreams.__init__(self, key, trials)
+            readers.append(self)
+
+        def reader(self):
+            readers.append(CounterStreams.reader(self))
+            return readers[-1]
+
+    monkeypatch.setattr(montecarlo, "CounterStreams", Recording)
+    montecarlo.simulate_runs(runs, trials, 9)
+    # Each chunk makes one reader per run, in the runs' order.
+    words = [np.concatenate([reader.words for reader in readers[r :: len(runs)]]) for r in range(len(runs))]
+    scalars = []
+    monkeypatch.setattr(montecarlo, "CounterStream", lambda *key: scalars.append(CounterStream(*key)) or scalars[-1])
+    for experiment, counted in zip(runs, words):
+        for t in range(trials):
+            run_trial(experiment, 9, t)
+        assert counted.tolist() == [stream.words for stream in scalars[-trials:]]
 
 
 class TestConvergence:
