@@ -12,7 +12,8 @@ them together.
 
 The names below are exported lazily (PEP 562): ``threebox.<name>`` imports
 the one module that defines it on first use, so ``import threebox`` loads
-no numpy and ``import threebox.cli`` loads only what the exact engine needs.
+no numpy, and ``import threebox.cli`` loads only ``argparse`` and the deck
+modules: neither the exact engine, nor ``json``, nor ``fractions``.
 """
 
 import importlib
@@ -28,6 +29,7 @@ _EXPORTS = {
         "SystemState",
         "Variable",
         "format_cards",
+        "format_fraction",
         "observe",
         "prepare",
         "step_distribution",
@@ -45,7 +47,6 @@ _EXPORTS = {
         "Pattern",
         "acceptance_probability",
         "conditional_probability",
-        "format_fraction",
         "leaf_distribution",
         "mixture_combine",
         "probability",

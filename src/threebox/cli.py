@@ -9,10 +9,14 @@ Exit codes: 0 success (all claims passing), 1 a scenario claim failed,
 2 usage or validation error.  Output is deterministic for fixed arguments
 and seed; rationals print as ``num/den``, floats with 12 significant digits.
 
-A handler imports the modules its subcommand needs beyond the exact engine,
-so ``validate``, ``exact``, ``formula`` and ``quantum`` run without loading
-numpy; only ``simulate``, and a ``scenario`` that answers a Monte Carlo
-claim, load it.  Exact values print in full, however many digits they have.
+Importing this module, building the parser and loading a deck, which every
+call does first, loads only ``argparse`` and the deck modules.  Each handler
+imports the modules its subcommand needs: the exact engine (and its kernel)
+for ``exact``, ``simulate`` and ``scenario``, the Monte Carlo and numpy only
+for ``simulate`` and a ``scenario`` that answers a Monte Carlo claim, and
+``json`` only for a JSON report.  So ``validate``, ``formula`` and
+``quantum`` never compile the exact engine, and ``validate`` builds no
+``Fraction``.  Exact values print in full, however many digits they have.
 """
 
 from __future__ import annotations
@@ -20,31 +24,16 @@ from __future__ import annotations
 import argparse
 import functools
 import io
-import json
 import sys
-from fractions import Fraction
-from json.encoder import encode_basestring_ascii as encode_string
 from typing import TYPE_CHECKING, Callable
 
-from .deck import format_cards
+from .deck import DEFAULT_SEED, DEFAULT_TRIALS, format_cards, format_float, format_fraction
 from .deckfile import load_deck
-from .errors import NoAcceptedTrialsError, ThreeBoxError
-from .exact import (
-    DEFAULT_SEED,
-    DEFAULT_TRIALS,
-    OutcomeAt,
-    acceptance_probability,
-    experiment_from_options,
-    format_float,
-    format_fraction,
-    parse_outcome_reference,
-    probability,
-    retrodict_exact,
-    tree_blocks,
-    tree_header,
-)
+from .errors import NoAcceptedTrialsError, ThreeBoxError, quote
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .quantum import QState
 
 # The sorted names of :data:`threebox.scenarios.SCENARIOS`, the parser's
@@ -55,20 +44,30 @@ SCENARIO_NAMES = ("aad", "counterfactual", "interference", "three-box-card", "th
 _NO_EVENTS = "(no events)"
 
 
-def _json(value, indent: str = "\n") -> str:
+def _json(value) -> str:
     """``json.dumps(value, indent=2)`` for string dict keys, each scalar formatted by the C encoder.
 
     With an indent, ``json.dumps`` runs the pure-Python encoder, whose
     closures form reference cycles: each call would leave cyclic garbage.
     """
+    from json import dumps
+    from json.encoder import encode_basestring_ascii
+
+    return _encode(value, "\n", encode_basestring_ascii, dumps)
+
+
+def _encode(value, indent: str, encode_string: Callable[[str], str], dumps: Callable[[object], str]) -> str:
+    """:func:`_json` of ``value`` nested at ``indent``, with the encoders it bound once for the whole report."""
     inner = indent + "  "
     if isinstance(value, dict):
-        items = [encode_string(key) + ": " + _json(item, inner) for key, item in value.items()]
+        items = [
+            encode_string(key) + ": " + _encode(item, inner, encode_string, dumps) for key, item in value.items()
+        ]
         return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
     if isinstance(value, (list, tuple)):
-        items = [_json(item, inner) for item in value]
+        items = [_encode(item, inner, encode_string, dumps) for item in value]
         return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
-    return encode_string(value) if isinstance(value, str) else json.dumps(value)
+    return encode_string(value) if isinstance(value, str) else dumps(value)
 
 
 def _emit(report: dict, args: argparse.Namespace, text: str) -> None:
@@ -157,7 +156,11 @@ def _print_tree_json(report: dict, experiment) -> None:
     blocks are requested before anything is written, so a tree beyond the
     event cap prints nothing.
     """
-    encoded = functools.cache(encode_string)
+    from json.encoder import encode_basestring_ascii
+
+    from .exact import tree_blocks
+
+    encoded = functools.cache(encode_basestring_ascii)
     last = len(experiment.manifestations)
 
     def unit(ordinal: int, outcome) -> str:
@@ -193,15 +196,43 @@ def _add_format_flags(parser: argparse.ArgumentParser) -> None:
 _MAX_EXPONENT = 10_000
 
 
-def _parse_fraction(text: str) -> Fraction:
-    _, marker, exponent = text.lower().rpartition("e")
-    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
-    if marker and digits.isdecimal() and (len(digits) > len(str(_MAX_EXPONENT)) or int(digits) > _MAX_EXPONENT):
-        raise ThreeBoxError(f"{text!r} is not a rational number: its exponent is beyond ±{_MAX_EXPONENT}")
+def _parse_fractions(texts: list[str]) -> list[Fraction]:
+    """Each text as a ``Fraction``; a text that is not a rational is refused, quoted once."""
+    from fractions import Fraction
+
+    values = []
+    for text in texts:
+        _, marker, exponent = text.lower().rpartition("e")
+        digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        if marker and digits.isdecimal() and (len(digits) > len(str(_MAX_EXPONENT)) or int(digits) > _MAX_EXPONENT):
+            raise ThreeBoxError(f"{quote(text)} is not a rational number: its exponent is beyond ±{_MAX_EXPONENT}")
+        try:
+            values.append(Fraction(text))
+        except ValueError:  # its message quotes the text again, whole
+            raise ThreeBoxError(f"{quote(text)} is not a rational number") from None
+        except ZeroDivisionError:
+            raise ThreeBoxError(f"{quote(text)} is not a rational number: its denominator is zero") from None
+    return values
+
+
+# A seed is below 2**64 and a trial count at most 2**64: 20 digits either way.
+_MAX_DIGITS = len(str(1 << 64))
+
+
+def _integer(text: str) -> int:
+    """A ``--seed`` or ``--trials`` value as an int; one of more than 20 digits is refused before ``int()``.
+
+    :func:`main` lifts the interpreter's int digit limit, so ``int()`` of a
+    huge value would take time quadratic in its digits.  That refusal is a
+    ThreeBoxError, which argparse passes on, so it prints as one short line
+    rather than after the usage block.
+    """
+    if len(text.strip().lstrip("+-").replace("_", "").lstrip("0")) > _MAX_DIGITS:
+        raise ThreeBoxError(f"a seed or a trial count has at most {_MAX_DIGITS} digits, got {quote(text)}")
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as error:
-        raise ThreeBoxError(f"{text!r} is not a rational number: {error}") from None
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {quote(text)}") from None
 
 
 def _parse_amplitude(text: str) -> complex:
@@ -247,12 +278,16 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _build_experiment(args: argparse.Namespace):
+    from .exact import experiment_from_options
+
     deck = load_deck(args.deck)
     return deck, experiment_from_options(deck, args.prepare, args.observe or [], args.postselect)
 
 
 def _query(experiment, text: str):
     """The ``--query`` as ``(ordinal, outcome)``, checked as a retrodiction when postselecting, before any run."""
+    from .exact import parse_outcome_reference
+
     ordinal, outcome = parse_outcome_reference(experiment.deck, experiment.manifestations, text)
     if experiment.postselection is not None:
         experiment.check_retrodiction(ordinal, outcome)
@@ -262,6 +297,8 @@ def _query(experiment, text: str):
 
 
 def _cmd_exact(args: argparse.Namespace) -> int:
+    from .exact import OutcomeAt, acceptance_probability, probability, retrodict_exact, tree_blocks, tree_header
+
     deck, experiment = _build_experiment(args)
     if args.query is not None:
         ordinal, outcome = _query(experiment, args.query)
@@ -354,15 +391,12 @@ def _cmd_formula(args: argparse.Namespace) -> int:
     if args.kind == "partial":
         value = retrodict_partial(
             RetrodictionInputs(
-                likelihood=_parse_fraction(args.likelihood),
-                prior=_parse_fraction(args.prior),
-                likelihood_negation=_parse_fraction(args.likelihood_negation),
-                prior_negation=_parse_fraction(args.prior_negation),
+                *_parse_fractions([args.likelihood, args.prior, args.likelihood_negation, args.prior_negation])
             )
         )
     else:
-        likelihoods = [_parse_fraction(x) for x in args.likelihoods.split(",")]
-        priors = [_parse_fraction(x) for x in args.priors.split(",")]
+        likelihoods = _parse_fractions(args.likelihoods.split(","))
+        priors = _parse_fractions(args.priors.split(","))
         value = retrodict_complete(likelihoods, priors, args.index)
     _emit({"kind": args.kind, "value": format_fraction(value)}, args, format_fraction(value))
     return 0
@@ -468,8 +502,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         p.add_argument("--postselect", metavar="[ORD:]VAR=VALUE", help="accept only runs with this outcome")
         p.add_argument("--query", metavar="[ORD:]VAR=VALUE", help="outcome to score (retrodiction if postselecting)")
         if name == "simulate":
-            p.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help="number of trials")
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="64-bit stream seed")
+            p.add_argument("--trials", type=_integer, default=DEFAULT_TRIALS, help="number of trials")
+            p.add_argument("--seed", type=_integer, default=DEFAULT_SEED, help="64-bit stream seed")
         _add_format_flags(p)
         p.set_defaults(handler=handler)
 
@@ -520,8 +554,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
 
     p = sub.add_parser("scenario", help="run a named worked example")
     p.add_argument("name", choices=SCENARIO_NAMES, help="scenario name")
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help="Monte Carlo trials (0 to skip)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="64-bit stream seed")
+    p.add_argument("--trials", type=_integer, default=DEFAULT_TRIALS, help="Monte Carlo trials (0 to skip)")
+    p.add_argument("--seed", type=_integer, default=DEFAULT_SEED, help="64-bit stream seed")
     _add_format_flags(p)
     p.set_defaults(handler=_cmd_scenario)
 

@@ -28,13 +28,16 @@ pool size ``n`` to an index in ``[0, n)`` into the pool's canonical card
 sequence (cards sorted by face label, then suit label).
 A deck and its piles are stored as counts, one per distinct (face, suit)
 pair, so no operation here costs time in the number of cards.
+
+The module also holds the forms every report prints values in and the
+default Monte Carlo run, which the command line reads without compiling the
+exact engine.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .errors import (
     DrawOutOfRangeError,
@@ -44,6 +47,9 @@ from .errors import (
     UnknownLabelError,
     quote,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DrawSource = Callable[[int], int]
 
@@ -339,6 +345,21 @@ class SystemState(Value):
         return f"[{format_cards(cells, self.these)} | {format_cards(cells, self.others)}]"
 
 
+def format_fraction(value: Fraction) -> str:
+    """Serialize a rational as the explicit ``num/den`` string (``1`` -> ``1/1``)."""
+    return f"{value.numerator}/{value.denominator}"
+
+
+def format_float(x: float) -> str:
+    """A float with 12 significant digits, the form every report prints floats in."""
+    return f"{x:.12g}"
+
+
+# The Monte Carlo run a scenario or ``threebox simulate`` makes by default.
+DEFAULT_TRIALS = 100_000
+DEFAULT_SEED = 42
+
+
 def format_cards(cells: Sequence[tuple[str, str]], counts: Sequence[int]) -> str:
     """Render ``counts[i]`` cards of each ``cells[i]``, in order, as ``(2)KH, QS, ...``; empty cells are left out."""
     parts = []
@@ -473,6 +494,8 @@ def step_distribution(state: SystemState, manifestation: Manifestation) -> dict[
     probability (matching cards in the selected pool) / (pool size); the
     values always sum to exactly one.
     """
+    from fractions import Fraction  # here, not at the top: only the exact engines build fractions
+
     column, pool, size = state.draw_pool(manifestation)
     return {
         outcome: Fraction(sum(n for label, n in zip(column, pool) if outcome.matches(label)), size)

@@ -13,10 +13,13 @@ so a deck round-trips losslessly through ``parse_deck(serialize_deck(deck))``.
 
 from __future__ import annotations
 
-from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .deck import MAX_CARDS, Deck, validate_deck
 from .errors import DeckFileError, quote
+
+if TYPE_CHECKING:
+    from pathlib import Path
 
 
 def parse_deck(text: str) -> Deck:
@@ -92,4 +95,6 @@ def load_deck(path: str | Path) -> Deck:
 
 def save_deck(deck: Deck, path: str | Path) -> None:
     """Write a deck schema file in canonical form."""
-    Path(path).write_text(serialize_deck(deck), encoding="utf-8")
+    text = serialize_deck(deck)
+    with open(path, "w", encoding="utf-8") as file:
+        file.write(text)

@@ -31,7 +31,7 @@ from fractions import Fraction
 from operator import floordiv
 from typing import Callable, ClassVar, Iterator, Sequence, TypeVar
 
-from .deck import Deck, Manifestation, Outcome, SystemState, Value, _set
+from .deck import Deck, Manifestation, Outcome, SystemState, Value, _set, format_fraction  # noqa: F401 (re-exported)
 from .errors import (
     InvalidArgumentsError,
     SequenceTooLongError,
@@ -47,24 +47,15 @@ from .kernel import Event, Kernel
 MAX_EVENTS = 8
 
 
-def format_fraction(value: Fraction) -> str:
-    """Serialize a rational as the explicit ``num/den`` string (``1`` -> ``1/1``)."""
-    return f"{value.numerator}/{value.denominator}"
+def check_run(trials: int, seed: int) -> None:
+    """Reject more than 2**64 trials, or a seed outside the stream's 64-bit key range.
 
-
-def format_float(x: float) -> str:
-    """A float with 12 significant digits, the form every report prints floats in."""
-    return f"{x:.12g}"
-
-
-# The Monte Carlo run a scenario or ``threebox simulate`` makes by default;
-# kept in this numpy-free module so that the command-line parser loads no numpy.
-DEFAULT_TRIALS = 100_000
-DEFAULT_SEED = 42
-
-
-def check_seed(seed: int) -> None:
-    """Reject a seed outside the stream's 64-bit key range."""
+    Trial indices key the stream modulo 2**64, so a longer run would replay
+    trial 0.  Kept in this numpy-free module, so that a scenario that samples
+    nothing checks its request without loading the Monte Carlo.
+    """
+    if trials > 1 << 64:
+        raise InvalidArgumentsError(f"a run takes at most 2**64 trials, got {trials}")
     if not 0 <= seed < 1 << 64:
         raise InvalidArgumentsError(f"seed must be in [0, 2**64), got {seed}")
 

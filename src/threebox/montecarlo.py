@@ -57,9 +57,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .deck import Outcome, Value, _set, observe, prepare
+from .deck import Outcome, Value, _set, format_float, observe, prepare
 from .errors import InvalidArgumentsError, NoAcceptedTrialsError
-from .exact import Experiment, OutcomeAt, Pattern, check_seed, format_float
+from .exact import Experiment, OutcomeAt, Pattern, check_run
 from .kernel import Event
 from .rng import CounterStream, CounterStreams, DrawRule, seed_key
 
@@ -86,10 +86,7 @@ class RunConfig(Value):
 def _check_run(trials: int, seed: int) -> None:
     if trials < 1:
         raise InvalidArgumentsError("a run needs at least one trial")
-    if trials > 1 << 64:
-        # Trial indices key the stream modulo 2**64, so more would replay trial 0.
-        raise InvalidArgumentsError(f"a run takes at most 2**64 trials, got {trials}")
-    check_seed(seed)
+    check_run(trials, seed)
 
 
 def run_trial(experiment: Experiment, seed: int, trial: int) -> tuple[Outcome, ...]:

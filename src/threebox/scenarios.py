@@ -24,21 +24,27 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import quantum
-from .deck import Deck, Manifestation, Outcome, prepare, step_distribution
+from .deck import (
+    DEFAULT_SEED,
+    DEFAULT_TRIALS,
+    Deck,
+    Manifestation,
+    Outcome,
+    format_float,
+    format_fraction,
+    prepare,
+    step_distribution,
+)
 from .decks import three_box_deck, two_value_deck
 from .errors import InvalidArgumentsError, ZeroAcceptanceError
 from .exact import (
-    DEFAULT_SEED,
-    DEFAULT_TRIALS,
     AnyOf,
     Experiment,
     MixtureState,
     OutcomeAt,
     Pattern,
-    check_seed,
+    check_run,
     conditional_probability,
-    format_float,
-    format_fraction,
     mixture_combine,
     probability,
     single_step_probability,
@@ -697,12 +703,13 @@ SCENARIOS = {
 def run_scenario(name: str, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) -> ScenarioReport:
     """Run a scenario by CLI name with the Monte Carlo options its sampled claims use.
 
-    ``trials=0`` skips the Monte Carlo routes; a negative count or a seed
-    outside [0, 2**64) is rejected whether or not the scenario samples.
+    ``trials=0`` skips the Monte Carlo routes; a negative count, more than
+    2**64 trials or a seed outside [0, 2**64) is rejected whether or not the
+    scenario samples.
     """
     if name not in SCENARIOS:
         raise KeyError(f"unknown scenario {name!r}; choose from {', '.join(sorted(SCENARIOS))}")
     if trials < 0:
         raise InvalidArgumentsError(f"trials must be 0 (to skip Monte Carlo) or positive, got {trials}")
-    check_seed(seed)
+    check_run(trials, seed)
     return SCENARIOS[name](trials, seed)

@@ -764,6 +764,50 @@ def test_a_deep_request_parses_with_one_observe_option():
     assert cli._parse(argv).observe == argv[6:-4:2]
 
 
+# Linux caps one command-line argument at 128 KiB, so this is about the longest value a shell can pass.
+HUGE = "9" * 120_000
+HUGE_VALUES = {
+    "simulate --seed": ["simulate", "--deck", DECK, "--prepare", "Face=Q", "--observe", "Suit", "--seed", HUGE],
+    "simulate --trials": ["simulate", "--deck", DECK, "--prepare", "Face=Q", "--observe", "Suit", "--trials", HUGE],
+    "scenario --seed": ["scenario", "aad", "--seed", HUGE],
+    "scenario --trials": ["scenario", "three-box-card", "--trials", HUGE],
+    "negative scenario --trials": ["scenario", "aad", "--trials", "-" + HUGE],
+    "formula letters": [
+        "formula", "partial", "--likelihood", "x" * 120_000, "--prior", "1",
+        "--likelihood-negation", "0", "--prior-negation", "0",
+    ],
+    "formula zero denominator": [  # Fraction's own message would spell the numerator out
+        "formula", "partial", "--likelihood", "9" * 5_000 + "/0", "--prior", "1",
+        "--likelihood-negation", "0", "--prior-negation", "0",
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", HUGE_VALUES.values(), ids=HUGE_VALUES)
+def test_a_huge_value_is_refused_at_once_in_one_short_line(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) <= 200
+
+
+def test_a_seed_or_trial_count_of_20_digits_is_read_as_before(capsys):
+    code, out, err = run(capsys, "scenario", "aad", "--seed", "0" * 30 + str(2**64 - 1), "--trials", str(2**64))
+    assert (code, err) == (0, "") and "PASS" in out
+    code, out, err = run(capsys, "scenario", "aad", "--seed", str(2**64))
+    assert (code, out, err) == (2, "", f"error: seed must be in [0, 2**64), got {2**64}\n")
+
+
+@pytest.mark.parametrize("name", cli.SCENARIO_NAMES)
+def test_every_scenario_refuses_more_than_2_to_the_64_trials(capsys, name):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "scenario", name, "--trials", str(2**64 + 1))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f"error: a run takes at most 2**64 trials, got {2**64 + 1}\n"
+
+
 README_EXACT = ["exact", "--deck", DECK, "--prepare", "Face=Q", "--postselect", "Face=K", "--query", "Suit=S"]
 
 

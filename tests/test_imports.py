@@ -1,5 +1,6 @@
 """What a call loads: the exact, quantum and unsampled scenario paths run without numpy or dataclasses, the sampling
-paths load numpy but no dataclasses, and the package exports its names lazily."""
+paths load numpy but no dataclasses, the start-up every call shares loads neither the exact engine nor ``json`` nor
+``fractions``, and the package exports its names lazily."""
 
 import argparse
 import importlib
@@ -19,11 +20,14 @@ DECK = str(ROOT / "decks" / "threebox.deck")
 HEAVY = ("numpy", "threebox.montecarlo", "threebox.rng", "threebox.quantum", "threebox.scenarios")
 # What ``dataclass`` needs: on the exact path, value types are plain ``__slots__`` classes.
 CLASS_MACHINERY = ("dataclasses", "inspect")
+# What only a subcommand that needs it loads: the exact engine and its kernel, the JSON writer, and rationals.
+ENGINE = ("threebox.exact", "threebox.kernel")
+ON_DEMAND = (*ENGINE, "json", "fractions", "decimal")
 
 # Run in a fresh interpreter with the CLI arguments; with "setup" to import the
 # CLI, build its parser and load a deck, which is what every call pays first;
 # or with none to import the package alone.  Its last line names the heavy
-# modules and the class machinery then loaded.
+# modules, the class machinery and the on-demand modules then loaded.
 PROBE = """
 import contextlib, io, sys
 if sys.argv[1:] == ["setup"]:
@@ -37,7 +41,7 @@ elif sys.argv[1:]:
 else:
     import threebox
 print(" ".join(m for m in %r if m in sys.modules))
-""" % (DECK, HEAVY + CLASS_MACHINERY)
+""" % (DECK, HEAVY + CLASS_MACHINERY + ON_DEMAND)
 
 EXACT = [
     "exact", "--deck", DECK, "--prepare", "Face=Q",
@@ -65,12 +69,12 @@ UNSAMPLED = {
 # ``leaf_distribution`` now flattens itself from ``tree_blocks``, and the card-value type
 # that ``Outcome`` now holds flat as its own fields: 52 names.
 EXPORTS = {
-    "deck": "Deck Manifestation Outcome SystemState Variable format_cards observe prepare "
+    "deck": "Deck Manifestation Outcome SystemState Variable format_cards format_fraction observe prepare "
     "step_distribution validate_deck",
     "deckfile": "load_deck parse_deck save_deck serialize_deck",
     "decks": "three_box_deck two_value_deck",
     "exact": "AllOf AnyOf Experiment MixtureState Negation OutcomeAt Pattern acceptance_probability "
-    "conditional_probability format_fraction leaf_distribution mixture_combine probability "
+    "conditional_probability leaf_distribution mixture_combine probability "
     "retrodict_exact single_step_probability",
     "formulas": "RetrodictionInputs retrodict_complete retrodict_partial",
     "montecarlo": "FrequencyTable RetrodictionEstimate RunConfig run_trial simulate",
@@ -108,7 +112,23 @@ def test_the_exact_path_loads_no_numpy(argv, expected):
     ids=["cli setup", "exact", "validate", "formula", "quantum slits", "quantum abl-partial", *UNSAMPLED],
 )
 def test_the_exact_path_creates_no_dataclass(argv, expected):
-    assert loaded_after(*argv) == expected
+    assert [m for m in loaded_after(*argv) if m in HEAVY + CLASS_MACHINERY] == expected
+
+
+@pytest.mark.parametrize("argv", [["setup"], ["validate", "--deck", DECK]], ids=["cli setup", "validate"])
+def test_the_shared_start_up_loads_no_engine_json_or_fractions(argv):
+    assert [m for m in loaded_after(*argv) if m in ON_DEMAND] == []
+
+
+@pytest.mark.parametrize("argv", [FORMULA, SLITS, ABL_PARTIAL], ids=["formula", "quantum slits", "quantum abl-partial"])
+def test_formula_and_quantum_load_no_exact_engine(argv):
+    assert [m for m in loaded_after(*argv) if m in ENGINE] == []
+
+
+def test_what_a_subcommand_needs_it_loads_itself():
+    assert "json" in loaded_after("validate", "--deck", DECK, "--json")
+    loaded = loaded_after(*EXACT)
+    assert {*ENGINE, "fractions"} <= set(loaded) and "json" not in loaded
 
 
 # The sampling paths load numpy, which itself imports ``inspect``, so only ``dataclasses`` is
