@@ -54,7 +54,7 @@ _EXPORTS = {
         "single_step_probability",
     ),
     "formulas": ("RetrodictionInputs", "retrodict_complete", "retrodict_partial"),
-    "montecarlo": ("FrequencyTable", "RetrodictionEstimate", "RunConfig", "run_trial", "simulate"),
+    "montecarlo": ("FrequencyTable", "RetrodictionEstimate", "run_trial", "simulate"),
     "quantum": (
         "QState",
         "SlitGeometry",

@@ -27,9 +27,9 @@ import io
 import sys
 from typing import TYPE_CHECKING, Callable
 
-from .deck import DEFAULT_SEED, DEFAULT_TRIALS, format_cards, format_float, format_fraction
+from .deck import DEFAULT_SEED, DEFAULT_TRIALS, RUN_KEYS, format_cards, format_float, format_fraction
 from .deckfile import load_deck
-from .errors import NoAcceptedTrialsError, ThreeBoxError, quote
+from .errors import NoAcceptedTrialsError, ThreeBoxError, quote, significant_digits
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -203,7 +203,7 @@ def _parse_fractions(texts: list[str]) -> list[Fraction]:
     values = []
     for text in texts:
         _, marker, exponent = text.lower().rpartition("e")
-        digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+        digits = significant_digits(exponent)
         if marker and digits.isdecimal() and (len(digits) > len(str(_MAX_EXPONENT)) or int(digits) > _MAX_EXPONENT):
             raise ThreeBoxError(f"{quote(text)} is not a rational number: its exponent is beyond ±{_MAX_EXPONENT}")
         try:
@@ -215,20 +215,18 @@ def _parse_fractions(texts: list[str]) -> list[Fraction]:
     return values
 
 
-# A seed is below 2**64 and a trial count at most 2**64: 20 digits either way.
-_MAX_DIGITS = len(str(1 << 64))
+# A seed is below 2**64 and a trial count at most 2**64: 20 digits either way; an index is smaller.
+_MAX_DIGITS = len(str(RUN_KEYS))
 
 
 def _integer(text: str) -> int:
-    """A ``--seed`` or ``--trials`` value as an int; one of more than 20 digits is refused before ``int()``.
+    """An integer option's value as an int; one of more than 20 digits is refused before ``int()``.
 
-    :func:`main` lifts the interpreter's int digit limit, so ``int()`` of a
-    huge value would take time quadratic in its digits.  That refusal is a
-    ThreeBoxError, which argparse passes on, so it prints as one short line
-    rather than after the usage block.
+    That refusal is a ThreeBoxError, which argparse passes on, so it prints
+    as one short line rather than after the usage block.
     """
-    if len(text.strip().lstrip("+-").replace("_", "").lstrip("0")) > _MAX_DIGITS:
-        raise ThreeBoxError(f"a seed or a trial count has at most {_MAX_DIGITS} digits, got {quote(text)}")
+    if len(significant_digits(text)) > _MAX_DIGITS:
+        raise ThreeBoxError(f"an integer option has at most {_MAX_DIGITS} digits, got {quote(text)}")
     try:
         return int(text)
     except ValueError:
@@ -241,7 +239,7 @@ def _parse_amplitude(text: str) -> complex:
     try:
         return complex(text[:-1] + "j" if text.endswith("i") else text)
     except ValueError as error:
-        raise ThreeBoxError(f"bad amplitude {text!r}: {error}") from None
+        raise ThreeBoxError(f"bad amplitude {quote(text)}: {error}") from None
 
 
 def _parse_state(text: str) -> QState:
@@ -345,9 +343,9 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     _, experiment = _build_experiment(args)
     query = None if args.query is None else _query(experiment, args.query)
-    from .montecarlo import RunConfig, simulate
+    from .montecarlo import simulate
 
-    table = simulate(RunConfig(experiment, args.trials, args.seed))
+    table = simulate(experiment, args.trials, args.seed)
     report = table.to_dict()
     if query is not None:
         ordinal, outcome = query
@@ -389,11 +387,8 @@ def _cmd_formula(args: argparse.Namespace) -> int:
     from .formulas import RetrodictionInputs, retrodict_complete, retrodict_partial
 
     if args.kind == "partial":
-        value = retrodict_partial(
-            RetrodictionInputs(
-                *_parse_fractions([args.likelihood, args.prior, args.likelihood_negation, args.prior_negation])
-            )
-        )
+        inputs = _parse_fractions([args.likelihood, args.prior, args.likelihood_negation, args.prior_negation])
+        value = retrodict_partial(RetrodictionInputs(*inputs))
     else:
         likelihoods = _parse_fractions(args.likelihoods.split(","))
         priors = _parse_fractions(args.priors.split(","))
@@ -405,9 +400,9 @@ def _cmd_formula(args: argparse.Namespace) -> int:
 def _cmd_quantum(args: argparse.Namespace) -> int:
     from . import quantum
 
+    if args.operation not in ("slits", "aad"):
+        state, post = _parse_state(args.state), _parse_state(args.post)
     if args.operation in ("abl-complete", "abl-partial"):
-        state = _parse_state(args.state)
-        post = _parse_state(args.post)
         basis = (
             [quantum.QState.basis_state(state.dimension, k) for k in range(state.dimension)]
             if args.basis is None
@@ -418,11 +413,9 @@ def _cmd_quantum(args: argparse.Namespace) -> int:
         report = {"operation": args.operation, "index": args.index, "value": format_float(value)}
         _emit(report, args, format_float(value))
     elif args.operation == "born":
-        value = quantum.born_probability(_parse_state(args.state), _parse_state(args.post))
+        value = quantum.born_probability(state, post)
         _emit({"operation": "born", "value": format_float(value)}, args, format_float(value))
     elif args.operation == "condition":
-        state = _parse_state(args.state)
-        post = _parse_state(args.post)
         basis = [quantum.QState.basis_state(3, k) for k in range(3)]
         result = quantum.threebox_condition_check(state, post, basis)
         _emit({"operation": "condition", "value": result}, args, str(result).lower())
@@ -519,7 +512,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     fc = formula_sub.add_parser("complete", help="complete-observation retrodiction")
     fc.add_argument("--likelihoods", required=True, help="comma-separated rationals")
     fc.add_argument("--priors", required=True, help="comma-separated rationals summing to 1")
-    fc.add_argument("--index", type=int, required=True, help="0-based value index")
+    fc.add_argument("--index", type=_integer, required=True, help="0-based value index")
     _add_format_flags(fc)
 
     p = sub.add_parser("quantum", help="states, ABL retrodiction, slit geometry")
@@ -532,7 +525,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
         qp = quantum_sub.add_parser(op, help=help_text)
         qp.add_argument("--state", required=True, help="pre state: comma-separated complex amplitudes")
         qp.add_argument("--post", required=True, help="post state amplitudes")
-        qp.add_argument("--index", type=int, required=True, help="0-based basis index to retrodict")
+        qp.add_argument("--index", type=_integer, required=True, help="0-based basis index to retrodict")
         qp.add_argument("--basis", help="semicolon-separated basis states (default: computational)")
         _add_format_flags(qp)
     for op, help_text in (

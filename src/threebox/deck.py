@@ -29,9 +29,10 @@ sequence (cards sorted by face label, then suit label).
 A deck and its piles are stored as counts, one per distinct (face, suit)
 pair, so no operation here costs time in the number of cards.
 
-The module also holds the forms every report prints values in and the
-default Monte Carlo run, which the command line reads without compiling the
-exact engine.
+The module also holds the forms every report prints values in, and the
+default Monte Carlo run with the check of every run's trials and seed: the
+command line reads them without compiling the exact engine, and a scenario
+that samples nothing checks its run without loading numpy.
 """
 
 from __future__ import annotations
@@ -228,7 +229,8 @@ class Deck(Value):
             return self.face
         if name == self.suit.name:
             return self.suit
-        raise UnknownLabelError(f"unknown variable {name!r}; deck has {self.face.name!r} and {self.suit.name!r}")
+        names = f"{quote(self.face.name)} and {quote(self.suit.name)}"
+        raise UnknownLabelError(f"unknown variable {quote(name)}; deck has {names}")
 
     def check_label(self, variable: str, label: str) -> None:
         """Raise UnknownLabelError unless ``label`` is a value of ``variable``."""
@@ -244,7 +246,9 @@ class Deck(Value):
         one of its values."""
         var = self.variable(variable)
         if label is not None and label not in var.labels:
-            raise UnknownLabelError(f"variable {var.name!r} has no value {label!r} (values: {', '.join(var.labels)})")
+            raise UnknownLabelError(
+                f"variable {quote(var.name)} has no value {quote(label)} (values: {', '.join(var.labels)})"
+            )
         return self._columns[var is self.suit]
 
     def joint_count(self, face_label: str, suit_label: str) -> int:
@@ -358,6 +362,21 @@ def format_float(x: float) -> str:
 # The Monte Carlo run a scenario or ``threebox simulate`` makes by default.
 DEFAULT_TRIALS = 100_000
 DEFAULT_SEED = 42
+# The stream keys a draw by the seed and the trial index, each modulo 2**64
+# (see :mod:`threebox.rng`): a seed lies below this, and a run takes at most
+# this many trials, since a longer one would replay trial 0.
+RUN_KEYS = 1 << 64
+
+
+def check_run(trials: int, seed: int) -> None:
+    """Reject more than :data:`RUN_KEYS` trials, or a seed outside ``[0, RUN_KEYS)``.
+
+    The fewest trials are each caller's own rule: one for a Monte Carlo run, none for a scenario.
+    """
+    if trials > RUN_KEYS:
+        raise InvalidArgumentsError(f"a run takes at most 2**64 trials, got {trials}")
+    if not 0 <= seed < RUN_KEYS:
+        raise InvalidArgumentsError(f"seed must be in [0, 2**64), got {seed}")
 
 
 def format_cards(cells: Sequence[tuple[str, str]], counts: Sequence[int]) -> str:

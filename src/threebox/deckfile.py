@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .deck import MAX_CARDS, Deck, validate_deck
-from .errors import DeckFileError, quote
+from .errors import DeckFileError, quote, significant_digits
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -43,7 +43,7 @@ def parse_deck(text: str) -> Deck:
             if len(fields) != 3:
                 raise DeckFileError(f"line {lineno}: expected 'card <face> <suit> <multiplicity>'")
             face, suit, count_text = fields
-            digits = len(count_text.lstrip("+-").replace("_", "").lstrip("0"))
+            digits = len(significant_digits(count_text))
             if digits > len(str(MAX_CARDS)):  # refused before int() spends time quadratic in the digits
                 raise DeckFileError(f"line {lineno}: a {digits}-digit multiplicity; at most {MAX_CARDS} cards allowed")
             try:

@@ -18,6 +18,15 @@ def quote(text: str) -> str:
     return f"{text[:QUOTED_CHARS]!r}... ({len(text)} characters)"
 
 
+def significant_digits(text: str) -> str:
+    """The digits ``int(text)`` reads that count: ``text`` without spaces, sign, underscores and leading zeros.
+
+    A number is refused by their count before ``int()``, which takes time
+    quadratic in the digits once the interpreter's digit limit is lifted.
+    """
+    return text.strip().lstrip("+-").replace("_", "").lstrip("0")
+
+
 class ThreeBoxError(Exception):
     """Base class for all errors raised by this package."""
 

@@ -37,6 +37,8 @@ from .errors import (
     SequenceTooLongError,
     UndefinedConditionalError,
     WeightsNotNormalizedError,
+    quote,
+    significant_digits,
 )
 from .kernel import Event, Kernel
 
@@ -45,19 +47,6 @@ from .kernel import Event, Kernel
 # 6,561 leaves for 8 complete events on the three-box deck.  Every leaf is
 # listed, so cap the event count of a tree.
 MAX_EVENTS = 8
-
-
-def check_run(trials: int, seed: int) -> None:
-    """Reject more than 2**64 trials, or a seed outside the stream's 64-bit key range.
-
-    Trial indices key the stream modulo 2**64, so a longer run would replay
-    trial 0.  Kept in this numpy-free module, so that a scenario that samples
-    nothing checks its request without loading the Monte Carlo.
-    """
-    if trials > 1 << 64:
-        raise InvalidArgumentsError(f"a run takes at most 2**64 trials, got {trials}")
-    if not 0 <= seed < 1 << 64:
-        raise InvalidArgumentsError(f"seed must be in [0, 2**64), got {seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +505,7 @@ def parse_target(deck: Deck, text: str) -> Outcome:
     """Parse ``Var=Value`` / ``Var=~Value`` into an outcome or preparation target."""
     variable, sep, label = text.partition("=")
     if not sep or not variable or not label:
-        raise InvalidArgumentsError(f"expected Var=Value or Var=~Value, got {text!r}")
+        raise InvalidArgumentsError(f"expected Var=Value or Var=~Value, got {quote(text)}")
     negated = label.startswith("~")
     if negated:
         label = label[1:]
@@ -534,24 +523,29 @@ def parse_manifestation(deck: Deck, text: str) -> Manifestation:
 def parse_outcome_reference(
     deck: Deck, manifestations: Sequence[Manifestation], text: str
 ) -> tuple[int, Outcome]:
-    """Parse ``[ordinal:]Var=Value`` against the experiment's event list."""
+    """Parse ``[ordinal:]Var=Value`` against the experiment's event list.
+
+    An ordinal with more digits than the event count names no event, and is refused before ``int()``.
+    """
     ordinal_text, sep, rest = text.partition(":")
     if sep:
+        events = len(manifestations)
+        if len(significant_digits(ordinal_text)) > len(str(events)):
+            raise InvalidArgumentsError(f"ordinal {quote(ordinal_text)} does not name a manifestation (1..{events})")
         try:
             ordinal = int(ordinal_text)
         except ValueError:
-            raise InvalidArgumentsError(f"ordinal {ordinal_text!r} is not an integer") from None
+            raise InvalidArgumentsError(f"ordinal {quote(ordinal_text)} is not an integer") from None
         outcome = parse_target(deck, rest)
     else:
         outcome = parse_target(deck, text)
-        matches = [
-            i for i, m in enumerate(manifestations, start=1) if m.variable == outcome.variable
-        ]
+        matches = [i for i, m in enumerate(manifestations, start=1) if m.variable == outcome.variable]
+        variable = quote(outcome.variable)
         if not matches:
-            raise InvalidArgumentsError(f"no observation of {outcome.variable!r} to resolve {text!r} against")
+            raise InvalidArgumentsError(f"no observation of {variable} to resolve {quote(text)} against")
         if len(matches) > 1:
             raise InvalidArgumentsError(
-                f"{outcome.variable!r} is observed at ordinals {matches}; prefix one, e.g. '{matches[0]}:{text}'"
+                f"{variable} is observed at ordinals {matches}; prefix one, e.g. {quote(f'{matches[0]}:{text}')}"
             )
         ordinal = matches[0]
     return ordinal, outcome

@@ -29,7 +29,7 @@ gather reads the block's summed code digits, one more its exit state.
 Exit ids are stored already multiplied by the next block's joint width
 when that block draws with one size.  The README request is one block of
 two events, so a chunk of it makes some 45 numpy array operations, one of
-them a gather, where one event at a time made 47 with three gathers.
+them a gather.
 Below 8,192 trials the fixed cost of each chunk dominates.  8,192 is the
 largest power of two whose ``uint64`` arrays (64 KiB) stay below glibc's
 default mmap threshold of 128 KiB; at 16,384 the timing follows the
@@ -57,9 +57,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .deck import Outcome, Value, _set, format_float, observe, prepare
+from .deck import Outcome, Value, _set, check_run, format_float, observe, prepare
 from .errors import InvalidArgumentsError, NoAcceptedTrialsError
-from .exact import Experiment, OutcomeAt, Pattern, check_run
+from .exact import Experiment, OutcomeAt, Pattern
 from .kernel import Event
 from .rng import CounterStream, CounterStreams, DrawRule, seed_key
 
@@ -71,22 +71,6 @@ CHUNK_TRIALS = 8192
 # chunk's bincount touches every code, so a much larger space would cost
 # more per chunk than the walk itself.
 TALLY_CODES = 1 << 16
-
-
-class RunConfig(Value):
-    """A simulation request: experiment, trial count, 64-bit seed."""
-
-    __slots__ = ("experiment", "trials", "seed")
-
-    def __init__(self, experiment: Experiment, trials: int, seed: int) -> None:
-        _check_run(trials, seed)
-        Value.__init__(self, experiment, trials, seed)
-
-
-def _check_run(trials: int, seed: int) -> None:
-    if trials < 1:
-        raise InvalidArgumentsError("a run needs at least one trial")
-    check_run(trials, seed)
 
 
 def run_trial(experiment: Experiment, seed: int, trial: int) -> tuple[Outcome, ...]:
@@ -187,9 +171,9 @@ class FrequencyTable(Value):
         return report
 
 
-def simulate(config: RunConfig) -> FrequencyTable:
+def simulate(experiment: Experiment, trials: int, seed: int) -> FrequencyTable:
     """Run every trial and tally its outcome sequence: :func:`simulate_runs` of one experiment."""
-    return simulate_runs((config.experiment,), config.trials, config.seed)[0]
+    return simulate_runs((experiment,), trials, seed)[0]
 
 
 def simulate_runs(experiments: tuple[Experiment, ...], trials: int, seed: int) -> tuple[FrequencyTable, ...]:
@@ -205,7 +189,9 @@ def simulate_runs(experiments: tuple[Experiment, ...], trials: int, seed: int) -
     sequences is tallied in one array of counts; a larger one by merging
     each chunk's distinct codes and their counts.
     """
-    _check_run(trials, seed)
+    if trials < 1:
+        raise InvalidArgumentsError("a run needs at least one trial")
+    check_run(trials, seed)
     if not experiments:
         return ()
     tallies = []

@@ -108,19 +108,16 @@ class CounterStream:
                 return word % n
 
 
-def finalize_array(z: np.ndarray, scratch: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """:func:`finalize` of every element of a ``uint64`` array, into ``out`` (default: ``z`` itself).
+def finalize_array(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """:func:`finalize` of every element of a ``uint64`` array, in place; returns ``z``.
 
     ``scratch`` is a ``uint64`` array of the same shape that receives each
-    shifted copy, so the mix allocates nothing.  The first step reads ``z``
-    and writes ``out``, so mixing into another array needs no copy of ``z``.
-    Returns ``out``.
+    shifted copy, so the mix allocates nothing.
     """
-    out = z if out is None else out
     np.right_shift(z, 30, out=scratch)
-    np.bitwise_xor(z, scratch, out=out)
-    out *= _C1
-    return _finish(out, scratch)
+    z ^= scratch
+    z *= _C1
+    return _finish(z, scratch)
 
 
 def _finish(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:

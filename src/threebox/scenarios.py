@@ -30,6 +30,7 @@ from .deck import (
     Deck,
     Manifestation,
     Outcome,
+    check_run,
     format_float,
     format_fraction,
     prepare,
@@ -43,7 +44,6 @@ from .exact import (
     MixtureState,
     OutcomeAt,
     Pattern,
-    check_run,
     conditional_probability,
     mixture_combine,
     probability,
@@ -703,8 +703,8 @@ SCENARIOS = {
 def run_scenario(name: str, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) -> ScenarioReport:
     """Run a scenario by CLI name with the Monte Carlo options its sampled claims use.
 
-    ``trials=0`` skips the Monte Carlo routes; a negative count, more than
-    2**64 trials or a seed outside [0, 2**64) is rejected whether or not the
+    ``trials=0`` skips the Monte Carlo routes; a negative count, and a run
+    :func:`threebox.deck.check_run` refuses, is rejected whether or not the
     scenario samples.
     """
     if name not in SCENARIOS:

@@ -28,7 +28,7 @@ from threebox.exact import (
 )
 from haar import haar_random_basis, haar_random_state
 from threebox.formulas import RetrodictionInputs, retrodict_complete, retrodict_partial
-from threebox.montecarlo import RunConfig, simulate
+from threebox.montecarlo import simulate
 from threebox.quantum import (
     abl_complete,
     abl_partial,
@@ -241,8 +241,7 @@ def test_criterion_08_monte_carlo_agreement_and_reproducibility():
         (Manifestation("Suit", "S"), Manifestation("Face")),
         (2, out(deck, "Face", "K")),
     )
-    config = RunConfig(experiment, 100_000, 42)
-    assert simulate(config).to_dict() == simulate(config).to_dict()
+    assert simulate(experiment, 100_000, 42).to_dict() == simulate(experiment, 100_000, 42).to_dict()
     first = counterfactual_trace(trials=20_000, seed=9).to_dict()
     second = counterfactual_trace(trials=20_000, seed=9).to_dict()
     assert first == second

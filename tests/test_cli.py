@@ -276,7 +276,7 @@ class TestSimulate:
     def test_a_bad_query_exits_2_before_the_run(self, capsys, deck_file, monkeypatch, postselect, query, message):
         from threebox import montecarlo
 
-        monkeypatch.setattr(montecarlo, "simulate", lambda config: pytest.fail("the run started"))
+        monkeypatch.setattr(montecarlo, "simulate", lambda *run: pytest.fail("the run started"))
         code, out, err = run(
             capsys,
             "simulate", "--deck", deck_file, "--prepare", "Face=Q", "--observe", "Suit?S", "--observe", "Face",
@@ -780,6 +780,25 @@ HUGE_VALUES = {
         "formula", "partial", "--likelihood", "9" * 5_000 + "/0", "--prior", "1",
         "--likelihood-negation", "0", "--prior-negation", "0",
     ],
+    "exact --postselect ordinal": ["exact", "--deck", DECK, "--prepare", "Face=Q", "--observe", "Suit",
+                                   "--postselect", HUGE + ":Suit=S"],
+    "exact --query ordinal": ["exact", "--deck", DECK, "--prepare", "Face=Q", "--observe", "Suit",
+                              "--query", HUGE + ":Suit=S"],
+    "simulate --query ordinal": ["simulate", "--deck", DECK, "--prepare", "Face=Q", "--observe", "Suit",
+                                 "--query", HUGE + ":Suit=S"],
+    "formula complete --index": ["formula", "complete", "--likelihoods", "1,0", "--priors", "1/2,1/2",
+                                 "--index", HUGE],
+    "quantum abl-complete --index": ["quantum", "abl-complete", "--state", "1,1,1", "--post", "1,1,-1",
+                                     "--index", HUGE],
+    "quantum abl-partial --index": ["quantum", "abl-partial", "--state", "1,1,1", "--post", "1,1,-1",
+                                    "--index", HUGE],
+    "exact --query label": ["exact", "--deck", DECK, "--prepare", "Face=Q", "--observe", "Suit",
+                            "--query", "Suit=" + "x" * 120_000],
+    "exact --prepare label": ["exact", "--deck", DECK, "--prepare", "Face=" + "x" * 120_000],
+    "exact --observe variable": ["exact", "--deck", DECK, "--prepare", "Face=Q", "--observe", "x" * 120_000],
+    "exact --query without =": ["exact", "--deck", DECK, "--prepare", "Face=Q", "--observe", "Suit",
+                                "--query", "x" * 120_000],
+    "quantum amplitude": ["quantum", "born", "--state", "x" * 120_000, "--post", "1"],
 }
 
 

@@ -66,8 +66,9 @@ UNSAMPLED = {
 # Every name the package exported when it imported all of its modules eagerly, by module,
 # less the projector algebra and the branch-tree oracle that only tests used, the card
 # type that decks stored as counts no longer need, the one-leaf-at-a-time walk that
-# ``leaf_distribution`` now flattens itself from ``tree_blocks``, and the card-value type
-# that ``Outcome`` now holds flat as its own fields: 52 names.
+# ``leaf_distribution`` now flattens itself from ``tree_blocks``, the card-value type
+# that ``Outcome`` now holds flat as its own fields, and the run-request type that
+# ``simulate(experiment, trials, seed)`` no longer takes: 51 names.
 EXPORTS = {
     "deck": "Deck Manifestation Outcome SystemState Variable format_cards format_fraction observe prepare "
     "step_distribution validate_deck",
@@ -77,7 +78,7 @@ EXPORTS = {
     "conditional_probability leaf_distribution mixture_combine probability "
     "retrodict_exact single_step_probability",
     "formulas": "RetrodictionInputs retrodict_complete retrodict_partial",
-    "montecarlo": "FrequencyTable RetrodictionEstimate RunConfig run_trial simulate",
+    "montecarlo": "FrequencyTable RetrodictionEstimate run_trial simulate",
     "quantum": "QState SlitGeometry abl_complete abl_partial aad_analysis born_probability three_box_pair "
     "three_slit_design threebox_condition_check",
     "scenarios": "SCENARIOS Claim ScenarioReport run_scenario",
@@ -145,7 +146,7 @@ def test_a_sampling_scenario_loads_numpy():
 
 
 def test_every_export_is_the_defining_modules_object():
-    assert len(NAMES) == 52
+    assert len(NAMES) == 51
     for module, name in NAMES:
         assert getattr(threebox, name) is getattr(importlib.import_module(f"threebox.{module}"), name), name
 

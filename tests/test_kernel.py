@@ -27,7 +27,7 @@ from threebox.exact import (
     probability,
     retrodict_exact,
 )
-from threebox.montecarlo import RunConfig, simulate
+from threebox.montecarlo import simulate
 
 
 def out(deck, variable, label, negated=False):
@@ -308,7 +308,7 @@ def test_one_compile_per_experiment_shared_by_every_engine(threebox, monkeypatch
         )
 
     experiment = spade_check()
-    simulate(RunConfig(experiment, 50, 3))
+    simulate(experiment, 50, 3)
     assert retrodict_exact(experiment, 1, out(threebox, "Suit", "S")) == 1
     assert acceptance_probability(experiment) == Fraction(1, 8)
     enumerate_tree(experiment)

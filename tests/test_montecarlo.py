@@ -11,12 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_kernel import experiments
-from threebox.deck import Deck, Manifestation, Outcome, Variable, validate_deck
+from threebox.deck import Deck, Manifestation, Outcome, Variable, check_run, validate_deck
 from threebox.decks import three_box_deck
 from threebox.errors import DrawOutOfRangeError, InvalidArgumentsError, NoAcceptedTrialsError
 from threebox.exact import AnyOf, Experiment, OutcomeAt, acceptance_probability, retrodict_exact
 from threebox import montecarlo, rng
-from threebox.montecarlo import CHUNK_TRIALS, TALLY_CODES, RunConfig, run_trial, simulate
+from threebox.montecarlo import CHUNK_TRIALS, TALLY_CODES, run_trial, simulate
 from threebox.rng import MAX_POOL, CounterStream, CounterStreams, DrawRule, finalize, seed_key
 
 GOLDEN = 0x9E3779B97F4A7C15
@@ -300,7 +300,7 @@ class TestSharedRuns:
     def test_a_shared_run_equals_separate_runs(self, run):
         first, second, trials, seed = run
         shared = montecarlo.simulate_runs((first, second), trials, seed)
-        separate = [simulate(RunConfig(experiment, trials, seed)) for experiment in (first, second)]
+        separate = [simulate(experiment, trials, seed) for experiment in (first, second)]
         assert [table.counts for table in shared] == [table.counts for table in separate]
         assert [table.to_dict() for table in shared] == [table.to_dict() for table in separate]
 
@@ -316,7 +316,7 @@ class TestSharedRuns:
         shared = montecarlo.simulate_runs(runs, trials, seed)
         assert [table.experiment for table in shared] == list(runs)
         for table, experiment in zip(shared, runs):
-            assert table.counts == simulate(RunConfig(experiment, trials, seed)).counts
+            assert table.counts == simulate(experiment, trials, seed).counts
 
     def test_no_runs_and_invalid_requests(self, threebox):
         assert montecarlo.simulate_runs((), 10, 1) == ()
@@ -327,8 +327,7 @@ class TestSharedRuns:
 
 class TestSimulate:
     def test_reruns_are_bitwise_identical(self, threebox):
-        config = RunConfig(spade_check(threebox), trials=5000, seed=123)
-        first, second = simulate(config), simulate(config)
+        first, second = (simulate(spade_check(threebox), trials=5000, seed=123) for _ in range(2))
         assert first.counts == second.counts
         assert first.to_dict() == second.to_dict()
 
@@ -340,7 +339,7 @@ class TestSimulate:
             "~SJ", "SQ", "~SJ", "SJ", "~SQ", "SQ",
             "~SJ", "~SJ", "~SQ", "~SJ", "~SQ", "~SJ",
         ]
-        table = simulate(RunConfig(experiment, trials=200, seed=7))
+        table = simulate(experiment, trials=200, seed=7)
         assert {" ".join(map(str, k)): v for k, v in table.counts.items()} == {
             "S J": 12, "S K": 28, "S Q": 15, "~S J": 71, "~S Q": 74,
         }
@@ -350,7 +349,7 @@ class TestSimulate:
         experiment = spade_check(threebox)
         trials = 4000
         reference = Counter(run_trial(experiment, 11, t) for t in range(trials))
-        assert simulate(RunConfig(experiment, trials, 11)).counts == dict(reference)
+        assert simulate(experiment, trials, 11).counts == dict(reference)
 
     def test_trial_order_does_not_matter(self, threebox):
         experiment = spade_check(threebox)
@@ -358,13 +357,13 @@ class TestSimulate:
         order = list(range(trials))
         random.Random(0).shuffle(order)
         shuffled = Counter(run_trial(experiment, 21, t) for t in order)
-        assert simulate(RunConfig(experiment, trials, 21)).counts == dict(shuffled)
+        assert simulate(experiment, trials, 21).counts == dict(shuffled)
 
     def test_count_matches_a_scan_of_the_trials(self, threebox):
         experiment = spade_check(threebox)
         trials = 3000
         sequences = [run_trial(experiment, 4, t) for t in range(trials)]
-        table = simulate(RunConfig(experiment, trials, 4))
+        table = simulate(experiment, trials, 4)
         spade, king = OutcomeAt(1, out(threebox, "Suit", "S")), OutcomeAt(2, out(threebox, "Face", "K"))
         jack = OutcomeAt(2, out(threebox, "Face", "J"))
         for pattern in (spade, king, spade & king, AnyOf((king, jack)), ~spade, ~(spade | jack)):
@@ -372,25 +371,29 @@ class TestSimulate:
         assert table.accepted == table.count(king)
 
     def test_counts_sum_to_trials(self, threebox):
-        table = simulate(RunConfig(spade_check(threebox), trials=2500, seed=3))
+        table = simulate(spade_check(threebox), trials=2500, seed=3)
         assert sum(table.counts.values()) == 2500
         assert 0 <= table.accepted <= 2500
 
     def test_at_least_one_trial_required(self, threebox):
-        with pytest.raises(InvalidArgumentsError):
-            RunConfig(spade_check(threebox), trials=0, seed=1)
+        with pytest.raises(InvalidArgumentsError, match="at least one trial"):
+            simulate(spade_check(threebox), trials=0, seed=1)
 
     def test_trials_must_not_outrun_the_64_bit_trial_index(self, threebox):
         # Trial 2**64 would key the stream of trial 0 again.
         with pytest.raises(InvalidArgumentsError, match="at most 2\\*\\*64 trials"):
-            RunConfig(spade_check(threebox), trials=2**64 + 1, seed=1)
-        assert RunConfig(spade_check(threebox), trials=2**64, seed=1).trials == 2**64
+            simulate(spade_check(threebox), trials=2**64 + 1, seed=1)
+        with pytest.raises(InvalidArgumentsError, match="at most 2\\*\\*64 trials"):
+            check_run(2**64 + 1, 1)
+        check_run(2**64, 1)  # no run could take that long, so the limit itself is checked alone
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_must_fit_64_bits(self, threebox, seed):
-        with pytest.raises(InvalidArgumentsError):
-            RunConfig(spade_check(threebox), trials=1, seed=seed)
-        assert RunConfig(spade_check(threebox), trials=1, seed=2**64 - 1).seed == 2**64 - 1
+        with pytest.raises(InvalidArgumentsError, match="seed must be in"):
+            simulate(spade_check(threebox), trials=1, seed=seed)
+        with pytest.raises(InvalidArgumentsError, match="seed must be in"):
+            check_run(1, seed)
+        assert simulate(spade_check(threebox), trials=1, seed=2**64 - 1).seed == 2**64 - 1
 
     # Runs of about half a chunk, one chunk, one and a half chunks and three chunks.
     @pytest.mark.parametrize(
@@ -401,7 +404,7 @@ class TestSimulate:
     def test_chunk_edges(self, threebox, trials):
         experiment = spade_check(threebox)
         reference = Counter(run_trial(experiment, 13, t) for t in range(trials))
-        assert simulate(RunConfig(experiment, trials, 13)).counts == dict(reference)
+        assert simulate(experiment, trials, 13).counts == dict(reference)
 
     def test_a_layer_mixing_a_power_of_two_pool_with_another_size(self):
         experiment = mixed_pool_check()
@@ -413,7 +416,7 @@ class TestSimulate:
         blocks = montecarlo._tables(events, trials)
         assert [[rule.table is None for _, rule in draws] for draws, _, _ in blocks] == [[True], [False], [True]]
         reference = Counter(run_trial(experiment, 19, t) for t in range(trials))
-        assert simulate(RunConfig(experiment, trials, 19)).counts == dict(reference)
+        assert simulate(experiment, trials, 19).counts == dict(reference)
 
     @pytest.mark.parametrize("tally_codes", [TALLY_CODES, 4])
     def test_power_of_two_pools_draw_from_repeated_rows(self, monkeypatch, tally_codes):
@@ -437,7 +440,7 @@ class TestSimulate:
         reference = Counter(run_trial(experiment, 37, t) for t in range(trials))
         assert len({seq[1] for seq in reference}) == 3
         monkeypatch.setattr(montecarlo, "TALLY_CODES", tally_codes)
-        assert simulate(RunConfig(experiment, trials, 37)).counts == dict(reference)
+        assert simulate(experiment, trials, 37).counts == dict(reference)
 
     def test_a_two_card_pool_repeats_across_a_row_of_four(self, threebox):
         # The README request: after a spade, the face comes from the 2 spades (J, Q), else from 4 cards.
@@ -482,13 +485,13 @@ class TestSimulate:
         reference = dict(Counter(run_trial(experiment, 23, t) for t in range(trials)))
         for chunk in (1, 7, 4096, 8192):
             monkeypatch.setattr(montecarlo, "CHUNK_TRIALS", chunk)
-            assert simulate(RunConfig(experiment, trials, 23)).counts == reference, chunk
+            assert simulate(experiment, trials, 23).counts == reference, chunk
 
     def test_experiments_longer_than_the_tree_cap(self, threebox):
         events = tuple(Manifestation(("Suit", "Face")[k % 2], ("S", None)[k % 2]) for k in range(12))
         experiment = Experiment(threebox, out(threebox, "Face", "Q"), events)
         reference = Counter(run_trial(experiment, 8, t) for t in range(300))
-        assert simulate(RunConfig(experiment, 300, 8)).counts == dict(reference)
+        assert simulate(experiment, 300, 8).counts == dict(reference)
 
     @pytest.mark.parametrize("trials", [HALF_CHUNK - 1, HALF_CHUNK + 1, CHUNK_TRIALS - 1, CHUNK_TRIALS + 1])
     @pytest.mark.parametrize(
@@ -505,19 +508,19 @@ class TestSimulate:
         space = math.prod(len(m.outcomes(threebox)) for m in manifestations)
         assert (space <= TALLY_CODES) == in_one_array
         reference = Counter(run_trial(experiment, 17, t) for t in range(trials))
-        assert simulate(RunConfig(experiment, trials, 17)).counts == dict(reference)
+        assert simulate(experiment, trials, 17).counts == dict(reference)
 
     def test_merging_as_it_goes_gives_the_one_array_counts(self, threebox, monkeypatch):
         # With a tiny bound the 6,561-sequence experiment takes the merge
         # branch and merges many times during the run, not only at its end.
         events = tuple(Manifestation(("Suit", "Face")[k % 2]) for k in range(8))
-        config = RunConfig(Experiment(threebox, out(threebox, "Face", "Q"), events), 10 * CHUNK_TRIALS + 7, 5)
-        in_one_array = simulate(config).counts
+        run = (Experiment(threebox, out(threebox, "Face", "Q"), events), 10 * CHUNK_TRIALS + 7, 5)
+        in_one_array = simulate(*run).counts
         merges = []
         merge = montecarlo._merge
         monkeypatch.setattr(montecarlo, "_merge", lambda tallies: merges.append(len(tallies)) or merge(tallies))
         monkeypatch.setattr(montecarlo, "TALLY_CODES", 64)
-        assert simulate(config).counts == in_one_array
+        assert simulate(*run).counts == in_one_array
         assert len(merges) > 2
 
     def test_empty_pool_fails_as_in_the_scalar_walk(self):
@@ -526,7 +529,7 @@ class TestSimulate:
         with pytest.raises(DrawOutOfRangeError):
             run_trial(experiment, 1, 0)
         with pytest.raises(DrawOutOfRangeError):
-            simulate(RunConfig(experiment, 10, 1))
+            simulate(experiment, 10, 1)
 
     def test_outcome_sequences_must_fit_the_tally(self):
         size = 240  # 240**8 complete-observation sequences overflow a 64-bit code
@@ -534,14 +537,14 @@ class TestSimulate:
         events = tuple(Manifestation(("Suit", "Face")[k % 2]) for k in range(8))
         experiment = Experiment(deck, out(deck, "Face", "F0"), events)
         with pytest.raises(InvalidArgumentsError):
-            simulate(RunConfig(experiment, 10, 1))
+            simulate(experiment, 10, 1)
 
 
 @settings(max_examples=60, deadline=None)
 @given(experiments(max_events=4, max_scale=10**5), st.integers(0, 2**64 - 1), st.integers(1, 300))
 def test_vector_engine_matches_the_observe_loop_on_random_decks(experiment, seed, trials):
     reference = Counter(run_trial(experiment, seed, t) for t in range(trials))
-    table = simulate(RunConfig(experiment, trials, seed))
+    table = simulate(experiment, trials, seed)
     assert table.counts == dict(reference)
     if experiment.postselection is not None:
         ordinal, outcome = experiment.postselection
@@ -569,7 +572,7 @@ def test_the_block_walk_matches_the_observe_loop(experiment, seed, trials):
         # Not vacuous: these compile to a block of several events, so the joint index and its tables are walked.
         assert any(len(draws) > 1 for draws, _, _ in montecarlo._tables(experiment.kernel.events, trials))
     reference = Counter(run_trial(experiment, seed, t) for t in range(trials))
-    assert simulate(RunConfig(experiment, trials, seed)).counts == dict(reference)
+    assert simulate(experiment, trials, seed).counts == dict(reference)
 
 
 @pytest.mark.parametrize("trials", [1, 10, 1000])
@@ -586,7 +589,7 @@ def test_small_runs_build_block_tables_no_larger_than_the_run(monkeypatch, trial
 
     monkeypatch.setattr(montecarlo, "_block", recording_block)
     reference = Counter(run_trial(experiment, 3, t) for t in range(trials))
-    assert simulate(RunConfig(experiment, trials, 3)).counts == dict(reference)
+    assert simulate(experiment, trials, 3).counts == dict(reference)
     assert [events for events, _, _ in built] == ([1] * 8 if trials < 16 else [4, 4])
     assert all(len(digits) <= trials for events, digits, _ in built if events > 1)
 
@@ -621,17 +624,17 @@ class TestConvergence:
     def test_partial_check_frequency_within_five_sigma(self, threebox):
         experiment = Experiment(threebox, out(threebox, "Face", "Q"), (Manifestation("Suit", "S"),))
         trials = 100_000
-        table = simulate(RunConfig(experiment, trials, seed=42))
+        table = simulate(experiment, trials, seed=42)
         exact = 0.25
         tolerance = 5 * math.sqrt(exact * (1 - exact) / trials)
         assert abs(table.marginal_frequency(1, out(threebox, "Suit", "S")) - exact) <= tolerance
 
     def test_accepted_runs_always_passed_through_spade(self, threebox):
-        config = RunConfig(spade_check(threebox), trials=100_000, seed=42)
-        estimate = simulate(config).retrodiction(1, out(threebox, "Suit", "S"))
+        experiment = spade_check(threebox)
+        estimate = simulate(experiment, trials=100_000, seed=42).retrodiction(1, out(threebox, "Suit", "S"))
         assert estimate.estimate == 1.0
-        exact_acceptance = float(acceptance_probability(config.experiment))
-        tolerance = 5 * math.sqrt(exact_acceptance * (1 - exact_acceptance) / config.trials)
+        exact_acceptance = float(acceptance_probability(experiment))
+        tolerance = 5 * math.sqrt(exact_acceptance * (1 - exact_acceptance) / 100_000)
         assert abs(estimate.acceptance_rate - exact_acceptance) <= tolerance
         assert exact_acceptance == 1 / 8
 
@@ -642,7 +645,7 @@ class TestConvergence:
             (Manifestation("Suit"), Manifestation("Face")),
             postselection=(2, out(threebox, "Face", "K")),
         )
-        estimate = simulate(RunConfig(experiment, 100_000, 42)).retrodiction(1, out(threebox, "Suit", "S"))
+        estimate = simulate(experiment, 100_000, 42).retrodiction(1, out(threebox, "Suit", "S"))
         assert abs(estimate.estimate - 0.5) <= 5 * estimate.standard_error
         assert estimate.standard_error == math.sqrt(
             estimate.estimate * (1 - estimate.estimate) / estimate.accepted
@@ -659,17 +662,17 @@ class TestEstimateRetrodiction:
         )
         assert acceptance_probability(experiment) == 0
         with pytest.raises(NoAcceptedTrialsError):
-            simulate(RunConfig(experiment, 2000, 5)).retrodiction(1, out(threebox, "Face", "K"))
+            simulate(experiment, 2000, 5).retrodiction(1, out(threebox, "Face", "K"))
 
     def test_requires_postselection(self, threebox):
         experiment = Experiment(threebox, out(threebox, "Face", "Q"), (Manifestation("Suit"),))
         with pytest.raises(InvalidArgumentsError):
-            simulate(RunConfig(experiment, 10, 5)).retrodiction(1, out(threebox, "Suit", "S"))
+            simulate(experiment, 10, 5).retrodiction(1, out(threebox, "Suit", "S"))
 
     @pytest.mark.parametrize("label", ["K", "Q"])
     def test_query_at_the_postselection_is_refused_as_by_the_exact_engine(self, threebox, label):
         experiment = spade_check(threebox)
-        table = simulate(RunConfig(experiment, 100, 5))
+        table = simulate(experiment, 100, 5)
         query = out(threebox, "Face", label)
         with pytest.raises(InvalidArgumentsError) as exact_error:
             retrodict_exact(experiment, 2, query)
@@ -678,7 +681,7 @@ class TestEstimateRetrodiction:
         assert str(mc_error.value) == str(exact_error.value)
 
     def test_marginal_frequency_validates_the_outcome(self, threebox):
-        table = simulate(RunConfig(spade_check(threebox), trials=10, seed=1))
+        table = simulate(spade_check(threebox), trials=10, seed=1)
         with pytest.raises(InvalidArgumentsError):
             table.marginal_frequency(1, out(threebox, "Suit", "D"))
 
@@ -687,7 +690,7 @@ def test_empirical_distribution_tracks_every_leaf(threebox):
     """Frequencies of all six sequences sit within five sigma of exact."""
     experiment = spade_check(threebox)
     trials = 100_000
-    table = simulate(RunConfig(experiment, trials, seed=2))
+    table = simulate(experiment, trials, seed=2)
     from threebox.exact import leaf_distribution
 
     for sequence, exact in leaf_distribution(experiment).items():

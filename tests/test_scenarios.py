@@ -188,7 +188,7 @@ def test_each_experiment_is_simulated_once(monkeypatch, name, trials):
 
     monkeypatch.setattr(montecarlo, "simulate_runs", counted)
     monkeypatch.setattr(montecarlo, "_walk", lambda tables, *args: walked.append(len(tables)) or walk(tables, *args))
-    monkeypatch.setattr(montecarlo, "simulate", lambda config: pytest.fail("an experiment ran on its own"))
+    monkeypatch.setattr(montecarlo, "simulate", lambda *run: pytest.fail("an experiment ran on its own"))
     run_scenario(name, trials=trials, seed=3)
     runs = MC_RUNS[name] if trials else 0
     assert len(calls) == (1 if runs else 0)

@@ -23,7 +23,7 @@ from threebox.errors import (
 )
 from threebox.exact import AllOf, AnyOf, Experiment, MixtureState, Negation, OutcomeAt
 from threebox.formulas import RetrodictionInputs
-from threebox.montecarlo import FrequencyTable, RunConfig, simulate
+from threebox.montecarlo import FrequencyTable, simulate
 from threebox.quantum import SlitGeometry, three_slit_design
 
 
@@ -34,7 +34,6 @@ def samples():
     state = prepare(deck, king)
     events = (Manifestation("Face"), Manifestation("Suit", "H"))
     at_1, at_2 = OutcomeAt(1, king), OutcomeAt(2, heart)
-    experiment = Experiment(deck, king, events, (2, heart))
     return {
         Variable: (lambda: Variable("Face", ("K", "Q")), Variable("Face", ("Q", "K"))),
         Outcome: (lambda: Outcome("Suit", "H", negated=True), Outcome("Suit", "H")),
@@ -59,7 +58,6 @@ def samples():
             ),
         ),
         SlitGeometry: (lambda: three_slit_design(10.0, 1.0), three_slit_design(3.7, 0.21)),
-        RunConfig: (lambda: RunConfig(experiment, 1000, 7), RunConfig(experiment, trials=1000, seed=8)),
     }
 
 
@@ -157,7 +155,6 @@ REPRS = {
         "prior_negation=Fraction(3, 4))"
     ),
     SlitGeometry: "SlitGeometry(separation=10.0, wavelength=1.0, distance=99.75)",
-    RunConfig: f"RunConfig(experiment={EXPERIMENT}, trials=1000, seed=7)",
 }
 
 
@@ -225,13 +222,13 @@ def test_the_kernel_compiles_once_and_stays_out_of_equality(monkeypatch):
 
 
 def test_a_frequency_table_counts_its_accepted_trials_once_and_is_immutable(monkeypatch):
-    config = SAMPLES[RunConfig][0]()
-    table = simulate(config)
+    experiment = SAMPLES[Experiment][0]()
+    table = simulate(experiment, 1000, 7)
     counted = []
     count = FrequencyTable.count
     monkeypatch.setattr(FrequencyTable, "count", lambda self, pattern: counted.append(pattern) or count(self, pattern))
     # The postselection is a not-heart report at the second event.
-    not_heart = config.experiment.postselection[1]
+    not_heart = experiment.postselection[1]
     expected = sum(n for sequence, n in table.counts.items() if sequence[1] == not_heart)
     assert 0 < expected < table.trials
     assert table.accepted == expected and table.acceptance_rate == expected / 1000
@@ -240,7 +237,7 @@ def test_a_frequency_table_counts_its_accepted_trials_once_and_is_immutable(monk
         with pytest.raises(AttributeError):
             setattr(table, name, None)
     assert table.accepted == expected and len(counted) == 1
-    assert table == simulate(config) and copy.copy(table) == table
+    assert table == simulate(experiment, 1000, 7) and copy.copy(table) == table
     with pytest.raises(TypeError):
         hash(table)
 
